@@ -1,9 +1,8 @@
 """Non-parametric estimation of consumer valuation distributions from
 second-price auction standing-price sequences."""
 
-from .arrival import (GTable, build_g_table, cached_g_table,
-                      conditional_mean_jumps, estimate_lambda, g_eval,
-                      g_inverse, load_g_table, save_g_table)
+from .arrival import (conditional_mean_jumps, estimate_lambda, g_eval,
+                      g_inverse)
 from .bands import (ConfidenceBand, MedianBiasEstimate, estimate_median_bias,
                     hulc_band, hulc_batches, write_band_csv)
 from .errors import (NumericalError, SecondPriceError, TieError,
@@ -22,8 +21,7 @@ from .mle import (AscentResult, LikelihoodContext, compute_A, coord_update,
 from .model import (AuctionRecord, MonotoneCurve, ObservedDataset, PooledData,
                     ThetaVector, break_ties, cdf_to_theta, has_ties,
                     interpolate, pool, theta_to_cdf, validate_auction)
-from .pipeline import (FitResult, clip_theta0, default_epsilon,
-                       default_g_table, fit, fit_initial)
+from .pipeline import FitResult, clip_theta0, default_epsilon, fit, fit_initial
 from .simulate import (AuctionState, SimConfig, ValuationDistribution,
                        replay_bids, run_auction, run_study,
                        standing_price_update)

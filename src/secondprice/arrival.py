@@ -1,24 +1,29 @@
 """Generalized-method-of-moments estimation of the bidder arrival rate.
 
 The expected number of standing-price changes in one auction is a
-strictly increasing function ``g`` of the thinned-arrival Poisson mean;
-``g`` is tabulated by Monte Carlo, isotonically projected, and inverted
-by monotone interpolation.
+strictly increasing function ``g`` of the thinned-arrival Poisson mean
+x.  With N ~ Poisson(x) bidders, E[H_N] = Ein(x) = gamma + ln x + E1(x)
+(DLMF 6.2), so g(x) = E[2(H_N - 1); N >= 2] has the closed form
+2(gamma + ln x + E1(x) - 1 + e^{-x}), the exact limit of a Monte Carlo
+table of the jump count.  ``g`` is inverted by Brent's method.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
+import math
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+from scipy import optimize, special
 
 from .errors import NumericalError, ValidationError
 from .model import ObservedDataset
 
-_MAX_DOUBLINGS = 24
+# Below this mean the closed form cancels (its terms are O(ln x) while
+# g(x) ~ x^2/2), so the Poisson series is summed instead.
+_SERIES_BELOW = 1e-2
+# g grows like 2 ln x, so 2^32 bounds every reachable thinned mean
+# (g(2^32) is about 43.5 jumps per auction).
+_MAX_DOUBLINGS = 32
 
 
 def conditional_mean_jumps(n: int) -> float:
@@ -31,140 +36,51 @@ def conditional_mean_jumps(n: int) -> float:
     return 2.0 * float(np.sum(1.0 / np.arange(2, n + 1)))
 
 
-@dataclass(frozen=True)
-class GTable:
-    """Tabulated moment function with monotone inverse lookup."""
-
-    grid: np.ndarray
-    gvals: np.ndarray
-    mc_reps: int
-    seed: int
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        gvals = np.asarray(self.gvals, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "gvals", gvals)
-        if len(grid) < 2 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
-            raise ValidationError("grid must be ascending and non-negative")
-        if np.any(np.diff(gvals) < 0):
-            raise ValidationError("g values must be non-decreasing")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+# Poisson-series terms e^{-x} x^n / n! * E[jumps | n] for n = 2..12; at
+# x = 1e-2 the first omitted term is below 1e-30 of g.
+_SERIES_N = np.arange(2, 13)
+_SERIES_W = np.array([conditional_mean_jumps(n) / math.factorial(n)
+                      for n in _SERIES_N])
 
 
-def build_g_table(grid, mc_reps: int, seed: int) -> GTable:
-    """Estimate g on a grid by Monte Carlo.
-
-    Only the bidder count N ~ Poisson(x) is sampled; the exact
-    conditional mean of the jump count given N is applied, which removes
-    the within-auction sampling variance.  The result is isotonically
-    projected and g(0) = 0 is pinned exactly.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if mc_reps < 1:
-        raise ValidationError("mc_reps must be >= 1")
-    gvals = np.zeros(len(grid))
-    for i, x in enumerate(grid):
-        if x == 0.0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), i)))
-        n = rng.poisson(x, mc_reps)
-        nmax = int(n.max())
-        # harmonic[k] = sum_{i=2}^{k} 1/i
-        harmonic = np.concatenate(([0.0, 0.0], np.cumsum(1.0 / np.arange(2, nmax + 1))))
-        gvals[i] = float(np.mean(2.0 * harmonic[n]))
-    gvals = isotonic_regression(gvals).x
-    if grid[0] == 0.0:
-        gvals[0] = 0.0
-    return GTable(grid, gvals, int(mc_reps), int(seed))
+def g_eval(x):
+    """Expected standing-price changes per auction, E[2(H_N - 1); N >= 2]
+    for N ~ Poisson(x); scalar in, float out, array in, array out."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        raise ValidationError("Poisson mean must be non-negative")
+    # each branch sees only arguments on its own side of the switch
+    small = np.minimum(arr, _SERIES_BELOW)
+    big = np.maximum(arr, _SERIES_BELOW)
+    series = np.exp(-small) * (small[..., None] ** _SERIES_N @ _SERIES_W)
+    closed = 2.0 * (np.euler_gamma + np.log(big) + special.exp1(big)
+                    + np.expm1(-big))
+    out = np.where(arr < _SERIES_BELOW, series, closed)
+    return float(out) if out.ndim == 0 else out
 
 
-def extend_to_cover(table: GTable, y: float) -> GTable:
-    """Double the grid range (same spacing, mc_reps, seed) until the
-    tabulated values cover y."""
-    out = table
-    for _ in range(_MAX_DOUBLINGS):
-        if out.gvals[-1] >= y:
-            return out
-        new_max = max(2.0 * out.grid[-1], out.spacing)
-        grid = np.arange(0.0, new_max + 0.5 * table.spacing, table.spacing)
-        out = build_g_table(grid, table.mc_reps, table.seed)
-    raise NumericalError(f"could not extend g table to cover y={y}")
-
-
-def g_eval(table: GTable, x) -> np.ndarray:
-    return np.interp(x, table.grid, table.gvals)
-
-
-def g_inverse(table: GTable, y: float) -> float:
-    """Monotone linear-interpolation inverse of the tabulated g,
-    auto-extending the table range when y lies beyond it."""
+def g_inverse(y: float) -> float:
+    """The Poisson mean x with g(x) = y; the bracket is found by doubling."""
     if y < 0:
         raise ValidationError("mean jump count must be non-negative")
-    if y > table.gvals[-1]:
-        table = extend_to_cover(table, y)
-    return float(np.interp(y, table.gvals, table.grid))
+    if y == 0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        if g_eval(hi) >= y:
+            # relative tolerance only: an absolute one would cap the
+            # precision of small means
+            return optimize.brentq(lambda x: g_eval(x) - y, lo, hi,
+                                   xtol=1e-300)
+        lo, hi = hi, 2.0 * hi
+    raise NumericalError(f"mean jump count {y} is beyond g({hi / 2:g})")
 
 
-def estimate_lambda(dataset: ObservedDataset, table: GTable,
-                    low_reserve_set) -> float:
+def estimate_lambda(dataset: ObservedDataset, low_reserve_set) -> float:
     """Arrival-rate estimate from the mean jump count over auctions with
     negligible reserve prices (F at those reserves is treated as 0)."""
     idx = sorted(low_reserve_set)
     if not idx:
         raise NumericalError("low-reserve auction set is empty; relax (q, epsilon)")
     mean_jumps = float(np.mean([dataset.auctions[k].m for k in idx]))
-    return g_inverse(table, mean_jumps) / dataset.tau
-
-
-# -- on-disk cache ------------------------------------------------------
-
-def save_g_table(table: GTable, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# mc_reps={table.mc_reps}\n# seed={table.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "g"])
-        for x, g in zip(table.grid, table.gvals):
-            writer.writerow([repr(float(x)), repr(float(g))])
-
-
-def load_g_table(path) -> GTable:
-    path = Path(path)
-    meta = {}
-    rows = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, val = line[1:].split("=")
-                meta[key.strip()] = int(val)
-            elif line and not line.startswith("x,"):
-                x, g = line.split(",")
-                rows.append((float(x), float(g)))
-    grid = np.array([r[0] for r in rows])
-    gvals = np.array([r[1] for r in rows])
-    return GTable(grid, gvals, meta["mc_reps"], meta["seed"])
-
-
-def cached_g_table(path, grid, mc_reps: int, seed: int) -> GTable:
-    """Load the cached table when its parameters match, else rebuild and
-    overwrite the cache."""
-    path = Path(path)
-    grid = np.asarray(grid, dtype=float)
-    if path.exists():
-        try:
-            table = load_g_table(path)
-        except (ValueError, KeyError, ValidationError):
-            table = None
-        if (table is not None and table.mc_reps == mc_reps and table.seed == seed
-                and len(table.grid) >= len(grid)
-                and np.allclose(table.grid[: len(grid)], grid)):
-            return table
-    table = build_g_table(grid, mc_reps, seed)
-    save_g_table(table, path)
-    return table
+    return g_inverse(mean_jumps) / dataset.tau

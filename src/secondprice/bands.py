@@ -87,11 +87,11 @@ def hulc_batches(alpha: float, delta: float) -> int:
     return B
 
 
-def _fit_kind(dataset: ObservedDataset, kind: str, q, epsilon, table,
-              tol, max_sweeps) -> MonotoneCurve:
+def _fit_kind(dataset: ObservedDataset, kind: str, q, epsilon, tol,
+              max_sweeps) -> MonotoneCurve:
     if kind == "init":
-        return fit_initial(dataset, q=q, epsilon=epsilon, table=table)[3]
-    return fit(dataset, q=q, epsilon=epsilon, table=table, tol=tol,
+        return fit_initial(dataset, q=q, epsilon=epsilon)[3]
+    return fit(dataset, q=q, epsilon=epsilon, tol=tol,
                max_sweeps=max_sweeps, constrained=True).cdf
 
 
@@ -108,7 +108,7 @@ def _simulate_profile(lam, tau, reserves, rng) -> ObservedDataset:
 
 def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,
                          reserve_profile, mc_reps: int, rng,
-                         q: float = 0.25, table=None) -> MedianBiasEstimate:
+                         q: float = 0.25) -> MedianBiasEstimate:
     """Monte Carlo median-bias approximation on the probability scale.
 
     Each replicate simulates K auctions with Uniform(0,1) valuations at
@@ -130,7 +130,7 @@ def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,
     for _ in range(mc_reps):
         dataset = _simulate_profile(lambda_hat, tau, reserves, rng)
         try:
-            curve = _fit_kind(dataset, kind, q, 0.01, table, 1e-8, 10000)
+            curve = _fit_kind(dataset, kind, q, 0.01, 1e-8, 10000)
         except (NumericalError, ValidationError):
             failures += 1
             continue
@@ -146,8 +146,7 @@ def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,
 
 def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
               delta: float, rng, q: float = 0.25, epsilon: float = None,
-              table=None, tol: float = 1e-8,
-              max_sweeps: int = 10000) -> ConfidenceBand:
+              tol: float = 1e-8, max_sweeps: int = 10000) -> ConfidenceBand:
     """Envelope band at level 1-alpha from a random B-way split."""
     if estimator_kind not in _KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
@@ -161,8 +160,8 @@ def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
     for chunk in np.array_split(perm, B):
         sub = ObservedDataset(tuple(dataset.auctions[int(k)] for k in chunk),
                               dataset.tau)
-        curves.append(_fit_kind(sub, estimator_kind, q, epsilon, table,
-                                tol, max_sweeps))
+        curves.append(_fit_kind(sub, estimator_kind, q, epsilon, tol,
+                                max_sweeps))
     knots = np.unique(np.concatenate([c.knots for c in curves]))
     vals = np.vstack([np.asarray(c(knots)) for c in curves])
     return ConfidenceBand(knots, vals.min(axis=0), vals.max(axis=0),

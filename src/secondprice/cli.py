@@ -17,14 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrival import cached_g_table
 from .bands import estimate_median_bias, hulc_band, write_band_csv
 from .errors import NumericalError, SecondPriceError, ValidationError
 from .ingest import export_dataset, ingest_bid_csv, read_dataset
 from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
 from .model import MonotoneCurve
-from .pipeline import (DEFAULT_TABLE_REPS, DEFAULT_TABLE_SEED, default_g_table,
-                       fit, fit_initial)
+from .pipeline import fit, fit_initial
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 EXIT_OK = 0
@@ -95,16 +93,6 @@ class _Resolver:
                 if v is not None]
 
 
-def _table(res: _Resolver):
-    mc_reps = res.get("mc_reps", int, DEFAULT_TABLE_REPS)
-    table_seed = res.get("table_seed", int, DEFAULT_TABLE_SEED)
-    cache = res.get("gtable_cache", str)
-    if cache:
-        return cached_g_table(cache, np.arange(0.0, 5.0 + 0.05, 0.1),
-                              mc_reps, table_seed)
-    return default_g_table(mc_reps, table_seed)
-
-
 def _write_curves_csv(path, header_lines, knots, series):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -148,11 +136,9 @@ def cmd_simulate(args) -> int:
 
 def _run_fit(res: _Resolver):
     dataset = read_dataset(res.get("data", str, required=True))
-    table = _table(res)
     return dataset, fit(dataset,
                         q=res.get("q", float, 0.25),
                         epsilon=res.get("epsilon", float),
-                        table=table,
                         tol=res.get("tol", float, 1e-8),
                         max_sweeps=res.get("max_sweeps", int, 10000),
                         constrained=not res.get("unconstrained", bool, False),
@@ -190,29 +176,26 @@ def cmd_bands(args) -> int:
     kind = res.get("kind", str, "mle")
     alpha = res.get("alpha", float, 0.10)
     seed = res.get("seed", int, 0)
-    table = _table(res)
     q = res.get("q", float, 0.25)
     epsilon = res.get("epsilon", float)
     delta = res.get("delta", float, 0.0)
     if res.get("auto_delta", bool, False):
         lam_hat, selection, _, f_init = fit_initial(dataset, q=q,
-                                                    epsilon=epsilon, table=table)
+                                                    epsilon=epsilon)
         reserves = np.array([0.0 if k in selection.V
                              else min(float(f_init(a.reserve)), 1.0 - 1e-9)
                              for k, a in enumerate(dataset.auctions)])
         bias = estimate_median_bias(kind if kind == "init" else "mle",
                                     dataset.K, lam_hat, dataset.tau, reserves,
                                     res.get("bias_reps", int, 100),
-                                    np.random.default_rng(seed), q=q,
-                                    table=table)
+                                    np.random.default_rng(seed), q=q)
         delta = bias.delta
     band = hulc_band(dataset, kind, alpha, delta,
-                     np.random.default_rng(seed), q=q, epsilon=epsilon,
-                     table=table)
+                     np.random.default_rng(seed), q=q, epsilon=epsilon)
     if kind == "init":
-        estimate = fit_initial(dataset, q=q, epsilon=epsilon, table=table)[3]
+        estimate = fit_initial(dataset, q=q, epsilon=epsilon)[3]
     else:
-        estimate = fit(dataset, q=q, epsilon=epsilon, table=table).cdf
+        estimate = fit(dataset, q=q, epsilon=epsilon).cdf
     out = res.get("out", str, required=True)
     res.resolved["delta"] = delta
     write_band_csv(band, estimate, out, header_lines=res.header_lines())
@@ -253,8 +236,7 @@ def cmd_replicate(args) -> int:
                               base_seed=res.get("seed", int, 0),
                               lam=res.get("lam", float, 1.0),
                               tau=res.get("tau", float, 100.0),
-                              q=res.get("q", float, 0.25),
-                              table=_table(res))
+                              q=res.get("q", float, 0.25))
     out = res.get("out", str)
     if out:
         write_report_csv(reports, out, header_lines=res.header_lines())
@@ -392,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("estimate", cmd_estimate, [
         ("--data", {}), ("--q", {"type": float}), ("--epsilon", {"type": float}),
         ("--tol", {"type": float}), ("--max-sweeps", {"type": int}),
-        ("--mc-reps", {"type": int}), ("--table-seed", {"type": int}),
-        ("--gtable-cache", {}), ("--unconstrained", {"action": "store_true",
-                                                     "default": None}),
+        ("--unconstrained", {"action": "store_true", "default": None}),
         ("--trace", {}), ("--out-curves", {}), ("--out-json", {})])
     add("bands", cmd_bands, [
         ("--data", {}), ("--kind", {"choices": ["init", "mle"]}),
@@ -402,16 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("--auto-delta", {"action": "store_true", "default": None}),
         ("--bias-reps", {"type": int}), ("--seed", {"type": int}),
         ("--q", {"type": float}), ("--epsilon", {"type": float}),
-        ("--mc-reps", {"type": int}), ("--table-seed", {"type": int}),
-        ("--gtable-cache", {}), ("--out", {})])
+        ("--out", {})])
     add("metrics", cmd_metrics, [
         ("--curves", {}), ("--series-a", {}), ("--series-b", {})])
     add("replicate", cmd_replicate, [
         ("--setting", {"action": "append"}), ("--reps", {"type": int}),
         ("--seed", {"type": int}), ("--lambda", {"type": float, "dest": "lam"}),
         ("--tau", {"type": float}), ("--q", {"type": float}),
-        ("--mc-reps", {"type": int}), ("--table-seed", {"type": int}),
-        ("--gtable-cache", {}), ("--out", {})])
+        ("--out", {})])
     add("ingest", cmd_ingest, [
         ("--data", {}), ("--duration", {"type": float}),
         ("--noise-seed", {"type": int}), ("--noise-scale", {"type": float}),

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import MonotoneCurve, ObservedDataset
-from .pipeline import default_g_table, fit, fit_initial
+from .pipeline import fit, fit_initial
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 _TV_REFINE_TOL = 1e-5
@@ -127,16 +127,13 @@ class StudyReport:
 
 def replicate_table(settings, replicates: int, base_seed: int,
                     lam: float = 1.0, tau: float = 100.0, q: float = 0.25,
-                    table=None, tol: float = 1e-8,
-                    max_sweeps: int = 10000) -> list:
+                    tol: float = 1e-8, max_sweeps: int = 10000) -> list:
     """Simulate, fit, and score each (distribution, K) setting.
 
     Reserves are 0 throughout (with automatic tie jitter), matching the
     negligible-reserve regime the arrival-rate estimator assumes.
     Replicates whose pipeline errors out are excluded and counted.
     """
-    if table is None:
-        table = default_g_table()
     reports = []
     for s, (dist, K) in enumerate(settings):
         raw = []
@@ -146,7 +143,7 @@ def replicate_table(settings, replicates: int, base_seed: int,
                 (int(base_seed), s, rep)).generate_state(1)[0])
             dataset = run_study(SimConfig(lam, tau, K, seed), dist)
             try:
-                res = fit(dataset, q=q, table=table, tol=tol,
+                res = fit(dataset, q=q, tol=tol,
                           max_sweeps=max_sweeps, constrained=True)
             except (NumericalError, ValidationError):
                 failures += 1
@@ -182,7 +179,7 @@ class TrainTestReport:
 
 def train_test_eval(dataset: ObservedDataset, ratio: float,
                     replications: int, rng, q: float = 0.25,
-                    epsilon: float = None, table=None) -> TrainTestReport:
+                    epsilon: float = None) -> TrainTestReport:
     """Random train/test splits at the given train fraction; the test-set
     MLE serves as the reference each train-set estimate is scored
     against."""
@@ -201,8 +198,8 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
         te = ObservedDataset(tuple(dataset.auctions[int(k)] for k in perm[n_train:]),
                              dataset.tau)
         try:
-            fit_tr = fit(tr, q=q, epsilon=epsilon, table=table)
-            fit_te = fit(te, q=q, epsilon=epsilon, table=table)
+            fit_tr = fit(tr, q=q, epsilon=epsilon)
+            fit_te = fit(te, q=q, epsilon=epsilon)
         except (NumericalError, ValidationError):
             skipped += 1
             continue

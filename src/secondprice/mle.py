@@ -23,7 +23,7 @@ from .model import MonotoneCurve, PooledData, ThetaVector, interpolate, theta_to
 
 try:
     from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is an install-time dependency
+except ImportError:  # numba is the optional "fast" extra
     _njit = None
 
 _ASSERT_SLACK = 1e-9
@@ -185,8 +185,10 @@ def coordinate_ascent(ctx: LikelihoodContext, theta0: ThetaVector,
     at their starting values and only updates the rest.  Terminates when a
     full sweep improves the objective by at most ``tol``.  ``fast`` selects
     the O(n)-per-sweep kernel; ``fast=False`` recomputes every coordinate
-    weight from scratch.  ``check_updates`` additionally asserts the
-    objective after every single coordinate update (debug mode, slow).
+    weight from scratch.  ``check_updates`` additionally checks the
+    objective after every single coordinate update (debug mode, slow);
+    a decrease beyond rounding slack raises ``NumericalError``, as does
+    a decreasing sweep in either mode.
     ``log_path`` writes the per-sweep objective trace as CSV.
     """
     if tol <= 0 or max_sweeps < 1:
@@ -222,14 +224,16 @@ def coordinate_ascent(ctx: LikelihoodContext, theta0: ThetaVector,
                 if check_updates:
                     after = _log_lik_arr(theta, ctx)
                     slack = _ASSERT_SLACK * (1.0 + abs(current))
-                    assert after >= current - slack, (
-                        f"coordinate update {i + 1} decreased the objective: "
-                        f"{current} -> {after}")
+                    if not after >= current - slack:
+                        raise NumericalError(
+                            f"coordinate update {i + 1} decreased the "
+                            f"objective: {current} -> {after}")
                     current = max(current, after)
         new = _log_lik_arr(theta, ctx)
         slack = _ASSERT_SLACK * (1.0 + abs(history[-1]))
-        assert new >= history[-1] - slack, (
-            f"sweep decreased the objective: {history[-1]} -> {new}")
+        if not new >= history[-1] - slack:
+            raise NumericalError(
+                f"sweep decreased the objective: {history[-1]} -> {new}")
         improvement = new - history[-1]
         history.append(new)
         if improvement <= tol:

@@ -1,15 +1,14 @@
 """End-to-end fit: arrival-rate estimate, initial CDF estimate, and the
 coordinate-ascent maximizer (constrained near the lower boundary by
-default), sharing one tabulated moment function across calls."""
+default)."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrival import GTable, build_g_table, estimate_lambda
+from .arrival import estimate_lambda
 from .errors import NumericalError
 from .initial import (LowReserveSelection, SpliceAnchors, combine_initial,
                       compute_splice_anchors, estimate_f_fp, estimate_f_sp,
@@ -20,37 +19,7 @@ from .model import (MonotoneCurve, ObservedDataset, PooledData, ThetaVector,
                     pool)
 
 DEFAULT_Q = 0.25
-# Monte Carlo replicates per moment-table grid point used when no table
-# is supplied.  Error analysis: at lam*tau near 100 the table's argument
-# error is about 50 * sd(2 H_N) / sqrt(reps) ~ 10 / sqrt(reps), far below
-# the rate tolerances of interest at this setting.
-DEFAULT_TABLE_REPS = 100_000
-DEFAULT_TABLE_SEED = 20240601
 _THETA_CLIP = 1e-6
-
-_table_lock = threading.Lock()
-_shared_tables: dict = {}
-
-
-def default_g_table(mc_reps: int = DEFAULT_TABLE_REPS,
-                    seed: int = DEFAULT_TABLE_SEED) -> GTable:
-    """Process-wide shared moment table (initial range [0, 5], spacing
-    0.1; queries beyond the range trigger automatic extension)."""
-    key = (int(mc_reps), int(seed))
-    with _table_lock:
-        if key not in _shared_tables:
-            _shared_tables[key] = build_g_table(
-                np.arange(0.0, 5.0 + 0.05, 0.1), mc_reps, seed)
-        return _shared_tables[key]
-
-
-def _remember_table(table: GTable) -> None:
-    # keep extended tables so later fits skip the re-extension cost
-    key = (table.mc_reps, table.seed)
-    with _table_lock:
-        cur = _shared_tables.get(key)
-        if cur is None or table.grid[-1] > cur.grid[-1]:
-            _shared_tables[key] = table
 
 
 def default_epsilon(dataset: ObservedDataset) -> float:
@@ -92,18 +61,15 @@ class FitResult:
 
 
 def fit_initial(dataset: ObservedDataset, q: float = DEFAULT_Q,
-                epsilon: float = None, table: GTable = None):
+                epsilon: float = None):
     """Arrival rate plus the spliced initial CDF estimate.
 
     Returns (lambda_hat, selection, anchors, f_init).
     """
     if epsilon is None:
         epsilon = default_epsilon(dataset)
-    if table is None:
-        table = default_g_table()
     selection = select_low_reserve(dataset, q, epsilon)
-    lambda_hat = estimate_lambda(dataset, table, selection.V)
-    _remember_table(table)
+    lambda_hat = estimate_lambda(dataset, selection.V)
     if lambda_hat <= 0:
         raise NumericalError(
             "arrival-rate estimate is zero (no standing-price jumps in the "
@@ -116,7 +82,7 @@ def fit_initial(dataset: ObservedDataset, q: float = DEFAULT_Q,
 
 
 def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
-        table: GTable = None, tol: float = 1e-8, max_sweeps: int = 10000,
+        tol: float = 1e-8, max_sweeps: int = 10000,
         constrained: bool = True, log_path=None) -> FitResult:
     """Full pipeline on one dataset.
 
@@ -127,7 +93,7 @@ def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
     """
     pooled = pool(dataset)
     lambda_hat, selection, anchors, f_init = fit_initial(
-        dataset, q=q, epsilon=epsilon, table=table)
+        dataset, q=q, epsilon=epsilon)
     ctx = LikelihoodContext(pooled, lambda_hat)
     theta0 = clip_theta0(initial_theta(f_init, pooled.z), ctx)
     constrain = constrained and pooled.ell > 0

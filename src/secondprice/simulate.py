@@ -80,16 +80,24 @@ class ValuationDistribution:
 
     # -- internals ----------------------------------------------------
     def _frozen(self):
+        # built once per instance: constructing a scipy frozen
+        # distribution costs far more than one draw or CDF evaluation
+        frozen = self.__dict__.get("_scipy")
+        if frozen is not None:
+            return frozen
         if self.kind == "pareto":
             scale, shape = self.params
-            return stats.pareto(b=shape, scale=scale)
-        if self.kind == "gamma":
+            frozen = stats.pareto(b=shape, scale=scale)
+        elif self.kind == "gamma":
             shape, rate = self.params
-            return stats.gamma(a=shape, scale=1.0 / rate)
-        if self.kind == "beta":
+            frozen = stats.gamma(a=shape, scale=1.0 / rate)
+        elif self.kind == "beta":
             a, b = self.params
-            return stats.beta(a, b)
-        raise AssertionError(self.kind)
+            frozen = stats.beta(a, b)
+        else:
+            raise AssertionError(self.kind)
+        object.__setattr__(self, "_scipy", frozen)
+        return frozen
 
     # -- API ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

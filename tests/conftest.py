@@ -1,22 +1,8 @@
-"""Shared fixtures: a moment table wide enough to avoid auto-extension
-during fits, and a moderately sized synthetic dataset with its fit."""
+"""Shared fixtures: a moderately sized synthetic dataset and its fit."""
 
-import numpy as np
 import pytest
 
-from secondprice import (SimConfig, ValuationDistribution, build_g_table, fit,
-                         run_study)
-
-TABLE_REPS = 20_000
-TABLE_SEED = 1
-
-
-@pytest.fixture(scope="session")
-def g_table():
-    # covers thinned means up to 110, so lambda*tau = 100 fits never
-    # trigger the doubling extension inside the tests
-    return build_g_table(np.arange(0.0, 110.0 + 0.05, 0.1),
-                         TABLE_REPS, TABLE_SEED)
+from secondprice import SimConfig, ValuationDistribution, fit, run_study
 
 
 @pytest.fixture(scope="session")
@@ -26,5 +12,5 @@ def uniform_dataset():
 
 
 @pytest.fixture(scope="session")
-def uniform_fit(uniform_dataset, g_table):
-    return fit(uniform_dataset, table=g_table)
+def uniform_fit(uniform_dataset):
+    return fit(uniform_dataset)

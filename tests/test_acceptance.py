@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secondprice import (AuctionRecord, ObservedDataset, SimConfig,
-                         ThetaVector, ValuationDistribution,
+from secondprice import (AuctionRecord, NumericalError, ObservedDataset,
+                         SimConfig, ThetaVector, ValuationDistribution,
                          conditional_mean_jumps, export_bid_log, hulc_band,
                          hulc_batches, ingest_bid_csv, ks_distance, pool,
                          replay_bids, replicate_table, run_auction, run_study,
@@ -78,13 +78,13 @@ def test_criterion_2_standing_price_replay():
                  f"{tuple(float(t) for t in jump_times)}")
 
 
-def test_criterion_3_simulation_study_table(g_table):
+def test_criterion_3_simulation_study_table():
     uni = ValuationDistribution.uniform(1.0, 20.0)
     gam = ValuationDistribution.gamma(10.0, 2.0)
     rep_u = replicate_table([(uni, 100)], replicates=100, base_seed=7,
-                            lam=1.0, tau=100.0, table=g_table)[0]
+                            lam=1.0, tau=100.0)[0]
     rep_g = replicate_table([(gam, 1000)], replicates=25, base_seed=7,
-                            lam=1.0, tau=100.0, table=g_table)[0]
+                            lam=1.0, tau=100.0)[0]
     checks = {
         "uniform-K100 mean KS(mle) in 0.0700+-0.02":
             abs(rep_u.mean_ks_mle - 0.0700) <= 0.02,
@@ -112,14 +112,14 @@ def test_criterion_3_simulation_study_table(g_table):
     check(3, not failed, detail)
 
 
-def test_criterion_4_arrival_rate_recovery(g_table):
+def test_criterion_4_arrival_rate_recovery():
     dist = ValuationDistribution.uniform(1.0, 20.0)
     hits = 0
     estimates = []
     for rep in range(100):
         seed = int(np.random.SeedSequence((11, rep)).generate_state(1)[0])
         ds = run_study(SimConfig(lam=1.0, tau=100.0, K=1000, seed=seed), dist)
-        lam_hat = fit_initial(ds, table=g_table)[0]
+        lam_hat = fit_initial(ds)[0]
         estimates.append(lam_hat)
         hits += 0.95 <= lam_hat <= 1.05
     sd = float(np.std(estimates, ddof=1))
@@ -151,7 +151,7 @@ def test_criterion_5_every_update_is_an_ascent():
         try:
             coordinate_ascent(ctx, ThetaVector(np.full(p.n, 0.5)),
                               tol=1e-10, max_sweeps=200, check_updates=True)
-        except AssertionError:
+        except NumericalError:
             violations += 1
     check(5, violations == 0,
           f"{violations} objective decreases across 1000 randomized "
@@ -222,14 +222,14 @@ def test_criterion_7_closed_forms():
           f"residual {root_err:.1e}, jump-count means within 3 SE: {jumps_ok}")
 
 
-def test_criterion_8_boundary_constraint_helps(g_table):
+def test_criterion_8_boundary_constraint_helps():
     dist = ValuationDistribution.gamma(10.0, 2.0)
     wins = decisive = near_tie = 0
     for rep in range(100):
         seed = int(np.random.SeedSequence((23, rep)).generate_state(1)[0])
         ds = run_study(SimConfig(lam=1.0, tau=100.0, K=150, seed=seed), dist)
         p = pool(ds)
-        lam_hat, _, _, f_init = fit_initial(ds, table=g_table)
+        lam_hat, _, _, f_init = fit_initial(ds)
         ctx = LikelihoodContext(p, lam_hat)
         theta0 = clip_theta0(initial_theta(f_init, p.z), ctx)
         cdf_c = reconstruct_cdf(
@@ -252,7 +252,7 @@ def test_criterion_8_boundary_constraint_helps(g_table):
           "this sample size, so the strict-win rate cannot reach 80%)")
 
 
-def test_criterion_9_confidence_bands(g_table):
+def test_criterion_9_confidence_bands():
     batches_ok = hulc_batches(0.10, 0.0) == 5
     dist = ValuationDistribution.uniform(1.0, 20.0)
     widths_mle, widths_init = [], []
@@ -260,10 +260,8 @@ def test_criterion_9_confidence_bands(g_table):
     for rep in range(20):
         seed = int(np.random.SeedSequence((37, rep)).generate_state(1)[0])
         ds = run_study(SimConfig(lam=1.0, tau=100.0, K=1000, seed=seed), dist)
-        b_mle = hulc_band(ds, "mle", alpha=0.10, delta=0.0, rng=seed,
-                          table=g_table)
-        b_init = hulc_band(ds, "init", alpha=0.10, delta=0.0, rng=seed,
-                           table=g_table)
+        b_mle = hulc_band(ds, "mle", alpha=0.10, delta=0.0, rng=seed)
+        b_init = hulc_band(ds, "init", alpha=0.10, delta=0.0, rng=seed)
         for b in (b_mle, b_init):
             envelopes_ok &= bool(np.all(np.diff(b.lower) >= -1e-12)
                                  and np.all(np.diff(b.upper) >= -1e-12)
@@ -284,10 +282,10 @@ def _xbox_log_path():
     return Path(__file__).resolve().parents[1] / "data" / "xbox_7day.csv"
 
 
-def test_criterion_10_bid_log_analysis(tmp_path, g_table):
+def test_criterion_10_bid_log_analysis(tmp_path):
     path = _xbox_log_path()
     if path.exists():
-        _criterion_10_full(path, g_table)
+        _criterion_10_full(path)
         return
     # the external 7-day console-auction bid log is not bundled, so the
     # published magnitudes cannot be recomputed here; accept conditionally
@@ -315,17 +313,16 @@ def test_criterion_10_bid_log_analysis(tmp_path, g_table):
           f"({report_ok})")
 
 
-def _criterion_10_full(path, g_table):
+def _criterion_10_full(path):
     dataset, report = ingest_bid_csv(path, duration_days=7.0, noise_seed=0)
     keep = tuple(a for a in dataset.auctions if a.reserve < 1.0)
     subset = ObservedDataset(keep, dataset.tau)
     finals = sorted(a.final_price for a in keep)
-    res = fit(subset, table=g_table)
+    res = fit(subset)
     tv = tv_distance(res.f_init, res.cdf)
     ks = ks_distance(res.f_init, res.cdf)
-    half = train_test_eval(subset, 0.5, 1000, rng=0, table=g_table)
-    twothirds = train_test_eval(subset, 2.0 / 3.0, 1000, rng=0,
-                                table=g_table)
+    half = train_test_eval(subset, 0.5, 1000, rng=0)
+    twothirds = train_test_eval(subset, 2.0 / 3.0, 1000, rng=0)
     checks = [
         abs(tv - 0.4140) <= 0.05,
         abs(half.avg_tv_init - 0.3257) <= 0.05,

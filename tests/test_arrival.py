@@ -1,16 +1,17 @@
-"""Arrival-rate estimation: the tabulated moment function, its inverse,
-the on-disk cache, and the jump-count conditional mean."""
+"""Arrival-rate estimation: the closed-form moment function against a
+Poisson-series oracle, its inverse, and the jump-count conditional
+mean."""
 
 import math
 
 import numpy as np
 import pytest
 
+from scipy import optimize
+
 from secondprice import (AuctionRecord, NumericalError, ObservedDataset,
-                         ValidationError, build_g_table, cached_g_table,
-                         conditional_mean_jumps, estimate_lambda, g_eval,
-                         g_inverse, load_g_table, replay_bids, save_g_table)
-from secondprice.arrival import extend_to_cover
+                         ValidationError, conditional_mean_jumps,
+                         estimate_lambda, g_eval, g_inverse, replay_bids)
 
 
 def series_mean_jumps(x: float, n_max: int = 200) -> float:
@@ -55,101 +56,60 @@ class TestConditionalMeanJumps:
         assert abs(counts.mean() - conditional_mean_jumps(n)) <= 3.0 * se + 1e-12
 
 
-class TestGTable:
-    def test_pins_zero_and_is_monotone(self):
-        table = build_g_table(np.arange(0.0, 2.05, 0.25), 5000, seed=7)
-        assert table.gvals[0] == 0.0
-        assert np.all(np.diff(table.gvals) >= 0.0)
-
-    def test_reproducible(self):
-        grid = np.arange(0.0, 3.05, 0.5)
-        t1 = build_g_table(grid, 3000, seed=11)
-        t2 = build_g_table(grid, 3000, seed=11)
-        assert np.array_equal(t1.gvals, t2.gvals)
-
+class TestMomentFunction:
     def test_matches_series_oracle(self):
-        table = build_g_table(np.array([0.0, 4.0, 5.0, 6.0]), 200_000, seed=5)
-        # Monte Carlo standard error of the mean of 2(H_N - 1) at x=5 is
-        # about 0.9 / sqrt(200000) ~ 0.002; allow 5x for the isotonic pass
-        assert g_eval(table, 5.0) == pytest.approx(series_mean_jumps(5.0),
-                                                   abs=0.01)
+        # both sides of the switch from the Poisson series to the closed
+        # form at x = 1e-2
+        for x in (1e-4, 9.9e-3, 1.01e-2, 0.5, 5.0, 20.0, 100.0):
+            assert g_eval(x) == pytest.approx(series_mean_jumps(x), rel=1e-10)
 
-    def test_extension_preserves_prefix(self):
-        grid = np.arange(0.0, 2.05, 0.1)
-        table = build_g_table(grid, 20_000, seed=3)
-        wide = extend_to_cover(table, table.gvals[-1] + 1.0)
-        assert wide.grid[-1] > table.grid[-1]
-        k = len(table.grid)
-        assert np.array_equal(wide.grid[:k], table.grid)
-        # per-point seeding makes the overlapping raw estimates identical;
-        # the isotonic projection can only move values where the raw
-        # sequence dips, so spot-check interior agreement
-        assert np.allclose(wide.gvals[:k], table.gvals, atol=1e-9)
+    def test_pins_zero_and_is_monotone(self):
+        assert g_eval(0.0) == 0.0
+        seam = g_eval(np.linspace(0.0098, 0.0102, 401))
+        assert np.all(np.diff(seam) > 0.0)
+        wide = g_eval(np.geomspace(1e-6, 1e6, 2001))
+        assert np.all(np.diff(wide) > 0.0)
 
     def test_inverse_round_trip(self):
-        table = build_g_table(np.arange(0.0, 5.05, 0.1), 20_000, seed=2)
-        for y in (0.5, 1.0, 2.0):
-            x = g_inverse(table, y)
-            assert g_eval(table, x) == pytest.approx(y, abs=1e-9)
+        assert g_inverse(0.0) == 0.0
+        for y in (1e-8, 1e-3, 0.5, 1.0, 2.0, 8.0, 20.0):
+            assert g_eval(g_inverse(y)) == pytest.approx(y, rel=1e-12)
 
-    def test_inverse_extends_beyond_range(self):
-        table = build_g_table(np.arange(0.0, 1.05, 0.1), 2000, seed=4)
-        y = float(table.gvals[-1]) + 0.5
-        x = g_inverse(table, y)
-        assert x > table.grid[-1]
+    def test_inverse_beyond_initial_bracket(self):
+        # the bracket starts at x = 1 and doubles about 20 times here
+        assert g_inverse(g_eval(1e6)) == pytest.approx(1e6, rel=1e-12)
 
     def test_inverse_rejects_negative(self):
-        table = build_g_table(np.arange(0.0, 1.05, 0.1), 1000, seed=4)
         with pytest.raises(ValidationError):
-            g_inverse(table, -0.1)
-
-    def test_invalid_table_rejected(self):
+            g_inverse(-0.1)
         with pytest.raises(ValidationError):
-            build_g_table(np.array([0.0, 1.0]), 0, seed=1)
+            g_eval(-0.1)
 
-
-class TestCache:
-    def test_save_load_round_trip(self, tmp_path):
-        table = build_g_table(np.arange(0.0, 2.05, 0.25), 1500, seed=9)
-        path = tmp_path / "gtable.csv"
-        save_g_table(table, path)
-        back = load_g_table(path)
-        assert np.array_equal(back.grid, table.grid)
-        assert np.array_equal(back.gvals, table.gvals)
-        assert back.mc_reps == table.mc_reps
-        assert back.seed == table.seed
-
-    def test_cached_table_reuses_matching_file(self, tmp_path):
-        path = tmp_path / "gtable.csv"
-        grid = np.arange(0.0, 1.05, 0.25)
-        t1 = cached_g_table(path, grid, 1500, seed=9)
-        stamp = path.stat().st_mtime_ns
-        t2 = cached_g_table(path, grid, 1500, seed=9)
-        assert path.stat().st_mtime_ns == stamp
-        assert np.array_equal(t1.gvals, t2.gvals)
-
-    def test_cached_table_rebuilds_on_mismatch(self, tmp_path):
-        path = tmp_path / "gtable.csv"
-        grid = np.arange(0.0, 1.05, 0.25)
-        cached_g_table(path, grid, 1500, seed=9)
-        t2 = cached_g_table(path, grid, 3000, seed=9)
-        assert t2.mc_reps == 3000
-        assert load_g_table(path).mc_reps == 3000
+    def test_unreachable_mean_rejected(self):
+        with pytest.raises(NumericalError):
+            g_inverse(1e4)
 
 
 class TestEstimateLambda:
     def test_recovers_rate_from_known_mean(self):
         # two auctions with jump counts 2 and 4: mean 3; invert g at 3
-        table = build_g_table(np.arange(0.0, 10.05, 0.1), 50_000, seed=6)
         a1 = AuctionRecord(0.0, 10.0, ((1.0, 1.0), (2.0, 1.0)), True)
         a2 = AuctionRecord(0.1, 10.0, ((1.5, 1.0), (2.5, 1.0), (3.5, 1.0),
                                        (4.5, 1.0)), True)
         ds = ObservedDataset((a1, a2), 10.0)
-        lam = estimate_lambda(ds, table, {0, 1})
-        assert lam == pytest.approx(g_inverse(table, 3.0) / 10.0)
+        lam = estimate_lambda(ds, {0, 1})
+        assert lam == pytest.approx(g_inverse(3.0) / 10.0)
+
+    def test_matches_oracle_inversion(self):
+        a1 = AuctionRecord(0.0, 10.0, ((1.0, 1.0), (2.0, 1.0)), True)
+        a2 = AuctionRecord(0.1, 10.0, ((1.5, 1.0), (2.5, 1.0), (3.5, 1.0),
+                                       (4.5, 1.0)), True)
+        ds = ObservedDataset((a1, a2), 10.0)
+        x = optimize.brentq(lambda v: series_mean_jumps(v) - 3.0, 1.0, 50.0,
+                            xtol=1e-14, rtol=1e-15)
+        assert estimate_lambda(ds, {0, 1}) == pytest.approx(x / 10.0, rel=1e-9)
 
     def test_empty_selection_rejected(self):
-        table = build_g_table(np.arange(0.0, 1.05, 0.25), 1000, seed=1)
         a = AuctionRecord(0.0, 10.0, (), False)
         with pytest.raises(NumericalError):
-            estimate_lambda(ObservedDataset((a,), 10.0), table, set())
+            estimate_lambda(ObservedDataset((a,), 10.0), set())

@@ -53,37 +53,36 @@ class TestConfidenceBand:
 
 
 class TestHulcBand:
-    def test_band_on_synthetic_data(self, uniform_dataset, g_table):
+    def test_band_on_synthetic_data(self, uniform_dataset):
         band = hulc_band(uniform_dataset, "mle", alpha=0.10, delta=0.0,
-                         rng=0, table=g_table)
+                         rng=0)
         assert band.batches == 5
         assert np.all(band.lower <= band.upper + 1e-12)
         assert np.all(np.diff(band.lower) >= -1e-12)
         assert np.all(np.diff(band.upper) >= -1e-12)
         assert band.average_width > 0.0
 
-    def test_init_band(self, uniform_dataset, g_table):
+    def test_init_band(self, uniform_dataset):
         band = hulc_band(uniform_dataset, "init", alpha=0.10, delta=0.0,
-                         rng=0, table=g_table)
+                         rng=0)
         assert band.batches == 5
         assert band.average_width > 0.0
 
-    def test_too_few_auctions_rejected(self, uniform_dataset, g_table):
+    def test_too_few_auctions_rejected(self, uniform_dataset):
         from secondprice import ObservedDataset
         tiny = ObservedDataset(uniform_dataset.auctions[:3],
                                uniform_dataset.tau)
         with pytest.raises(ValidationError):
-            hulc_band(tiny, "mle", alpha=0.10, delta=0.0, rng=0,
-                      table=g_table)
+            hulc_band(tiny, "mle", alpha=0.10, delta=0.0, rng=0)
 
-    def test_unknown_kind_rejected(self, uniform_dataset, g_table):
+    def test_unknown_kind_rejected(self, uniform_dataset):
         with pytest.raises(ValidationError):
             hulc_band(uniform_dataset, "bootstrap", alpha=0.10, delta=0.0,
-                      rng=0, table=g_table)
+                      rng=0)
 
-    def test_band_csv(self, tmp_path, uniform_dataset, g_table, uniform_fit):
+    def test_band_csv(self, tmp_path, uniform_dataset, uniform_fit):
         band = hulc_band(uniform_dataset, "init", alpha=0.10, delta=0.0,
-                         rng=0, table=g_table)
+                         rng=0)
         path = tmp_path / "band.csv"
         write_band_csv(band, uniform_fit.f_init, path,
                        header_lines=["alpha=0.10"])
@@ -94,24 +93,24 @@ class TestHulcBand:
 
 
 class TestMedianBias:
-    def test_small_run(self, g_table):
+    def test_small_run(self):
         K = 30
         bias = estimate_median_bias("init", K=K, lambda_hat=1.0, tau=30.0,
                                     reserve_profile=np.zeros(K), mc_reps=100,
-                                    rng=0, table=g_table)
+                                    rng=0)
         assert 0.0 <= bias.delta < 0.5
         assert bias.estimator_kind == "init"
 
-    def test_validation(self, g_table):
+    def test_validation(self):
         with pytest.raises(ValidationError):
             estimate_median_bias("init", K=10, lambda_hat=1.0, tau=10.0,
                                  reserve_profile=np.zeros(10), mc_reps=50,
-                                 rng=0, table=g_table)
+                                 rng=0)
         with pytest.raises(ValidationError):
             estimate_median_bias("init", K=10, lambda_hat=1.0, tau=10.0,
                                  reserve_profile=np.ones(10), mc_reps=100,
-                                 rng=0, table=g_table)
+                                 rng=0)
         with pytest.raises(ValidationError):
             estimate_median_bias("quantile", K=10, lambda_hat=1.0, tau=10.0,
                                  reserve_profile=np.zeros(10), mc_reps=100,
-                                 rng=0, table=g_table)
+                                 rng=0)

@@ -9,8 +9,6 @@ import pytest
 from secondprice import read_dataset
 from secondprice.cli import main, parse_dist
 
-MC = ["--mc-reps", "3000", "--table-seed", "1"]
-
 
 def simulate(tmp_path, name="data.csv", K=40, seed=5, extra=()):
     out = tmp_path / name
@@ -51,7 +49,7 @@ class TestExitCodes:
 
     def test_missing_file_is_validation_error(self, tmp_path):
         assert main(["estimate", "--data", str(tmp_path / "nope.csv"),
-                     "--out-curves", str(tmp_path / "c.csv"), *MC]) == 3
+                     "--out-curves", str(tmp_path / "c.csv")]) == 3
 
 
 class TestSimulate:
@@ -103,7 +101,7 @@ class TestEstimate:
         curves = tmp_path / "curves.csv"
         blob = tmp_path / "diag.json"
         code = main(["estimate", "--data", str(data), "--out-curves",
-                     str(curves), "--out-json", str(blob), *MC])
+                     str(curves), "--out-json", str(blob)])
         assert code == 0
         diag = json.loads(blob.read_text())
         for key in ("lambda_hat", "r_min", "v_size", "sweeps",
@@ -121,18 +119,9 @@ class TestEstimate:
         blob = tmp_path / "diag.json"
         code = main(["estimate", "--data", str(data), "--out-curves",
                      str(tmp_path / "c.csv"), "--out-json", str(blob),
-                     "--unconstrained", *MC])
+                     "--unconstrained"])
         assert code == 0
         assert json.loads(blob.read_text())["constrained"] is False
-
-    def test_gtable_cache_file_created(self, tmp_path):
-        data = simulate(tmp_path)
-        cache = tmp_path / "gtable.csv"
-        code = main(["estimate", "--data", str(data), "--out-curves",
-                     str(tmp_path / "c.csv"), "--gtable-cache", str(cache),
-                     *MC])
-        assert code == 0
-        assert cache.exists()
 
 
 class TestMetricsCommand:
@@ -140,7 +129,7 @@ class TestMetricsCommand:
         data = simulate(tmp_path)
         curves = tmp_path / "curves.csv"
         assert main(["estimate", "--data", str(data), "--out-curves",
-                     str(curves), *MC]) == 0
+                     str(curves)]) == 0
         capsys.readouterr()
         assert main(["metrics", "--curves", str(curves)]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -151,7 +140,7 @@ class TestMetricsCommand:
         data = simulate(tmp_path)
         curves = tmp_path / "curves.csv"
         assert main(["estimate", "--data", str(data), "--out-curves",
-                     str(curves), *MC]) == 0
+                     str(curves)]) == 0
         assert main(["metrics", "--curves", str(curves),
                      "--series-a", "nope"]) == 3
 
@@ -161,7 +150,7 @@ class TestBandsCommand:
         data = simulate(tmp_path, K=40)
         out = tmp_path / "band.csv"
         code = main(["bands", "--data", str(data), "--kind", "init",
-                     "--alpha", "0.3", "--seed", "1", "--out", str(out), *MC])
+                     "--alpha", "0.3", "--seed", "1", "--out", str(out)])
         assert code == 0
         assert "B=3" in capsys.readouterr().out
         rows = [r for r in out.read_text().splitlines()
@@ -174,7 +163,7 @@ class TestReplicateCommand:
         out = tmp_path / "report.csv"
         code = main(["replicate", "--setting", "uniform:1,8:25", "--reps",
                      "2", "--lambda", "0.5", "--tau", "20.0", "--seed", "3",
-                     "--out", str(out), *MC])
+                     "--out", str(out)])
         assert code == 0
         assert "uniform-K25" in capsys.readouterr().out
         assert out.exists()
@@ -182,7 +171,7 @@ class TestReplicateCommand:
     def test_setting_from_config(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("setting=uniform:1,8:25\nreps=1\nlambda=0.5\n"
-                          "tau=20.0\nmc_reps=3000\ntable_seed=1\n")
+                          "tau=20.0\n")
         assert main(["replicate", "--config", str(config)]) == 0
         assert "uniform-K25" in capsys.readouterr().out
 
@@ -192,7 +181,7 @@ class TestPlotCommand:
         data = simulate(tmp_path)
         curves = tmp_path / "curves.csv"
         assert main(["estimate", "--data", str(data), "--out-curves",
-                     str(curves), *MC]) == 0
+                     str(curves)]) == 0
         out_csv = tmp_path / "plot.csv"
         out_svg = tmp_path / "plot.svg"
         assert main(["plot", "--curves", str(curves), "--out-csv",

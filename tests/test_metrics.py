@@ -102,21 +102,21 @@ class TestTV:
 
 
 class TestReplicateTable:
-    def test_bitwise_reproducible(self, g_table):
+    def test_bitwise_reproducible(self):
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         r1 = replicate_table(settings_, replicates=2, base_seed=17,
-                             lam=0.5, tau=20.0, table=g_table)
+                             lam=0.5, tau=20.0)
         r2 = replicate_table(settings_, replicates=2, base_seed=17,
-                             lam=0.5, tau=20.0, table=g_table)
+                             lam=0.5, tau=20.0)
         assert r1[0].raw == r2[0].raw
         assert r1[0].label == "uniform-K25"
         assert 0.0 <= r1[0].mean_ks_mle <= 1.0
         assert r1[0].failures == 0
 
-    def test_report_csv(self, tmp_path, g_table):
+    def test_report_csv(self, tmp_path):
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         reports = replicate_table(settings_, replicates=1, base_seed=1,
-                                  lam=0.5, tau=20.0, table=g_table)
+                                  lam=0.5, tau=20.0)
         path = tmp_path / "report.csv"
         write_report_csv(reports, path, header_lines=["origin=test"])
         text = path.read_text()
@@ -125,14 +125,14 @@ class TestReplicateTable:
 
 
 class TestTrainTest:
-    def test_split_protocol(self, uniform_dataset, g_table):
+    def test_split_protocol(self, uniform_dataset):
         report = train_test_eval(uniform_dataset, ratio=0.5, replications=2,
-                                 rng=0, table=g_table)
+                                 rng=0)
         assert report.replications == 2
         assert 0.0 <= report.avg_tv_mle <= 1.0
         assert 0.0 <= report.avg_tv_init <= 1.0
 
-    def test_bad_ratio_rejected(self, uniform_dataset, g_table):
+    def test_bad_ratio_rejected(self, uniform_dataset):
         with pytest.raises(ValidationError):
             train_test_eval(uniform_dataset, ratio=1.5, replications=1,
-                            rng=0, table=g_table)
+                            rng=0)

@@ -143,6 +143,16 @@ class TestCoordinateAscent:
         res = coordinate_ascent(ctx, theta0, tol=1e-8, check_updates=True)
         assert res.converged
 
+    def test_check_updates_raises_on_a_decrease(self, monkeypatch):
+        # a zero-probability value at a coordinate with a positive log
+        # coefficient drives the objective towards -inf
+        ctx = small_context(seed=8)
+        theta0 = feasible_theta(ctx, np.random.default_rng(4))
+        monkeypatch.setattr("secondprice.mle.coord_update",
+                            lambda i, theta, ctx: 1e-300)
+        with pytest.raises(NumericalError, match="decreased the objective"):
+            coordinate_ascent(ctx, theta0, tol=1e-8, check_updates=True)
+
     def test_constrained_freezes_prefix(self):
         ctx = small_context(seed=9, K=10)
         theta0 = feasible_theta(ctx, np.random.default_rng(5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from secondprice import (AuctionState, SimConfig, ValidationError,
                          ValuationDistribution, has_ties, replay_bids,
@@ -135,6 +136,16 @@ class TestValuationDistribution:
         # empirical CDF agrees with the analytic one (loose 4-sigma check)
         emp = np.searchsorted(np.sort(x), grid, side="right") / len(x)
         assert np.max(np.abs(emp - cdf)) < 4.0 / np.sqrt(len(x))
+
+    def test_scipy_distribution_is_built_once(self):
+        dist = ValuationDistribution.gamma(10.0, 2.0)
+        assert dist._frozen() is dist._frozen()
+        x1 = dist.sample(np.random.default_rng(9), 500)
+        x2 = dist.sample(np.random.default_rng(9), 500)
+        fresh = stats.gamma(a=10.0, scale=0.5).rvs(
+            size=500, random_state=np.random.default_rng(9))
+        assert np.array_equal(x1, x2)
+        assert np.array_equal(x1, fresh)
 
     def test_pdf_integrates_to_one(self):
         dist = ValuationDistribution.piecewise_uniform(
