@@ -50,8 +50,7 @@ def main() -> None:
               f"mle-vs-test {tt.avg_tv_mle:.4f}")
 
     if args.band_out:
-        band = hulc_band(subset, "constrained-mle", alpha=0.10, delta=0.0,
-                         rng=0)
+        band = hulc_band(subset, "mle", alpha=0.10, delta=0.0, rng=0)
         write_band_csv(band, res.cdf, args.band_out,
                        header_lines=["alpha=0.10"])
         print(f"wrote {args.band_out}")

@@ -16,8 +16,8 @@ from .initial import (LowReserveSelection, SpliceAnchors, combine_initial,
 from .metrics import (StudyReport, TrainTestReport, ks_distance,
                       replicate_table, train_test_eval, tv_distance,
                       write_report_csv)
-from .mle import (AscentResult, LikelihoodContext, compute_A, coord_update,
-                  coordinate_ascent, log_lik, reconstruct_cdf)
+from .mle import (AscentResult, LikelihoodContext, coordinate_ascent, log_lik,
+                  reconstruct_cdf)
 from .model import (AuctionRecord, MonotoneCurve, ObservedDataset, PooledData,
                     ThetaVector, break_ties, cdf_to_theta, has_ties,
                     interpolate, pool, theta_to_cdf, validate_auction)

@@ -19,7 +19,7 @@ from .simulate import ValuationDistribution, run_auction
 
 _BIAS_GRID = np.arange(1, 100) / 100.0
 
-_KINDS = ("init", "mle", "constrained-mle")
+_KINDS = ("init", "mle")
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,11 @@ def hulc_batches(alpha: float, delta: float) -> int:
     return B
 
 
-def _fit_kind(dataset: ObservedDataset, kind: str, q, epsilon, tol,
-              max_sweeps) -> MonotoneCurve:
+def _fit_kind(dataset: ObservedDataset, kind: str, q,
+              epsilon) -> MonotoneCurve:
     if kind == "init":
         return fit_initial(dataset, q=q, epsilon=epsilon)[3]
-    return fit(dataset, q=q, epsilon=epsilon, tol=tol,
-               max_sweeps=max_sweeps, constrained=True).cdf
+    return fit(dataset, q=q, epsilon=epsilon).cdf
 
 
 def _simulate_profile(lam, tau, reserves, rng) -> ObservedDataset:
@@ -130,7 +129,7 @@ def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,
     for _ in range(mc_reps):
         dataset = _simulate_profile(lambda_hat, tau, reserves, rng)
         try:
-            curve = _fit_kind(dataset, kind, q, 0.01, 1e-8, 10000)
+            curve = _fit_kind(dataset, kind, q, 0.01)
         except (NumericalError, ValidationError):
             failures += 1
             continue
@@ -145,8 +144,8 @@ def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,
 
 
 def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
-              delta: float, rng, q: float = 0.25, epsilon: float = None,
-              tol: float = 1e-8, max_sweeps: int = 10000) -> ConfidenceBand:
+              delta: float, rng, q: float = 0.25,
+              epsilon: float = None) -> ConfidenceBand:
     """Envelope band at level 1-alpha from a random B-way split."""
     if estimator_kind not in _KINDS:
         raise ValidationError(f"unknown estimator kind {estimator_kind!r}")
@@ -160,8 +159,7 @@ def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
     for chunk in np.array_split(perm, B):
         sub = ObservedDataset(tuple(dataset.auctions[int(k)] for k in chunk),
                               dataset.tau)
-        curves.append(_fit_kind(sub, estimator_kind, q, epsilon, tol,
-                                max_sweeps))
+        curves.append(_fit_kind(sub, estimator_kind, q, epsilon))
     knots = np.unique(np.concatenate([c.knots for c in curves]))
     vals = np.vstack([np.asarray(c(knots)) for c in curves])
     return ConfidenceBand(knots, vals.min(axis=0), vals.max(axis=0),

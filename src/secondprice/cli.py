@@ -2,15 +2,18 @@
 ingest, and plot-data export.
 
 Every command accepts ``--config FILE`` pointing at a flat key=value
-text file; explicit flags win over config entries, which win over
-built-in defaults.  The resolved configuration is echoed into every
-output file for provenance.  Exit codes: 0 success, 2 usage error,
-3 input validation failure, 4 numerical failure.
+text file whose keys are the command's flag names (without ``--``) or
+their destinations; explicit flags win over config entries, which win
+over built-in defaults, and an unknown key is a validation error.  The
+resolved configuration is echoed into every output file for provenance.
+Exit codes: 0 success, 2 usage error, 3 input validation failure,
+4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -66,11 +69,22 @@ def load_config(path) -> dict:
 
 
 class _Resolver:
-    """flag > config file > default, with the resolved values recorded."""
+    """flag > config file > default, with the resolved values recorded.
+
+    Config keys are mapped to argument destinations through the
+    command's ``config_keys`` table, so ``lambda`` sets ``lam``.
+    """
 
     def __init__(self, args):
         self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
+        self.config = {}
+        if getattr(args, "config", None):
+            for key, val in load_config(args.config).items():
+                if key not in args.config_keys:
+                    raise ValidationError(
+                        f"{args.config}: unknown key {key!r} for "
+                        f"{args.command}; known: {sorted(args.config_keys)}")
+                self.config[args.config_keys[key]] = val
         self.resolved = {}
 
     def get(self, key, cast=str, default=None, required=False):
@@ -134,20 +148,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_fit(res: _Resolver):
-    dataset = read_dataset(res.get("data", str, required=True))
-    return dataset, fit(dataset,
-                        q=res.get("q", float, 0.25),
-                        epsilon=res.get("epsilon", float),
-                        tol=res.get("tol", float, 1e-8),
-                        max_sweeps=res.get("max_sweeps", int, 10000),
-                        constrained=not res.get("unconstrained", bool, False),
-                        log_path=res.get("trace", str))
+def _write_trace_csv(path, history) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sweep", "loglik"])
+        for s, v in enumerate(history):
+            writer.writerow([s, repr(float(v))])
 
 
 def cmd_estimate(args) -> int:
     res = _Resolver(args)
-    dataset, result = _run_fit(res)
+    dataset = read_dataset(res.get("data", str, required=True))
+    result = fit(dataset,
+                 q=res.get("q", float, 0.25),
+                 epsilon=res.get("epsilon", float),
+                 tol=res.get("tol", float, 1e-8),
+                 max_sweeps=res.get("max_sweeps", int, 10000),
+                 constrained=not res.get("unconstrained", bool, False))
+    trace = res.get("trace", str)
+    if trace is not None:
+        _write_trace_csv(trace, result.ascent.history)
     out_curves = res.get("out_curves", str, required=True)
     out_json = res.get("out_json", str)
     knots = np.unique(np.concatenate((result.f_init.knots, result.cdf.knots)))
@@ -185,9 +207,8 @@ def cmd_bands(args) -> int:
         reserves = np.array([0.0 if k in selection.V
                              else min(float(f_init(a.reserve)), 1.0 - 1e-9)
                              for k, a in enumerate(dataset.auctions)])
-        bias = estimate_median_bias(kind if kind == "init" else "mle",
-                                    dataset.K, lam_hat, dataset.tau, reserves,
-                                    res.get("bias_reps", int, 100),
+        bias = estimate_median_bias(kind, dataset.K, lam_hat, dataset.tau,
+                                    reserves, res.get("bias_reps", int, 100),
                                     np.random.default_rng(seed), q=q)
         delta = bias.delta
     band = hulc_band(dataset, kind, alpha, delta,
@@ -361,9 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, flags):
         p = sub.add_parser(name)
         p.add_argument("--config")
+        config_keys = {}
         for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
+            dest = p.add_argument(flag, **kwargs).dest
+            config_keys[flag[2:].replace("-", "_")] = dest
+            config_keys[dest] = dest
+        p.set_defaults(func=func, config_keys=config_keys)
         return p
 
     add("simulate", cmd_simulate, [

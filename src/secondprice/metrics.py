@@ -126,8 +126,8 @@ class StudyReport:
 
 
 def replicate_table(settings, replicates: int, base_seed: int,
-                    lam: float = 1.0, tau: float = 100.0, q: float = 0.25,
-                    tol: float = 1e-8, max_sweeps: int = 10000) -> list:
+                    lam: float = 1.0, tau: float = 100.0,
+                    q: float = 0.25) -> list:
     """Simulate, fit, and score each (distribution, K) setting.
 
     Reserves are 0 throughout (with automatic tie jitter), matching the
@@ -143,8 +143,7 @@ def replicate_table(settings, replicates: int, base_seed: int,
                 (int(base_seed), s, rep)).generate_state(1)[0])
             dataset = run_study(SimConfig(lam, tau, K, seed), dist)
             try:
-                res = fit(dataset, q=q, tol=tol,
-                          max_sweeps=max_sweeps, constrained=True)
+                res = fit(dataset, q=q)
             except (NumericalError, ValidationError):
                 failures += 1
                 continue

@@ -83,7 +83,7 @@ def fit_initial(dataset: ObservedDataset, q: float = DEFAULT_Q,
 
 def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
         tol: float = 1e-8, max_sweeps: int = 10000,
-        constrained: bool = True, log_path=None) -> FitResult:
+        constrained: bool = True) -> FitResult:
     """Full pipeline on one dataset.
 
     ``constrained=True`` freezes the coordinates at and below the
@@ -98,7 +98,7 @@ def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
     theta0 = clip_theta0(initial_theta(f_init, pooled.z), ctx)
     constrain = constrained and pooled.ell > 0
     ascent = coordinate_ascent(ctx, theta0, tol=tol, max_sweeps=max_sweeps,
-                               constrained=constrain, log_path=log_path)
+                               constrained=constrain)
     cdf = reconstruct_cdf(ascent.theta, pooled.z)
     return FitResult(lambda_hat=lambda_hat, selection=selection,
                      anchors=anchors, f_init=f_init, theta0=theta0,

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, config precedence, and
 the file outputs of each subcommand."""
 
+import csv
 import json
 
 import numpy as np
@@ -93,6 +94,36 @@ class TestConfigPrecedence:
         config.write_text("this is not a key value pair\n")
         assert main(["simulate", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("key", ["lambda", "lam"])
+    def test_config_key_is_flag_name_or_dest(self, tmp_path, key):
+        base = ["--dist", "uniform:1,8", "--K", "5", "--tau", "20.0"]
+        by_flag = tmp_path / "flag.csv"
+        assert main(["simulate", *base, "--lambda", "3.0",
+                     "--out", str(by_flag)]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}=3.0\n")
+        by_config = tmp_path / "config.csv"
+        assert main(["simulate", *base, "--config", str(config),
+                     "--out", str(by_config)]) == 0
+        assert read_dataset(by_config) == read_dataset(by_flag)
+        assert "# lam=3.0" in by_config.read_text().splitlines()
+
+    @pytest.mark.parametrize("command,key", [("replicate", "mc_reps"),
+                                             ("estimate", "max_sweps")])
+    def test_unknown_config_key_is_validation_error(self, tmp_path, capsys,
+                                                    command, key):
+        # the rest of each config is a complete, valid run
+        valid = {"replicate": "setting=uniform:1,8:25\nreps=1\ntau=20.0\n",
+                 "estimate": f"data={simulate(tmp_path)}\n"
+                             f"out_curves={tmp_path / 'c.csv'}\n"}[command]
+        config = tmp_path / "run.cfg"
+        config.write_text(valid)
+        assert main([command, "--config", str(config)]) == 0
+        config.write_text(valid + f"{key}=3000\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 3
+        assert repr(key) in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_outputs(self, tmp_path, capsys):
@@ -113,6 +144,22 @@ class TestEstimate:
         header = [r for r in curves.read_text().splitlines()
                   if not r.startswith("#")][0]
         assert header == "x,f_init,f_mle"
+
+    def test_trace_csv(self, tmp_path):
+        data = simulate(tmp_path)
+        blob = tmp_path / "diag.json"
+        trace = tmp_path / "trace.csv"
+        assert main(["estimate", "--data", str(data), "--out-curves",
+                     str(tmp_path / "c.csv"), "--out-json", str(blob),
+                     "--trace", str(trace)]) == 0
+        diag = json.loads(blob.read_text())
+        with trace.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["sweep", "loglik"]
+        assert len(rows) - 1 == diag["sweeps"] + 1
+        assert [int(r[0]) for r in rows[1:]] == list(range(len(rows) - 1))
+        assert float(rows[-1][1]) == diag["final_objective"]
+        assert diag["config"]["trace"] == str(trace)
 
     def test_unconstrained_flag(self, tmp_path):
         data = simulate(tmp_path)

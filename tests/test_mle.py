@@ -1,7 +1,7 @@
 """Profile log-likelihood, closed-form coordinate updates, and the
 coordinate-ascent driver, checked against direct-definition oracles."""
 
-import csv
+import logging
 import math
 
 import numpy as np
@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from secondprice import (AuctionRecord, LikelihoodContext, NumericalError,
                          ObservedDataset, SimConfig, ThetaVector,
-                         ValidationError, ValuationDistribution, compute_A,
-                         coord_update, coordinate_ascent, log_lik, pool,
-                         reconstruct_cdf, run_study, theta_to_cdf)
-from secondprice.mle import _case1_root
+                         ValidationError, ValuationDistribution,
+                         coordinate_ascent, log_lik, pool, reconstruct_cdf,
+                         run_study, theta_to_cdf)
+from secondprice.mle import _case1_root, _sweep
 
 
 def small_context(seed=5, K=6, lam_hat=1.2):
@@ -27,6 +27,50 @@ def small_context(seed=5, K=6, lam_hat=1.2):
 
 def feasible_theta(ctx, rng):
     return ThetaVector(rng.uniform(0.05, 0.95, ctx.n))
+
+
+def zero_tail_context():
+    # the first and third auctions' waits sum to tau, so the times
+    # attached to their final prices (2.5 and the top price 5.0) are 0
+    tau = 10.0
+    auctions = (AuctionRecord(1.0, tau, ((2.0, 3.0), (5.0, 7.0)), True),
+                AuctionRecord(0.5, tau, ((1.5, 2.0), (3.0, 4.0)), True),
+                AuctionRecord(0.7, tau, ((2.5, 10.0),), True))
+    return LikelihoodContext(pool(ObservedDataset(auctions, tau)), 0.3)
+
+
+def kernel_update(theta, i, ctx):
+    """theta after the production kernel updates coordinate i (1-based)
+    alone."""
+    t = np.asarray(theta, dtype=float).copy()
+    _sweep(t, ctx.pooled.ttilde, ctx.coef, ctx.is_jump, ctx.lambda_hat,
+           i - 1, i)
+    return t
+
+
+def implied_update(A, b, jump):
+    """Exact one-coordinate maximizer for curvature weight A and log
+    coefficient b."""
+    if jump:
+        return _case1_root(A, b)
+    if b <= 0.0:
+        return 0.0
+    return 1.0 if A <= b else b / A
+
+
+def oracle_update(theta, i, ctx):
+    A = naive_curvature_weight(theta, i, ctx.pooled, ctx.lambda_hat)
+    return implied_update(A, float(ctx.coef[i - 1]), ctx.is_jump[i - 1])
+
+
+def assert_kernel_matches_oracle(theta, ctx):
+    theta = np.asarray(theta, dtype=float)
+    for i in range(1, ctx.n + 1):
+        new = kernel_update(theta, i, ctx)
+        rest = np.arange(ctx.n) != i - 1
+        assert np.array_equal(new[rest], theta[rest])
+        assert new[i - 1] == pytest.approx(oracle_update(theta, i, ctx),
+                                           rel=1e-12, abs=1e-12)
 
 
 class TestLogLik:
@@ -59,27 +103,21 @@ class TestLogLik:
 
 
 class TestCurvatureWeight:
+    # the kernel's weight is checked through the update it implies
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         ctx = small_context(seed=2, K=8)
-        theta = feasible_theta(ctx, rng)
-        for i in range(1, ctx.n + 1):
-            ours = compute_A(theta, i, ctx)
-            ref = naive_curvature_weight(theta.theta, i, ctx.pooled,
-                                         ctx.lambda_hat)
-            assert ours == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert_kernel_matches_oracle(feasible_theta(ctx, rng).theta, ctx)
 
     def test_all_ones_gives_suffix_time_sum(self):
         ctx = small_context(seed=3)
-        theta = ThetaVector(np.ones(ctx.n))
+        theta = np.ones(ctx.n)
         for i in (1, ctx.n // 2, ctx.n):
-            expected = ctx.lambda_hat * float(np.sum(ctx.pooled.ttilde[i - 1:]))
-            assert compute_A(theta, i, ctx) == pytest.approx(expected)
-
-    def test_index_out_of_range(self):
-        ctx = small_context()
-        with pytest.raises(ValidationError):
-            compute_A(ThetaVector(np.ones(ctx.n)), 0, ctx)
+            A = ctx.lambda_hat * float(np.sum(ctx.pooled.ttilde[i - 1:]))
+            expected = implied_update(A, float(ctx.coef[i - 1]),
+                                      ctx.is_jump[i - 1])
+            assert kernel_update(theta, i, ctx)[i - 1] == pytest.approx(
+                expected, rel=1e-12, abs=1e-12)
 
 
 class TestClosedFormRoot:
@@ -106,17 +144,26 @@ class TestClosedFormRoot:
 
     def test_coord_update_cases(self):
         ctx = small_context(seed=4)
-        theta = ThetaVector(np.full(ctx.n, 0.5))
+        theta = np.full(ctx.n, 0.5)
+        cases = set()
         for i in range(1, ctx.n + 1):
-            new = coord_update(i, theta, ctx)
-            A = compute_A(theta, i, ctx)
+            new = kernel_update(theta, i, ctx)[i - 1]
+            A = naive_curvature_weight(theta, i, ctx.pooled, ctx.lambda_hat)
             b = float(ctx.coef[i - 1])
             if ctx.is_jump[i - 1]:
-                assert new == pytest.approx(_case1_root(A, b))
+                cases.add("jump")
+                assert 0.0 < new < 1.0
+                assert new == pytest.approx(_case1_root(A, b), rel=1e-12)
             elif b <= 0.0:
+                cases.add("zero")
                 assert new == 0.0
+            elif A <= b:
+                cases.add("one")
+                assert new == 1.0
             else:
-                assert new == (1.0 if A <= b else pytest.approx(b / A))
+                cases.add("ratio")
+                assert new == pytest.approx(b / A, rel=1e-12)
+        assert "jump" in cases and len(cases) >= 2
 
 
 class TestCoordinateAscent:
@@ -129,13 +176,20 @@ class TestCoordinateAscent:
         assert np.all(np.diff(hist) >= -1e-9 * (1.0 + np.abs(hist[:-1])))
         assert res.loglik >= log_lik(theta0, ctx)
 
-    def test_fast_and_slow_paths_agree(self):
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_check_mode_matches_production_sweep(self, constrained):
+        # per-coordinate kernel calls reproduce the one-call sweep bit for
+        # bit: W[i] only reads coordinates the sweep has not reached yet
         ctx = small_context(seed=7, K=10)
         theta0 = feasible_theta(ctx, np.random.default_rng(3))
-        fast = coordinate_ascent(ctx, theta0, tol=1e-10, fast=True)
-        slow = coordinate_ascent(ctx, theta0, tol=1e-10, fast=False)
-        assert fast.loglik == pytest.approx(slow.loglik, rel=1e-9, abs=1e-9)
-        assert np.allclose(fast.theta.theta, slow.theta.theta, atol=1e-6)
+        fast = coordinate_ascent(ctx, theta0, tol=1e-10,
+                                 constrained=constrained)
+        checked = coordinate_ascent(ctx, theta0, tol=1e-10,
+                                    constrained=constrained,
+                                    check_updates=True)
+        assert np.array_equal(fast.theta.theta, checked.theta.theta)
+        assert fast.history == checked.history
+        assert fast.converged and checked.converged
 
     def test_check_updates_path(self):
         ctx = small_context(seed=8)
@@ -148,8 +202,10 @@ class TestCoordinateAscent:
         # coefficient drives the objective towards -inf
         ctx = small_context(seed=8)
         theta0 = feasible_theta(ctx, np.random.default_rng(4))
-        monkeypatch.setattr("secondprice.mle.coord_update",
-                            lambda i, theta, ctx: 1e-300)
+        def collapse(theta, ttilde, coef, is_jump, lam, lo, hi):
+            theta[lo:hi] = 1e-300
+
+        monkeypatch.setattr("secondprice.mle._sweep", collapse)
         with pytest.raises(NumericalError, match="decreased the objective"):
             coordinate_ascent(ctx, theta0, tol=1e-8, check_updates=True)
 
@@ -179,16 +235,37 @@ class TestCoordinateAscent:
         with pytest.raises(NumericalError):
             coordinate_ascent(ctx, ThetaVector(bad))
 
-    def test_trace_csv(self, tmp_path):
-        ctx = small_context(seed=11)
-        theta0 = feasible_theta(ctx, np.random.default_rng(6))
-        path = tmp_path / "trace.csv"
-        res = coordinate_ascent(ctx, theta0, log_path=path)
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["sweep", "loglik"]
-        assert len(rows) - 1 == len(res.history)
-        assert float(rows[-1][1]) == res.loglik
+    def test_zero_tail_time(self):
+        ctx = zero_tail_context()
+        assert np.count_nonzero(ctx.pooled.ttilde == 0.0) == 2
+        assert ctx.pooled.ttilde[-1] == 0.0
+        theta0 = ThetaVector(np.full(ctx.n, 0.5))
+        assert_kernel_matches_oracle(theta0.theta, ctx)
+        fast = coordinate_ascent(ctx, theta0, tol=1e-12)
+        checked = coordinate_ascent(ctx, theta0, tol=1e-12,
+                                    check_updates=True)
+        assert fast.converged and checked.converged
+        assert np.array_equal(fast.theta.theta, checked.theta.theta)
+        assert fast.history == checked.history
+        assert_kernel_matches_oracle(fast.theta.theta, ctx)
+        # the top price has no attached time, so its weight is 0 and its
+        # coordinate sits at the zero-curvature root b / (b + 1)
+        b = float(ctx.coef[-1])
+        assert fast.theta.theta[-1] == b / (b + 1.0)
+
+    def test_warns_when_max_sweeps_is_reached(self, caplog):
+        ctx = small_context(seed=6, K=10)
+        theta0 = feasible_theta(ctx, np.random.default_rng(2))
+        with caplog.at_level(logging.WARNING, logger="secondprice"):
+            res = coordinate_ascent(ctx, theta0, tol=1e-10, max_sweeps=1)
+        assert not res.converged and res.sweeps == 1
+        [record] = caplog.records
+        assert record.name.startswith("secondprice")
+        assert "max_sweeps=1" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="secondprice"):
+            assert coordinate_ascent(ctx, theta0, tol=1e-10).converged
+        assert not caplog.records
 
     def test_invalid_arguments(self):
         ctx = small_context(seed=12)
