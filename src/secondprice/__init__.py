@@ -20,11 +20,10 @@ from .mle import (AscentResult, LikelihoodContext, coordinate_ascent, log_lik,
                   reconstruct_cdf)
 from .model import (AuctionRecord, MonotoneCurve, ObservedDataset, PooledData,
                     ThetaVector, break_ties, cdf_to_theta, has_ties,
-                    interpolate, pool, theta_to_cdf, validate_auction)
+                    interpolate, pool, theta_to_cdf)
 from .pipeline import FitResult, clip_theta0, default_epsilon, fit, fit_initial
-from .simulate import (AuctionState, SimConfig, ValuationDistribution,
-                       replay_bids, run_auction, run_study,
-                       standing_price_update)
+from .simulate import (SimConfig, ValuationDistribution, replay_bids,
+                       run_auction, run_study)
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ ObservedDataset that round-trips exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +39,9 @@ class BidRow:
     price: float
 
     def __post_init__(self):
-        violations = []
+        violations = [f"{name} {value} is not finite" for name, value in
+                      (("bid", self.bid), ("bidtime", self.bidtime),
+                       ("openbid", self.openbid)) if not math.isfinite(value)]
         if self.bid <= 0:
             violations.append(f"bid {self.bid} must be positive")
         if self.bidtime < 0:
@@ -225,28 +228,47 @@ def export_dataset(dataset: ObservedDataset, path,
 
 
 def read_dataset(path) -> ObservedDataset:
-    """Read a canonical dump back into an ObservedDataset."""
+    """Read a canonical dump back into an ObservedDataset.
+
+    Each jump row must follow the row of its own auction.  A malformed
+    row raises :class:`ValidationError` naming its line.
+    """
     path = Path(path)
-    headers = []  # (reserve, duration, sold)
+    headers = []  # (line, reserve, duration, sold)
     jumps = []
     with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not r[0].startswith("#")]
-    if not rows or rows[0][0] != "kind":
-        raise ValidationError(f"{path} is not a canonical dataset file")
-    for r in rows[1:]:
-        kind, k = r[0], int(r[1])
-        if kind == "auction":
-            if k != len(headers):
-                raise ValidationError(f"auction rows out of order at index {k}")
-            headers.append((float(r[2]), float(r[3]), bool(int(r[4]))))
-            jumps.append([])
-        elif kind == "jump":
-            jumps[k].append((float(r[2]), float(r[3])))
-        else:
-            raise ValidationError(f"unknown row kind {kind!r}")
+        reader = csv.reader(fh)
+        rows = (r for r in reader if r and not r[0].startswith("#"))
+        if next(rows, [""])[0] != "kind":
+            raise ValidationError(f"{path} is not a canonical dataset file")
+        for r in rows:
+            try:
+                if len(r) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(r)}")
+                kind, k, a, b = r[0], int(r[1]), float(r[2]), float(r[3])
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    raise ValueError(f"non-finite value in {r[2:4]}")
+                if kind == "auction":
+                    if k != len(headers):
+                        raise ValueError(f"auction rows out of order at index {k}")
+                    headers.append((reader.line_num, a, b, bool(int(r[4]))))
+                    jumps.append([])
+                elif kind == "jump":
+                    if not headers or k != len(headers) - 1:
+                        raise ValueError(f"jump row for auction {k} does not "
+                                         f"follow that auction's row")
+                    jumps[k].append((a, b))
+                else:
+                    raise ValueError(f"unknown row kind {kind!r}")
+            except ValueError as exc:
+                raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
     if not headers:
         raise ValidationError(f"{path} contains no auctions")
-    auctions = tuple(AuctionRecord(res, dur, tuple(j), sold)
-                     for (res, dur, sold), j in zip(headers, jumps))
-    return ObservedDataset(auctions, headers[0][1])
+    auctions = []
+    for (line, res, dur, sold), j in zip(headers, jumps):
+        try:
+            auctions.append(AuctionRecord(res, dur, tuple(j), sold))
+        except ValidationError as exc:
+            raise ValidationError([f"{path} line {line}: {v}"
+                                   for v in exc.violations]) from None
+    return ObservedDataset(tuple(auctions), headers[0][2])

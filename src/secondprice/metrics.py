@@ -52,8 +52,7 @@ def ks_distance(f1, f2) -> float:
     pts = _eval_points(f1, f2)
     pts = np.concatenate((pts, np.nextafter(pts, -np.inf), [0.0]))
     pts = pts[pts >= 0.0]
-    d = float(np.max(np.abs(np.asarray(f1.cdf(pts) if _is_analytic(f1) else f1(pts))
-                            - np.asarray(f2.cdf(pts) if _is_analytic(f2) else f2(pts)))))
+    d = float(np.max(np.abs(_cdf_at(f1, pts) - _cdf_at(f2, pts))))
     # both functions reach their terminal value beyond the largest point;
     # include the limiting gap (e.g. a defective estimate vs a full CDF)
     top = float(pts.max())

@@ -12,6 +12,7 @@ plain 0-based Python indices into ``ObservedDataset.auctions``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ class AuctionRecord:
             violations.append(f"duration {self.duration} is not positive")
         prices = [x for x, _ in self.jumps]
         waits = [t for _, t in self.jumps]
+        if not all(map(math.isfinite, (self.reserve, self.duration, *prices, *waits))):
+            violations.append("reserve, duration, jump prices and waits must be finite")
         if prices:
             if prices[0] <= self.reserve:
                 violations.append(
@@ -103,12 +106,6 @@ class AuctionRecord:
             t = self.jumps[i + 1][1] if i + 1 < self.m else self.tail_time
             out.append((x, t))
         return out
-
-
-def validate_auction(reserve, duration, jumps, sold) -> AuctionRecord:
-    """Build an :class:`AuctionRecord`, raising :class:`ValidationError`
-    listing every violated invariant."""
-    return AuctionRecord(float(reserve), float(duration), tuple(jumps), bool(sold))
 
 
 @dataclass(frozen=True)

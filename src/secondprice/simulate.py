@@ -1,17 +1,21 @@
-"""Synthetic auction generation: Poisson bidder arrivals, second-max
-standing-price dynamics, and the valuation distributions used in the
-simulation study."""
+"""Synthetic auction generation: Poisson bidder arrivals, the valuation
+distributions used in the simulation study, and ``replay_bids``, the one
+standing-price rule (running second maximum of the reserve and the bids)
+that the simulator, bid-log ingestion and bid-log export all share."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import stats
 
 from .errors import ValidationError
 from .model import AuctionRecord, ObservedDataset, break_ties, has_ties
+
+_KINDS = ("uniform", "piecewise_uniform", "pareto", "gamma", "beta", "table")
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,11 @@ class ValuationDistribution:
 
     kind: str
     params: tuple
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValidationError(f"unknown distribution kind {self.kind!r}; "
+                                  f"expected one of {', '.join(_KINDS)}")
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -91,11 +100,9 @@ class ValuationDistribution:
         elif self.kind == "gamma":
             shape, rate = self.params
             frozen = stats.gamma(a=shape, scale=1.0 / rate)
-        elif self.kind == "beta":
+        else:  # beta; the other kinds never build a scipy distribution
             a, b = self.params
             frozen = stats.beta(a, b)
-        else:
-            raise AssertionError(self.kind)
         object.__setattr__(self, "_scipy", frozen)
         return frozen
 
@@ -185,56 +192,29 @@ class SimConfig:
             raise ValidationError("SimConfig requires lam > 0, tau > 0, K >= 1")
 
 
-@dataclass(frozen=True)
-class AuctionState:
-    """Running second-maximum bookkeeping for one auction."""
+def replay_bids(reserve: float, duration: float, times, bids) -> AuctionRecord:
+    """Replay a chronological (time, bid) stream and return its record.
 
-    reserve: float
-    second: float
-    top: Optional[float] = None
-    jumps: tuple[float, ...] = ()
-
-
-def standing_price_update(state: AuctionState, bid: float) -> AuctionState:
-    """Apply one arriving bid.
-
-    A bid at or below the standing price is not placed.  Otherwise the
-    standing price becomes the second-highest placed bid (reserve
-    included) and a jump is recorded iff it strictly increased.
+    The standing price is the running second maximum of the reserve and
+    the bids so far, and a jump is recorded wherever it strictly
+    increases.  A bid at or below the standing price cannot change that
+    maximum, so this is also the path of the placed bids.  The auction
+    sells iff some bid exceeds the reserve.
     """
-    if bid <= state.second:
-        return state
-    if state.top is None:
-        # first bid above the reserve: it becomes the hidden top bid and
-        # the standing price stays at the reserve
-        return AuctionState(state.reserve, state.second, bid, state.jumps)
-    new_second = min(bid, state.top)
-    new_top = max(bid, state.top)
-    jumps = state.jumps
-    if new_second > state.second:
-        jumps = jumps + (new_second,)
-    return AuctionState(state.reserve, new_second, new_top, jumps)
-
-
-def replay_bids(reserve: float, duration: float, times, bids,
-                sold_hint: Optional[bool] = None) -> AuctionRecord:
-    """Replay a chronological (time, bid) stream through the
-    standing-price mechanics and return the resulting record."""
-    state = AuctionState(reserve, reserve)
-    jump_prices: list[float] = []
-    jump_times: list[float] = []
-    for t, b in zip(times, bids):
-        new = standing_price_update(state, float(b))
-        if len(new.jumps) > len(state.jumps):
-            jump_prices.append(new.jumps[-1])
-            jump_times.append(float(t))
-        state = new
-    sold = state.top is not None
-    if sold_hint is not None:
-        sold = sold or sold_hint
-    waits = np.diff(np.asarray(jump_times), prepend=0.0)
-    return AuctionRecord(reserve, duration,
-                         tuple(zip(jump_prices, waits)), sold)
+    times = np.asarray(times, dtype=float)
+    bids = np.asarray(bids, dtype=float)
+    tops = np.maximum.accumulate(np.concatenate(([reserve], bids)))
+    # maximum propagates NaN, so the last top is finite iff no bid is NaN
+    # or +inf (a -inf bid is never placed, and AuctionRecord rejects a
+    # non-finite jump time)
+    if times.shape != bids.shape or not math.isfinite(tops[-1]):
+        raise ValidationError("reserve and bids must be finite, with one time per bid")
+    sec = np.maximum.accumulate(np.concatenate(([reserve],
+                                                np.minimum(bids, tops[:-1]))))
+    jump_idx = np.flatnonzero(sec[1:] > sec[:-1])
+    waits = np.diff(times[jump_idx], prepend=0.0)
+    return AuctionRecord(reserve, duration, tuple(zip(sec[1:][jump_idx], waits)),
+                         bool(tops[-1] > reserve))
 
 
 def _arrival_times(lam: float, tau: float, rng: np.random.Generator) -> np.ndarray:
@@ -258,17 +238,7 @@ def run_auction(lam: float, tau: float, reserve: float,
     """Simulate a single auction; optionally return the full bid trace."""
     times = _arrival_times(lam, tau, rng)
     bids = dist.sample(rng, len(times))
-
-    # vectorized running second maximum of {reserve} U bids
-    tops = np.maximum.accumulate(np.concatenate(([reserve], bids)))
-    cand = np.minimum(bids, tops[:-1])
-    sec = np.maximum.accumulate(np.concatenate(([reserve], cand)))
-    jump_idx = np.flatnonzero(sec[1:] > sec[:-1])
-    jump_prices = sec[1:][jump_idx]
-    jump_times = times[jump_idx]
-    waits = np.diff(jump_times, prepend=0.0)
-    record = AuctionRecord(reserve, tau, tuple(zip(jump_prices, waits)),
-                           bool(np.any(bids > reserve)))
+    record = replay_bids(reserve, tau, times, bids)
     if return_trace:
         return record, (times, bids)
     return record

@@ -1,10 +1,42 @@
 """Independent reference implementations used to verify the library:
-a direct-definition log-likelihood, a brute-force coordinate curvature
-weight, and an exhaustive grid search over the survival-ratio box."""
+a per-bid standing-price state machine, a direct-definition
+log-likelihood, a brute-force coordinate curvature weight, and an
+exhaustive grid search over the survival-ratio box."""
 
 import math
 
 import numpy as np
+
+from secondprice import AuctionRecord
+
+
+def naive_replay(reserve, duration, times, bids):
+    """Replay a bid stream one bid at a time.
+
+    A bid at or below the standing price is not placed.  The first bid
+    above the reserve becomes the hidden top bid and leaves the price at
+    the reserve; every later placed bid sets the standing price to the
+    second-highest placed bid (reserve included), and a jump is recorded
+    iff that strictly raised it.  The auction sells iff a bid was placed.
+    """
+    second, top = reserve, None
+    jump_prices, jump_times = [], []
+    for t, b in zip(times, bids):
+        b = float(b)
+        if b <= second:
+            continue
+        if top is None:
+            top = b
+            continue
+        new_second = min(b, top)
+        top = max(b, top)
+        if new_second > second:
+            jump_prices.append(new_second)
+            jump_times.append(float(t))
+        second = new_second
+    waits = [t - s for s, t in zip([0.0] + jump_times, jump_times)]
+    return AuctionRecord(reserve, duration, tuple(zip(jump_prices, waits)),
+                         top is not None)
 
 
 def naive_loglik(theta, pooled, lam):

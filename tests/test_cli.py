@@ -170,6 +170,18 @@ class TestEstimate:
         assert code == 0
         assert json.loads(blob.read_text())["constrained"] is False
 
+    @pytest.mark.parametrize("row", ["jump,7,30.0,1.0,", "jump,0,30.0,",
+                                     "jump,x,30.0,1.0,", "jump,0,nan,1.0,"])
+    def test_malformed_dataset_is_validation_error(self, tmp_path, capsys,
+                                                   row):
+        data = tmp_path / "data.csv"
+        data.write_text("kind,auction,reserve_or_price,duration_or_wait,sold\n"
+                        "auction,0,1.0,20.0,1\n" + row + "\n")
+        code = main(["estimate", "--data", str(data), "--out-curves",
+                     str(tmp_path / "c.csv")])
+        assert code == 3
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     def test_distances_between_series(self, tmp_path, capsys):
@@ -257,3 +269,19 @@ class TestIngestCommand:
         assert "auctions: 2" in report.read_text()
         ds = read_dataset(out)
         assert ds.K == 2
+
+    def test_non_finite_rows_are_validation_errors(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+            "1,5.0,1.0,alice,0,0.5,8.0\n"
+            "1,nan,2.0,bob,0,0.5,8.0\n"
+            "1,inf,3.0,carol,0,0.5,8.0\n"
+            "1,8.0,nan,dave,0,0.5,8.0\n")
+        out = tmp_path / "dataset.csv"
+        code = main(["ingest", "--data", str(log), "--duration", "7",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert all(f"row {n}" in err for n in (3, 4, 5))
+        assert not out.exists()

@@ -31,6 +31,16 @@ class TestBidRow:
         msg = str(err.value)
         assert "bid" in msg and "bidtime" in msg and "openbid" in msg
 
+    @pytest.mark.parametrize("field", ["bid", "bidtime", "openbid"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(auctionid="1", bid=10.0, bidtime=1.0, bidder="alice",
+                      bidderrate=3, openbid=0.5, price=12.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError) as err:
+            BidRow(**kwargs)
+        assert f"{field} {value} is not finite" in str(err.value)
+
 
 class TestIngest:
     def test_round_trip_from_simulated_traces(self, tmp_path):
@@ -121,6 +131,21 @@ class TestIngest:
         msg = str(err.value)
         assert "row 2" in msg and "row 3" in msg
 
+    def test_non_finite_rows_reported(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_log(path, [
+            ["1", "nan", 1.0, "a", 0, 1.0, 8.0],
+            ["1", "inf", 2.0, "b", 0, 1.0, 8.0],
+            ["1", 5.0, "nan", "c", 0, 1.0, 8.0],
+            ["1", 5.0, 3.0, "d", 0, "inf", 8.0],
+            ["1", 6.0, 4.0, "e", 0, 1.0, 8.0],
+        ])
+        with pytest.raises(ValidationError) as err:
+            ingest_bid_csv(path, duration_days=7.0, noise_seed=0)
+        msg = str(err.value)
+        assert all(f"row {n}" in msg for n in (2, 3, 4, 5))
+        assert "row 6" not in msg
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         with path.open("w", newline="") as fh:
@@ -157,6 +182,47 @@ class TestCanonicalFormat:
         export_dataset(uniform_dataset, path, header_lines=["source=test"])
         back = read_dataset(path)
         assert back == uniform_dataset
+
+    GOOD = ("kind,auction,reserve_or_price,duration_or_wait,sold\n"
+            "auction,0,1.0,10.0,1\n"
+            "jump,0,2.0,1.0,\n"
+            "auction,1,1.5,10.0,0\n")
+
+    def test_reads_rows_in_order(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.GOOD)
+        ds = read_dataset(path)
+        assert ds.K == 2
+        assert ds.auctions[0].jumps == ((2.0, 1.0),)
+        assert not ds.auctions[1].sold
+
+    @pytest.mark.parametrize("row", [
+        "jump,5,3.0,1.0,",        # auction index never declared
+        "jump,-1,3.0,1.0,",       # negative index
+        "jump,0,3.0,1.0,",        # does not follow its own auction row
+        "jump,1,3.0",             # short row
+        "jump,x,3.0,1.0,",        # non-integer index
+        "jump,1,nan,1.0,",
+        "jump,1,3.0,inf,",
+        "auction,2,inf,10.0,1",
+        "auction,7,2.0,10.0,1",   # out of order
+        "bid,1,3.0,1.0,",         # unknown kind
+    ])
+    def test_malformed_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.GOOD + row + "\n")
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        assert "line 5" in str(err.value)
+
+    def test_invalid_auction_names_its_line(self, tmp_path):
+        # a jump below the reserve of an unsold auction
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.GOOD + "jump,1,0.5,1.0,\n")
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        msg = str(err.value)
+        assert "line 4" in msg and "reserve" in msg and "unsold" in msg
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"

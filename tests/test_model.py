@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from secondprice import (AuctionRecord, MonotoneCurve, ObservedDataset,
                          TieError, ValidationError, break_ties, cdf_to_theta,
-                         has_ties, interpolate, pool, theta_to_cdf,
-                         validate_auction)
+                         has_ties, interpolate, pool, theta_to_cdf)
 
 TAU = 30.0
 
@@ -61,9 +60,24 @@ class TestAuctionRecord:
 
     def test_all_violations_reported_together(self):
         with pytest.raises(ValidationError) as err:
-            validate_auction(-1.0, -2.0, (), False)
+            AuctionRecord(-1.0, -2.0, (), False)
         msg = str(err.value)
         assert "reserve" in msg and "duration" in msg
+
+    @pytest.mark.parametrize("reserve, duration, jumps", [
+        (float("nan"), 10.0, ((2.0, 1.0),)),
+        (float("inf"), 10.0, ()),
+        (1.0, float("inf"), ((2.0, 1.0),)),
+        (1.0, float("nan"), ()),
+        (1.0, 10.0, ((float("nan"), 1.0),)),
+        (1.0, 10.0, ((2.0, 1.0), (float("inf"), 1.0))),
+        (1.0, 10.0, ((2.0, float("nan")),)),
+        (1.0, 10.0, ((2.0, float("inf")),)),
+    ])
+    def test_non_finite_values_rejected(self, reserve, duration, jumps):
+        with pytest.raises(ValidationError) as err:
+            AuctionRecord(reserve, duration, jumps, True)
+        assert "finite" in str(err.value)
 
     def test_dataset_requires_common_duration(self):
         a = AuctionRecord(1.0, 10.0, (), False)

@@ -2,43 +2,74 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from helpers import naive_replay
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from secondprice import (AuctionState, SimConfig, ValidationError,
-                         ValuationDistribution, has_ties, replay_bids,
-                         run_auction, run_study, standing_price_update)
+from secondprice import (SimConfig, ValidationError, ValuationDistribution,
+                         has_ties, replay_bids, run_auction, run_study)
 
 
 class TestStandingPriceUpdate:
     def test_bid_at_or_below_standing_is_not_placed(self):
-        s = AuctionState(2.0, 2.0)
-        assert standing_price_update(s, 1.5) is s
-        assert standing_price_update(s, 2.0) is s
+        rec = replay_bids(2.0, 10.0, (1.0, 2.0), (1.5, 2.0))
+        assert rec.m == 0 and not rec.sold
+        # after the price reaches 5.09, bids of 5.09 and 4.0 change nothing
+        base = replay_bids(2.0, 10.0, (1.0, 2.0), (8.05, 5.09))
+        more = replay_bids(2.0, 10.0, (1.0, 2.0, 3.0, 4.0),
+                           (8.05, 5.09, 5.09, 4.0))
+        assert more == base
 
     def test_first_bid_above_reserve_does_not_move_the_price(self):
-        s = standing_price_update(AuctionState(2.0, 2.0), 8.05)
-        assert s.second == 2.0
-        assert s.top == 8.05
-        assert s.jumps == ()
+        rec = replay_bids(2.0, 10.0, (1.0,), (8.05,))
+        assert rec.sold
+        assert rec.final_price == 2.0
+        assert rec.jumps == ()
 
     def test_second_bid_sets_price_to_second_highest(self):
-        s = standing_price_update(AuctionState(2.0, 2.0), 8.05)
-        s = standing_price_update(s, 5.09)
-        assert s.second == 5.09
-        assert s.top == 8.05
-        assert s.jumps == (5.09,)
+        rec = replay_bids(2.0, 10.0, (1.0, 3.0), (8.05, 5.09))
+        assert rec.jumps == ((5.09, 3.0),)
 
     def test_higher_bid_raises_price_to_previous_top(self):
-        s = AuctionState(2.0, 5.09, top=8.05, jumps=(5.09,))
-        s = standing_price_update(s, 12.82)
-        assert s.second == 8.05
-        assert s.top == 12.82
-        assert s.jumps == (5.09, 8.05)
+        rec = replay_bids(2.0, 10.0, (1.0, 3.0, 4.5), (8.05, 5.09, 12.82))
+        assert rec.jumps == ((5.09, 3.0), (8.05, 1.5))
+
+
+_FEW_VALUES = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0)
+
+
+@st.composite
+def _streams(draw):
+    """(reserve, times, bids) with bids often equal to each other or to
+    the reserve; empty streams included."""
+    value = st.one_of(st.sampled_from(_FEW_VALUES), st.floats(0.0, 20.0))
+    reserve = draw(st.sampled_from(_FEW_VALUES))
+    bids = draw(st.lists(value, max_size=15))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=len(bids),
+                         max_size=len(bids)))
+    return reserve, np.cumsum(gaps), bids
 
 
 class TestReplay:
+    @given(_streams())
+    @example((3.0, np.empty(0), []))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_per_bid_oracle(self, stream):
+        reserve, times, bids = stream
+        assert replay_bids(reserve, 20.0, times, bids) == \
+            naive_replay(reserve, 20.0, times, bids)
+
+    @pytest.mark.parametrize("times, bids", [
+        ((1.0, 2.0), (4.0, float("nan"))),
+        ((1.0, 2.0), (4.0, float("inf"))),
+        ((1.0, float("nan")), (4.0, 5.0)),
+        ((1.0,), (4.0, 5.0)),
+    ])
+    def test_rejects_non_finite_or_ragged_streams(self, times, bids):
+        with pytest.raises(ValidationError):
+            replay_bids(1.0, 5.0, times, bids)
+
     def test_four_bid_stream(self):
         times = (0.55, 5.96, 9.65, 24.0)
         bids = (8.05, 5.09, 12.82, 10.14)
@@ -103,8 +134,7 @@ class TestRunAuction:
             rng = np.random.default_rng(seed)
             rec, (times, bids) = run_auction(1.0, 50.0, 0.5, dist, rng,
                                              return_trace=True)
-            again = replay_bids(0.5, 50.0, times, bids)
-            assert again == rec
+            assert naive_replay(0.5, 50.0, times, bids) == rec
 
     def test_trace_times_within_window(self):
         rng = np.random.default_rng(7)
@@ -166,6 +196,11 @@ class TestValuationDistribution:
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ValidationError):
             bad()
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValidationError) as err:
+            ValuationDistribution("lognormal", (0.0, 1.0))
+        assert "lognormal" in str(err.value)
 
 
 class TestRunStudy:
