@@ -17,7 +17,7 @@ from .metrics import (StudyReport, TrainTestReport, ks_distance,
                       replicate_table, train_test_eval, tv_distance,
                       write_report_csv)
 from .mle import (AscentResult, LikelihoodContext, coordinate_ascent, log_lik,
-                  reconstruct_cdf)
+                  projected_newton, reconstruct_cdf)
 from .model import (AuctionRecord, MonotoneCurve, ObservedDataset, PooledData,
                     ThetaVector, break_ties, cdf_to_theta, has_ties,
                     interpolate, pool, theta_to_cdf)

@@ -41,7 +41,8 @@ class BidRow:
     def __post_init__(self):
         violations = [f"{name} {value} is not finite" for name, value in
                       (("bid", self.bid), ("bidtime", self.bidtime),
-                       ("openbid", self.openbid)) if not math.isfinite(value)]
+                       ("openbid", self.openbid), ("price", self.price))
+                      if not math.isfinite(value)]
         if self.bid <= 0:
             violations.append(f"bid {self.bid} must be positive")
         if self.bidtime < 0:
@@ -251,7 +252,9 @@ def read_dataset(path) -> ObservedDataset:
                 if kind == "auction":
                     if k != len(headers):
                         raise ValueError(f"auction rows out of order at index {k}")
-                    headers.append((reader.line_num, a, b, bool(int(r[4]))))
+                    if r[4] not in ("0", "1"):
+                        raise ValueError(f"sold must be 0 or 1, got {r[4]!r}")
+                    headers.append((reader.line_num, a, b, r[4] == "1"))
                     jumps.append([])
                 elif kind == "jump":
                     if not headers or k != len(headers) - 1:

@@ -71,37 +71,41 @@ def select_low_reserve(dataset: ObservedDataset, q: float,
                                frozenset(int(k) for k in np.flatnonzero(inside)))
 
 
-def g_lambda_cdf(eta: float, lambda_r: float, tau: float) -> float:
+def g_lambda_cdf(eta, lambda_r: float, tau: float):
     """Conditional CDF of the final selling price (on the probability
     scale eta = F_r(x)) given at least two above-reserve bidders.
 
     Evaluated in an exponent-shifted form that is stable for large
-    lambda_r * tau and exact at eta = 0 and eta = 1.
+    lambda_r * tau and exact at eta = 0 and eta = 1.  ``eta`` may be a
+    scalar (a float is returned) or an array.
     """
     s = lambda_r * tau
     if s <= 0:
         raise ValidationError("lambda_r * tau must be positive")
-    es = math.exp(-s)
-    num = (s * (1.0 - eta) * (math.exp(s * (eta - 1.0)) - es)
-           + math.exp(s * (eta - 1.0)) - (s * eta + 1.0) * es)
-    den = 1.0 - es - s * es
-    return num / den
+    eta = np.asarray(eta, dtype=float)
+    es = np.exp(-s)
+    e = np.exp(s * (eta - 1.0))
+    num = s * (1.0 - eta) * (e - es) + e - (s * eta + 1.0) * es
+    out = num / (1.0 - es - s * es)
+    return out if out.ndim else float(out)
 
 
-def g_lambda_inverse(y: float, lambda_r: float, tau: float) -> float:
-    """Bisection inverse of :func:`g_lambda_cdf` on eta in [0, 1]."""
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECT_TOL:
+def g_lambda_inverse(y, lambda_r: float, tau: float):
+    """Bisection inverse of :func:`g_lambda_cdf` on eta in [0, 1], run
+    over every level of ``y`` at once (a scalar ``y`` gives a float).
+    Levels at or below 0 map to exactly 0, at or above 1 to exactly 1."""
+    y = np.asarray(y, dtype=float)
+    lo = np.zeros(y.shape)
+    hi = np.ones(y.shape)
+    width = 1.0       # every bracket halves in step, so they share a width
+    while width > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if g_lambda_cdf(mid, lambda_r, tau) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = g_lambda_cdf(mid, lambda_r, tau) < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        width *= 0.5
+    out = np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, 0.5 * (lo + hi)))
+    return out if out.ndim else float(out)
 
 
 def _sold_above_reserve(dataset: ObservedDataset, selection: LowReserveSelection):
@@ -119,8 +123,7 @@ def estimate_f_sp(dataset: ObservedDataset, selection: LowReserveSelection,
             "no low-reserve auction sold above its reserve; relax (q, epsilon)")
     prices = np.sort([dataset.auctions[k].final_price for k in ks])
     n = len(prices)
-    values = np.array([g_lambda_inverse((j + 1) / n, lambda_hat, dataset.tau)
-                       for j in range(n)])
+    values = g_lambda_inverse(np.arange(1, n + 1) / n, lambda_hat, dataset.tau)
     return MonotoneCurve(prices, values, kind="step")
 
 

@@ -1,6 +1,6 @@
 """End-to-end fit: arrival-rate estimate, initial CDF estimate, and the
-coordinate-ascent maximizer (constrained near the lower boundary by
-default)."""
+profile-likelihood maximizer (constrained near the lower boundary by
+default), found by :func:`mle.projected_newton`."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from .errors import NumericalError
 from .initial import (LowReserveSelection, SpliceAnchors, combine_initial,
                       compute_splice_anchors, estimate_f_fp, estimate_f_sp,
                       initial_theta, select_low_reserve)
-from .mle import (AscentResult, LikelihoodContext, coordinate_ascent,
+from .mle import (AscentResult, LikelihoodContext, projected_newton,
                   reconstruct_cdf)
 from .model import (MonotoneCurve, ObservedDataset, PooledData, ThetaVector,
                     pool)
@@ -89,7 +89,9 @@ def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
     ``constrained=True`` freezes the coordinates at and below the
     smallest pooled jump price at their initial-estimate values, which
     corrects the likelihood's tendency to overshoot near the lower
-    boundary; ``constrained=False`` updates every coordinate.
+    boundary; ``constrained=False`` updates every coordinate.  ``tol``
+    bounds the Newton decrement and ``max_sweeps`` caps the solver's
+    iterations; ``ascent.sweeps`` counts them.
     """
     pooled = pool(dataset)
     lambda_hat, selection, anchors, f_init = fit_initial(
@@ -97,8 +99,8 @@ def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
     ctx = LikelihoodContext(pooled, lambda_hat)
     theta0 = clip_theta0(initial_theta(f_init, pooled.z), ctx)
     constrain = constrained and pooled.ell > 0
-    ascent = coordinate_ascent(ctx, theta0, tol=tol, max_sweeps=max_sweeps,
-                               constrained=constrain)
+    ascent = projected_newton(ctx, theta0, tol=tol, max_sweeps=max_sweeps,
+                              constrained=constrain)
     cdf = reconstruct_cdf(ascent.theta, pooled.z)
     return FitResult(lambda_hat=lambda_hat, selection=selection,
                      anchors=anchors, f_init=f_init, theta0=theta0,

@@ -188,8 +188,10 @@ class SimConfig:
     reserve_policy: ReservePolicy = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.tau <= 0 or self.K < 1:
-            raise ValidationError("SimConfig requires lam > 0, tau > 0, K >= 1")
+        rates_ok = all(math.isfinite(v) and v > 0 for v in (self.lam, self.tau))
+        if not rates_ok or self.K < 1:
+            raise ValidationError(
+                "SimConfig requires finite lam > 0, finite tau > 0, K >= 1")
 
 
 def replay_bids(reserve: float, duration: float, times, bids) -> AuctionRecord:

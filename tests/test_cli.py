@@ -67,6 +67,17 @@ class TestSimulate:
         ds = read_dataset(p1)
         assert ds.K == 40
 
+    @pytest.mark.parametrize("lam, tau", [("nan", "10"), ("1", "inf"),
+                                          ("inf", "10"), ("1", "nan")])
+    def test_non_finite_rate_or_window_is_validation_error(self, tmp_path,
+                                                           capsys, lam, tau):
+        out = tmp_path / "data.csv"
+        code = main(["simulate", "--dist", "uniform:1,8", "--K", "5",
+                     "--lambda", lam, "--tau", tau, "--out", str(out)])
+        assert code == 3
+        assert "finite lam > 0, finite tau > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_changes_output(self, tmp_path):
         p1 = simulate(tmp_path, "a.csv", seed=5)
         p2 = simulate(tmp_path, "b.csv", seed=6)
@@ -171,7 +182,8 @@ class TestEstimate:
         assert json.loads(blob.read_text())["constrained"] is False
 
     @pytest.mark.parametrize("row", ["jump,7,30.0,1.0,", "jump,0,30.0,",
-                                     "jump,x,30.0,1.0,", "jump,0,nan,1.0,"])
+                                     "jump,x,30.0,1.0,", "jump,0,nan,1.0,",
+                                     "auction,1,2.0,20.0,7"])
     def test_malformed_dataset_is_validation_error(self, tmp_path, capsys,
                                                    row):
         data = tmp_path / "data.csv"

@@ -31,7 +31,7 @@ class TestBidRow:
         msg = str(err.value)
         assert "bid" in msg and "bidtime" in msg and "openbid" in msg
 
-    @pytest.mark.parametrize("field", ["bid", "bidtime", "openbid"])
+    @pytest.mark.parametrize("field", ["bid", "bidtime", "openbid", "price"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, value):
         kwargs = dict(auctionid="1", bid=10.0, bidtime=1.0, bidder="alice",
@@ -146,6 +146,19 @@ class TestIngest:
         assert all(f"row {n}" in msg for n in (2, 3, 4, 5))
         assert "row 6" not in msg
 
+    def test_non_finite_price_reported(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_log(path, [
+            ["1", 5.0, 1.0, "a", 0, 1.0, 8.0],
+            ["1", 6.0, 2.0, "b", 0, 1.0, "nan"],
+            ["1", 7.0, 3.0, "c", 0, 1.0, "inf"],
+        ])
+        with pytest.raises(ValidationError) as err:
+            ingest_bid_csv(path, duration_days=7.0, noise_seed=0)
+        msg = str(err.value)
+        assert "row 3" in msg and "row 4" in msg and "row 2" not in msg
+        assert "price nan is not finite" in msg
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         with path.open("w", newline="") as fh:
@@ -214,6 +227,15 @@ class TestCanonicalFormat:
         with pytest.raises(ValidationError) as err:
             read_dataset(path)
         assert "line 5" in str(err.value)
+
+    @pytest.mark.parametrize("flag", ["7", "2", "-1", "", "true", "1.0"])
+    def test_sold_must_be_zero_or_one(self, tmp_path, flag):
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.GOOD + f"auction,2,2.0,10.0,{flag}\n")
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        msg = str(err.value)
+        assert "line 5" in msg and "sold must be 0 or 1" in msg
 
     def test_invalid_auction_names_its_line(self, tmp_path):
         # a jump below the reserve of an unsold auction

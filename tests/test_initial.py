@@ -62,6 +62,17 @@ class TestPriceCdfMap:
             eta = g_lambda_inverse(y, s, 1.0)
             assert g_lambda_cdf(eta, s, 1.0) == pytest.approx(y, abs=1e-9)
 
+    @pytest.mark.parametrize("s", [0.05, 3.5, 100.0, 700.0])
+    def test_inverse_over_an_array_matches_scalar_calls(self, s):
+        levels = np.concatenate(([-0.5, 0.0], np.arange(1, 201) / 200, [1.5]))
+        together = g_lambda_inverse(levels, s, 1.0)
+        one_by_one = np.array([g_lambda_inverse(float(y), s, 1.0)
+                               for y in levels])
+        assert isinstance(together, np.ndarray)
+        assert np.max(np.abs(together - one_by_one)) <= 1e-10
+        assert together[0] == together[1] == 0.0
+        assert together[-2] == together[-1] == 1.0
+
     def test_inverse_exact_at_bounds(self):
         assert g_lambda_inverse(0.0, 2.0, 1.0) == 0.0
         assert g_lambda_inverse(-0.5, 2.0, 1.0) == 0.0

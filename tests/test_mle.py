@@ -1,5 +1,6 @@
-"""Profile log-likelihood, closed-form coordinate updates, and the
-coordinate-ascent driver, checked against direct-definition oracles."""
+"""Profile log-likelihood, closed-form coordinate updates, the
+coordinate-ascent driver, checked against direct-definition oracles, and
+the projected Newton solver, checked against the ascent."""
 
 import logging
 import math
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from secondprice import (AuctionRecord, LikelihoodContext, NumericalError,
                          ObservedDataset, SimConfig, ThetaVector,
                          ValidationError, ValuationDistribution,
-                         coordinate_ascent, log_lik, pool, reconstruct_cdf,
-                         run_study, theta_to_cdf)
+                         coordinate_ascent, log_lik, pool, projected_newton,
+                         reconstruct_cdf, run_study, theta_to_cdf)
 from secondprice.mle import _case1_root, _sweep
+from secondprice.pipeline import clip_theta0, fit_initial, initial_theta
 
 
 def small_context(seed=5, K=6, lam_hat=1.2):
@@ -274,6 +276,167 @@ class TestCoordinateAscent:
             coordinate_ascent(ctx, ok, tol=0.0)
         with pytest.raises(ValidationError):
             coordinate_ascent(ctx, ThetaVector(np.full(ctx.n + 1, 0.5)))
+
+
+def clipped_start(dataset):
+    """Likelihood context and the clipped initial estimate ``fit`` starts
+    from."""
+    p = pool(dataset)
+    lam_hat, _, _, f_init = fit_initial(dataset)
+    ctx = LikelihoodContext(p, lam_hat)
+    return ctx, clip_theta0(initial_theta(f_init, p.z), ctx)
+
+
+def seed_of(*entropy):
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+def criterion_dataset(kind, K, seed, batch=False):
+    dist = (ValuationDistribution.uniform(1.0, 20.0) if kind == "uniform"
+            else ValuationDistribution.gamma(10.0, 2.0))
+    ds = run_study(SimConfig(lam=1.0, tau=100.0, K=K, seed=seed), dist)
+    if batch:
+        # the first of the five band batches of criterion 9
+        chunk = np.array_split(np.random.default_rng(seed).permutation(K), 5)[0]
+        ds = ObservedDataset(tuple(ds.auctions[int(k)] for k in chunk), ds.tau)
+    return ds
+
+
+def assert_matches_ascent(ctx, theta0, constrained, tol=1e-8):
+    ref = coordinate_ascent(ctx, theta0, tol=tol, constrained=constrained)
+    res = projected_newton(ctx, theta0, tol=tol, constrained=constrained)
+    assert res.converged
+    assert res.loglik >= ref.loglik - 1e-9 * (1.0 + abs(ref.loglik))
+    gap = np.abs(np.cumprod(res.theta.theta) - np.cumprod(ref.theta.theta))
+    assert np.max(gap) <= 1e-5
+    return res
+
+
+class TestProjectedNewton:
+    # datasets of acceptance criteria 3 (uniform K=100 and gamma K=1000)
+    # and 9 (one band batch of uniform K=1000), by their own seeds
+    WORKLOADS = (
+        [pytest.param("uniform", 100, seed_of(7, 0, rep), False,
+                      id=f"c3-uniform-K100-rep{rep}") for rep in range(3)]
+        + [pytest.param("gamma", 1000, seed_of(7, 0, rep), False,
+                        id=f"c3-gamma-K1000-rep{rep}") for rep in range(2)]
+        + [pytest.param("uniform", 1000, seed_of(37, rep), True,
+                        id=f"c9-uniform-K1000-batch-rep{rep}")
+           for rep in range(2)])
+
+    @pytest.mark.parametrize("kind, K, seed, batch", WORKLOADS)
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_matches_coordinate_ascent(self, kind, K, seed, batch,
+                                       constrained):
+        ctx, theta0 = clipped_start(criterion_dataset(kind, K, seed, batch))
+        res = assert_matches_ascent(ctx, theta0, constrained)
+        if constrained:
+            freeze = int(ctx.pooled.u[0])
+            assert np.array_equal(res.theta.theta[:freeze],
+                                  theta0.theta[:freeze])
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_matches_ascent_from_random_starts(self, constrained):
+        rng = np.random.default_rng(11)
+        for seed in range(12):
+            ctx = small_context(seed=seed, K=8)
+            assert_matches_ascent(ctx, feasible_theta(ctx, rng), constrained,
+                                  tol=1e-12)
+
+    def test_start_whose_survival_underflows(self):
+        # two ratios of 1e-200 take G(z) below the smallest double, so
+        # every later curvature weight starts at exactly 0
+        ctx = small_context(seed=3, K=8)
+        theta = feasible_theta(ctx, np.random.default_rng(0)).theta
+        theta[:2] = 1e-200
+        for constrained in (True, False):
+            assert_matches_ascent(ctx, ThetaVector(theta), constrained,
+                                  tol=1e-12)
+
+    def test_history_never_decreases(self):
+        ctx, theta0 = clipped_start(criterion_dataset("uniform", 100,
+                                                      seed_of(7, 0, 0)))
+        for constrained in (True, False):
+            res = projected_newton(ctx, theta0, constrained=constrained)
+            assert res.sweeps >= 1
+            assert np.all(np.diff(res.history) >= 0.0)
+            assert res.history[0] >= log_lik(theta0, ctx)
+            assert res.loglik == log_lik(res.theta, ctx)
+
+    def test_zero_tail_time(self):
+        ctx = zero_tail_context()
+        theta0 = ThetaVector(np.full(ctx.n, 0.5))
+        for constrained in (True, False):
+            res = assert_matches_ascent(ctx, theta0, constrained, tol=1e-12)
+            # the top price has no attached time, so its coordinate sits
+            # at the zero-curvature root b / (b + 1)
+            b = float(ctx.coef[-1])
+            assert res.theta.theta[-1] == pytest.approx(b / (b + 1.0),
+                                                        rel=1e-9)
+
+    def test_all_coordinates_frozen(self):
+        # the only jump is the top price, so constrained mode freezes all
+        tau = 10.0
+        auctions = (AuctionRecord(1.0, tau, ((5.0, 2.0),), True),
+                    AuctionRecord(2.0, tau, (), True),
+                    AuctionRecord(3.0, tau, (), False))
+        ctx = LikelihoodContext(pool(ObservedDataset(auctions, tau)), 0.4)
+        assert int(ctx.pooled.u[0]) == ctx.n
+        theta0 = ThetaVector(np.array([0.9, 0.8, 0.7, 0.5]))
+        res = projected_newton(ctx, theta0, constrained=True)
+        assert res.converged and res.sweeps == 0
+        assert np.array_equal(res.theta.theta, theta0.theta)
+        assert res.loglik == log_lik(theta0, ctx)
+
+    def test_no_jumps_gives_zero_in_closed_form(self):
+        # every coefficient is zero, so the free range is empty and every
+        # coordinate is 0 without an iteration
+        a1 = AuctionRecord(1.0, 10.0, (), True)
+        a2 = AuctionRecord(2.0, 10.0, (), True)
+        ctx = LikelihoodContext(pool(ObservedDataset((a1, a2), 10.0)), 1.0)
+        assert not np.any(ctx.coef > 0)
+        res = projected_newton(ctx, ThetaVector(np.full(2, 0.5)))
+        assert res.converged and res.sweeps == 0
+        assert np.array_equal(res.theta.theta, [0.0, 0.0])
+        assert res.loglik == 0.0
+        with pytest.raises(ValidationError):
+            projected_newton(ctx, ThetaVector(np.full(2, 0.5)),
+                             constrained=True)
+
+    def test_infeasible_start_rejected(self):
+        ctx = small_context(seed=10)
+        bad = np.full(ctx.n, 0.5)
+        bad[int(np.flatnonzero(ctx.is_jump)[0])] = 1.0
+        with pytest.raises(NumericalError, match="not finite"):
+            projected_newton(ctx, ThetaVector(bad))
+        bad = np.full(ctx.n, 0.5)
+        bad[0] = 0.0
+        with pytest.raises(NumericalError, match="not finite"):
+            projected_newton(ctx, ThetaVector(bad))
+
+    def test_warns_when_max_sweeps_is_reached(self, caplog):
+        ctx, theta0 = clipped_start(criterion_dataset("uniform", 100,
+                                                      seed_of(7, 0, 1)))
+        with caplog.at_level(logging.WARNING, logger="secondprice"):
+            res = projected_newton(ctx, theta0, max_sweeps=1)
+        assert not res.converged and res.sweeps == 1
+        [record] = caplog.records
+        assert record.name.startswith("secondprice")
+        assert "max_sweeps=1" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="secondprice"):
+            assert projected_newton(ctx, theta0).converged
+        assert not caplog.records
+
+    def test_invalid_arguments(self):
+        ctx = small_context(seed=12)
+        ok = ThetaVector(np.full(ctx.n, 0.5))
+        with pytest.raises(ValidationError):
+            projected_newton(ctx, ok, tol=0.0)
+        with pytest.raises(ValidationError):
+            projected_newton(ctx, ok, max_sweeps=0)
+        with pytest.raises(ValidationError):
+            projected_newton(ctx, ThetaVector(np.full(ctx.n + 1, 0.5)))
 
 
 class TestEnvelopeOracle:
