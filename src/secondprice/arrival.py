@@ -5,7 +5,8 @@ strictly increasing function ``g`` of the thinned-arrival Poisson mean
 x.  With N ~ Poisson(x) bidders, E[H_N] = Ein(x) = gamma + ln x + E1(x)
 (DLMF 6.2), so g(x) = E[2(H_N - 1); N >= 2] has the closed form
 2(gamma + ln x + E1(x) - 1 + e^{-x}), the exact limit of a Monte Carlo
-table of the jump count.  ``g`` is inverted by Brent's method.
+table of the jump count.  ``g`` is inverted by bisection inside a
+doubling bracket, down to adjacent floating-point numbers.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import NumericalError, ValidationError
 from .model import ObservedDataset
 
 # Below this mean the closed form cancels (its terms are O(ln x) while
-# g(x) ~ x^2/2), so the Poisson series is summed instead.
-_SERIES_BELOW = 1e-2
+# g(x) ~ x^2/2, so at x = 1e-2 only about 11 digits survive), and the
+# Poisson series is summed instead; from x = 1 on the closed form is
+# good to a few ulp.
+_SERIES_BELOW = 1.0
 # g grows like 2 ln x, so 2^32 bounds every reachable thinned mean
 # (g(2^32) is about 43.5 jumps per auction).
 _MAX_DOUBLINGS = 32
@@ -36,9 +39,9 @@ def conditional_mean_jumps(n: int) -> float:
     return 2.0 * float(np.sum(1.0 / np.arange(2, n + 1)))
 
 
-# Poisson-series terms e^{-x} x^n / n! * E[jumps | n] for n = 2..12; at
-# x = 1e-2 the first omitted term is below 1e-30 of g.
-_SERIES_N = np.arange(2, 13)
+# Poisson-series terms e^{-x} x^n / n! * E[jumps | n] for n = 2..20; at
+# x = 1 the first omitted term is below 1e-18 of g.
+_SERIES_N = np.arange(2, 21)
 _SERIES_W = np.array([conditional_mean_jumps(n) / math.factorial(n)
                       for n in _SERIES_N])
 
@@ -60,7 +63,9 @@ def g_eval(x):
 
 
 def g_inverse(y: float) -> float:
-    """The Poisson mean x with g(x) = y; the bracket is found by doubling."""
+    """The Poisson mean x with g(x) = y: the smallest float x with
+    g(x) >= y, found by doubling a bracket and bisecting it until its
+    ends are adjacent floats."""
     if y < 0:
         raise ValidationError("mean jump count must be non-negative")
     if y == 0:
@@ -68,12 +73,19 @@ def g_inverse(y: float) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_DOUBLINGS):
         if g_eval(hi) >= y:
-            # relative tolerance only: an absolute one would cap the
-            # precision of small means
-            return optimize.brentq(lambda x: g_eval(x) - y, lo, hi,
-                                   xtol=1e-300)
+            break
         lo, hi = hi, 2.0 * hi
-    raise NumericalError(f"mean jump count {y} is beyond g({hi / 2:g})")
+    else:
+        raise NumericalError(f"mean jump count {y} is beyond g({hi / 2:g})")
+    # g(lo) < y <= g(hi) throughout
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if g_eval(mid) >= y:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def estimate_lambda(dataset: ObservedDataset, low_reserve_set) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -120,12 +121,35 @@ def _write_curves_csv(path, header_lines, knots, series):
                      + "\n")
 
 
+def _read_numeric_csv(path, width=None):
+    """Header names and the float rows of a CSV whose '#' lines are
+    comments.  The first ``width`` fields of every row (default: one per
+    header name) are read and must be finite numbers; a short or
+    malformed row raises ValidationError naming its line."""
+    lines = [(n, r) for n, r in enumerate(Path(path).read_text().splitlines(), 1)
+             if r and not r.startswith("#")]
+    if len(lines) < 2:
+        raise ValidationError(f"{path} needs a header row and at least one data row")
+    names = lines[0][1].split(",")
+    width = width or len(names)
+    data = []
+    for lineno, line in lines[1:]:
+        fields = line.split(",")
+        try:
+            if len(fields) < width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            row = [float(v) for v in fields[:width]]
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"non-finite value in {fields[:width]}")
+        except ValueError as exc:
+            raise ValidationError(f"{path} line {lineno}: {exc}") from None
+        data.append(row)
+    return names, np.array(data)
+
+
 def _read_curves_csv(path):
     """Read a curves CSV back into {column: piecewise-linear curve}."""
-    rows = [r for r in Path(path).read_text().splitlines()
-            if r and not r.startswith("#")]
-    names = rows[0].split(",")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+    names, data = _read_numeric_csv(path)
     x = data[:, 0]
     return {name: MonotoneCurve(x, np.clip(data[:, j], 0.0, 1.0), kind="pl")
             for j, name in enumerate(names) if j > 0}
@@ -358,9 +382,7 @@ def cmd_plot(args) -> int:
     bands_path = res.get("bands", str)
     if bands_path:
         from .bands import ConfidenceBand
-        rows = [r for r in Path(bands_path).read_text().splitlines()
-                if r and not r.startswith("#")][1:]
-        data = np.array([[float(v) for v in r.split(",")[:3]] for r in rows])
+        _, data = _read_numeric_csv(bands_path, width=3)
         band = ConfidenceBand(data[:, 0], data[:, 1], data[:, 2],
                               alpha=0.0 + res.get("alpha", float, 0.10),
                               batches=1)

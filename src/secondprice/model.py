@@ -260,6 +260,8 @@ class MonotoneCurve:
             violations.append(f"unknown curve kind {self.kind!r}")
         if len(knots) != len(values) or len(knots) == 0:
             violations.append("knots and values must be equal-length and non-empty")
+        elif not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            violations.append("knots and values must be finite")
         else:
             if np.any(np.diff(knots) <= 0):
                 violations.append("knots must be strictly ascending")

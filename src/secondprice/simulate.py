@@ -1,7 +1,15 @@
 """Synthetic auction generation: Poisson bidder arrivals, the valuation
 distributions used in the simulation study, and ``replay_bids``, the one
 standing-price rule (running second maximum of the reserve and the bids)
-that the simulator, bid-log ingestion and bid-log export all share."""
+that the simulator, bid-log ingestion and bid-log export all share.
+
+Gamma and beta valuations are drawn with the generator's own
+``standard_gamma`` and ``beta``.  Their CDFs and quantiles are the
+regularized incomplete gamma and beta functions of ``scipy.special``
+and their inverses, their densities are closed forms, and Pareto's are
+power laws.  These are the formulas ``scipy.stats`` evaluates, with the
+same argument scaling, so the draws and the CDFs equal its ``rvs`` and
+``cdf`` bit for bit."""
 
 from __future__ import annotations
 
@@ -10,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ValidationError
 from .model import AuctionRecord, ObservedDataset, break_ties, has_ties
@@ -87,25 +95,6 @@ class ValuationDistribution:
             raise ValidationError("table must span probabilities 0..1 over x >= 0")
         return ValuationDistribution("table", (xs, ps))
 
-    # -- internals ----------------------------------------------------
-    def _frozen(self):
-        # built once per instance: constructing a scipy frozen
-        # distribution costs far more than one draw or CDF evaluation
-        frozen = self.__dict__.get("_scipy")
-        if frozen is not None:
-            return frozen
-        if self.kind == "pareto":
-            scale, shape = self.params
-            frozen = stats.pareto(b=shape, scale=scale)
-        elif self.kind == "gamma":
-            shape, rate = self.params
-            frozen = stats.gamma(a=shape, scale=1.0 / rate)
-        else:  # beta; the other kinds never build a scipy distribution
-            a, b = self.params
-            frozen = stats.beta(a, b)
-        object.__setattr__(self, "_scipy", frozen)
-        return frozen
-
     # -- API ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "uniform":
@@ -123,7 +112,11 @@ class ValuationDistribution:
         if self.kind == "table":
             xs, ps = self.params
             return np.interp(rng.uniform(0.0, 1.0, size), ps, xs)
-        return self._frozen().rvs(size=size, random_state=rng)
+        if self.kind == "gamma":
+            shape, rate = self.params
+            return rng.standard_gamma(shape, size) * (1.0 / rate)
+        a, b = self.params
+        return rng.beta(a, b, size)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -138,7 +131,14 @@ class ValuationDistribution:
         if self.kind == "table":
             xs, ps = self.params
             return np.interp(x, xs, ps)
-        return self._frozen().cdf(x)
+        if self.kind == "pareto":
+            scale, shape = self.params
+            return 1.0 - np.maximum(x / scale, 1.0) ** -shape
+        if self.kind == "gamma":
+            shape, rate = self.params
+            return special.gammainc(shape, np.maximum(x, 0.0) / (1.0 / rate))
+        a, b = self.params
+        return special.betainc(a, b, np.clip(x, 0.0, 1.0))
 
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -155,7 +155,23 @@ class ValuationDistribution:
             slopes = np.diff(ps) / np.diff(xs)
             idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
             return np.where((x >= xs[0]) & (x < xs[-1]), slopes[idx], 0.0)
-        return self._frozen().pdf(x)
+        # each density is evaluated on its support only, then zeroed
+        # outside it (NaN stays NaN)
+        if self.kind == "pareto":
+            scale, shape = self.params
+            y = x / scale
+            return np.where(y < 1.0, 0.0,
+                            shape * np.maximum(y, 1.0) ** (-shape - 1.0) / scale)
+        if self.kind == "gamma":
+            shape, rate = self.params
+            y = np.maximum(x, 0.0) / (1.0 / rate)
+            log_pdf = special.xlogy(shape - 1.0, y) - y - special.gammaln(shape)
+            return np.where(x < 0.0, 0.0, np.exp(log_pdf) / (1.0 / rate))
+        a, b = self.params
+        y = np.clip(x, 0.0, 1.0)
+        log_pdf = (special.xlogy(a - 1.0, y) + special.xlog1py(b - 1.0, -y)
+                   - special.betaln(a, b))
+        return np.where((x < 0.0) | (x > 1.0), 0.0, np.exp(log_pdf))
 
     def support(self) -> tuple[float, float]:
         """(lo, hi) with hi chosen so that F(hi) >= 1 - 1e-9 for
@@ -167,11 +183,15 @@ class ValuationDistribution:
         if self.kind == "table":
             xs, _ = self.params
             return (xs[0], xs[-1])
-        fz = self._frozen()
-        lo = float(fz.ppf(0.0))
-        if not np.isfinite(lo):
-            lo = 0.0
-        return (max(lo, 0.0), float(fz.ppf(1.0 - 1e-9)))
+        q = 1.0 - 1e-9
+        if self.kind == "pareto":
+            scale, shape = self.params
+            return (scale, (1.0 - q) ** (-1.0 / shape) * scale)
+        if self.kind == "gamma":
+            shape, rate = self.params
+            return (0.0, float(special.gammaincinv(shape, q) * (1.0 / rate)))
+        a, b = self.params
+        return (0.0, float(special.betaincinv(a, b, q)))
 
 
 ReservePolicy = Union[float, Callable[[np.random.Generator], float]]

@@ -4,6 +4,7 @@ mean."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,14 +60,28 @@ class TestConditionalMeanJumps:
 class TestMomentFunction:
     def test_matches_series_oracle(self):
         # both sides of the switch from the Poisson series to the closed
-        # form at x = 1e-2
-        for x in (1e-4, 9.9e-3, 1.01e-2, 0.5, 5.0, 20.0, 100.0):
+        # form at x = 1, and of an earlier switch at x = 1e-2
+        for x in (1e-4, 9.9e-3, 1.01e-2, 0.5, 0.99, 1.01, 5.0, 20.0, 100.0):
             assert g_eval(x) == pytest.approx(series_mean_jumps(x), rel=1e-10)
+
+    def test_matches_high_precision_reference(self):
+        # 2(gamma + ln x + E1(x) - 1 + e^{-x}) to 40 digits; the closed
+        # form in doubles cancels to about 1e-11 relative at x = 1e-2
+        def exact(x):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(x)
+                return float(2 * (mpmath.euler + mpmath.log(x) + mpmath.e1(x)
+                                  - 1 + mpmath.exp(-x)))
+
+        xs = np.geomspace(1e-4, 1e3, 201)
+        ref = np.array([exact(x) for x in xs])
+        np.testing.assert_allclose(g_eval(xs), ref, rtol=4e-15, atol=0)
 
     def test_pins_zero_and_is_monotone(self):
         assert g_eval(0.0) == 0.0
-        seam = g_eval(np.linspace(0.0098, 0.0102, 401))
-        assert np.all(np.diff(seam) > 0.0)
+        for centre in (0.01, 1.0):
+            seam = g_eval(np.linspace(0.98 * centre, 1.02 * centre, 401))
+            assert np.all(np.diff(seam) > 0.0)
         wide = g_eval(np.geomspace(1e-6, 1e6, 2001))
         assert np.all(np.diff(wide) > 0.0)
 
@@ -74,6 +89,23 @@ class TestMomentFunction:
         assert g_inverse(0.0) == 0.0
         for y in (1e-8, 1e-3, 0.5, 1.0, 2.0, 8.0, 20.0):
             assert g_eval(g_inverse(y)) == pytest.approx(y, rel=1e-12)
+
+    def test_inverse_is_the_smallest_float_reaching_y(self):
+        for y in np.geomspace(1e-6, 40.0, 61):
+            x = g_inverse(y)
+            assert g_eval(x) >= y > g_eval(np.nextafter(x, 0.0))
+
+    def test_inverse_matches_brent(self):
+        # the doubling bracket solved by Brent's method, relative
+        # tolerance only; where g ~ 2 ln x the inversion amplifies g's
+        # rounding by y/2, so the ulp allowance grows with it there
+        for y in np.geomspace(1e-6, 40.0, 301):
+            lo, hi = 0.0, 1.0
+            while g_eval(hi) < y:
+                lo, hi = hi, 2.0 * hi
+            ref = optimize.brentq(lambda v: g_eval(v) - y, lo, hi, xtol=1e-300)
+            ulps = abs(g_inverse(y) - ref) / np.spacing(ref)
+            assert ulps <= 8.0 * max(1.0, y / 2.0), y
 
     def test_inverse_beyond_initial_bracket(self):
         # the bracket starts at x = 1 and doubles about 20 times here

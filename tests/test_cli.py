@@ -215,6 +215,25 @@ class TestMetricsCommand:
         assert main(["metrics", "--curves", str(curves),
                      "--series-a", "nope"]) == 3
 
+    @pytest.mark.parametrize("text,line", [
+        ("# only a comment\n", None),
+        ("x,f_init,f_mle\n", None),
+        ("x,f_init,f_mle\n1.0,0.1,0.2\n2.0,0.5\n", "line 3"),
+        ("# c\nx,f_init,f_mle\n1.0,0.1,0.2\n2.0,0.5,abc\n", "line 4"),
+        ("x,f_init,f_mle\n1.0,0.1,0.2\n2.0,nan,0.4\n", "line 3"),
+        ("x,f_init,f_mle\n1.0,0.1,0.2\ninf,0.5,0.4\n", "line 3"),
+    ], ids=["comment-only", "header-only", "short-row", "non-numeric", "nan",
+            "inf"])
+    def test_malformed_curves_file(self, tmp_path, capsys, text, line):
+        curves = tmp_path / "curves.csv"
+        curves.write_text(text)
+        assert main(["metrics", "--curves", str(curves)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(curves) in captured.err
+        if line:
+            assert line in captured.err
+
 
 class TestBandsCommand:
     def test_init_band(self, tmp_path, capsys):
@@ -262,6 +281,16 @@ class TestPlotCommand:
         assert svg.startswith("<svg")
         assert "polyline" in svg
         assert "nan" not in svg and "inf" not in svg
+
+    def test_malformed_band_file(self, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("x,f_init,f_mle\n1.0,0.1,0.2\n2.0,0.5,0.6\n")
+        bands = tmp_path / "band.csv"
+        bands.write_text("# alpha=0.1\nx,lower,upper,estimate\n"
+                         "1.0,0.0,0.3,0.2\n2.0,0.4\n")
+        assert main(["plot", "--curves", str(curves), "--bands", str(bands),
+                     "--out-csv", str(tmp_path / "plot.csv")]) == 3
+        assert f"{bands} line 4" in capsys.readouterr().err
 
 
 class TestIngestCommand:

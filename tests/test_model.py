@@ -157,6 +157,17 @@ class TestMonotoneCurve:
         with pytest.raises(ValidationError):
             MonotoneCurve(knots, values, kind=kind)
 
+    @pytest.mark.parametrize("knots,values", [
+        ([1.0, np.nan], [0.1, 0.2]),
+        ([1.0, np.inf], [0.1, 0.2]),
+        ([1.0, 2.0], [np.nan, 0.2]),
+        ([1.0, 2.0], [0.1, np.nan]),
+    ])
+    def test_non_finite_curve_rejected(self, knots, values):
+        # NaN fails no ordering comparison, so it needs its own check
+        with pytest.raises(ValidationError, match="finite"):
+            MonotoneCurve(knots, values, kind="pl")
+
     def test_interpolate_anchor_zero(self):
         step = MonotoneCurve([1.0, 2.0], [0.4, 1.0], kind="step")
         pl = interpolate(step, anchor_zero=True)

@@ -167,15 +167,37 @@ class TestValuationDistribution:
         emp = np.searchsorted(np.sort(x), grid, side="right") / len(x)
         assert np.max(np.abs(emp - cdf)) < 4.0 / np.sqrt(len(x))
 
-    def test_scipy_distribution_is_built_once(self):
-        dist = ValuationDistribution.gamma(10.0, 2.0)
-        assert dist._frozen() is dist._frozen()
-        x1 = dist.sample(np.random.default_rng(9), 500)
-        x2 = dist.sample(np.random.default_rng(9), 500)
-        fresh = stats.gamma(a=10.0, scale=0.5).rvs(
-            size=500, random_state=np.random.default_rng(9))
-        assert np.array_equal(x1, x2)
-        assert np.array_equal(x1, fresh)
+    def test_draws_equal_scipy_rvs(self):
+        # scipy.stats is the oracle: for one generator state the draws are
+        # the same numbers
+        for dist, ref in [
+                (ValuationDistribution.gamma(10.0, 2.0), stats.gamma(a=10.0, scale=0.5)),
+                (ValuationDistribution.gamma(0.5, 3.0), stats.gamma(a=0.5, scale=1 / 3)),
+                (ValuationDistribution.beta(2.0, 2.0), stats.beta(2.0, 2.0)),
+                (ValuationDistribution.beta(0.5, 3.0), stats.beta(0.5, 3.0))]:
+            draws = dist.sample(np.random.default_rng(9), 500)
+            oracle = ref.rvs(size=500, random_state=np.random.default_rng(9))
+            assert np.array_equal(draws, oracle)
+
+    @pytest.mark.parametrize("dist, ref", [
+        (ValuationDistribution.gamma(10.0, 2.0), stats.gamma(a=10.0, scale=0.5)),
+        (ValuationDistribution.gamma(0.5, 3.0), stats.gamma(a=0.5, scale=1 / 3)),
+        (ValuationDistribution.gamma(1.0, 1.0), stats.gamma(a=1.0, scale=1.0)),
+        (ValuationDistribution.beta(2.0, 2.0), stats.beta(2.0, 2.0)),
+        (ValuationDistribution.beta(0.5, 3.0), stats.beta(0.5, 3.0)),
+        (ValuationDistribution.beta(2.0, 5.0), stats.beta(2.0, 5.0)),
+        (ValuationDistribution.pareto(3.0, 100.0), stats.pareto(b=100.0, scale=3.0)),
+        (ValuationDistribution.pareto(1.0, 2.5), stats.pareto(b=2.5, scale=1.0)),
+    ], ids=["gamma-10-2", "gamma-0.5-3", "gamma-1-1", "beta-2-2", "beta-0.5-3",
+            "beta-2-5", "pareto-3-100", "pareto-1-2.5"])
+    def test_cdf_pdf_support_match_scipy(self, dist, ref):
+        lo, hi = dist.support()
+        assert lo == max(float(ref.ppf(0.0)), 0.0)
+        assert hi == pytest.approx(float(ref.ppf(1.0 - 1e-9)), rel=1e-12)
+        # below zero, across the support and beyond its upper end
+        x = np.concatenate((np.linspace(-1.0, 1.5 * hi, 2001), [lo, hi, -0.0]))
+        np.testing.assert_allclose(dist.cdf(x), ref.cdf(x), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dist.pdf(x), ref.pdf(x), rtol=1e-12, atol=0)
 
     def test_pdf_integrates_to_one(self):
         dist = ValuationDistribution.piecewise_uniform(

@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import secondprice
@@ -18,3 +21,38 @@ def test_no_assert_invariants():
                     isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_scipy_stats_or_optimize_import():
+    # each costs a fresh CLI process a large share of its start-up
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])
+                   for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_cli_import_and_a_fit_leave_scipy_stats_and_optimize_unloaded():
+    code = (
+        "import sys\n"
+        "import secondprice.cli\n"
+        "from secondprice import SimConfig, ValuationDistribution, fit, run_study\n"
+        "ds = run_study(SimConfig(lam=1.0, tau=30.0, K=60, seed=3),\n"
+        "               ValuationDistribution.gamma(10.0, 2.0))\n"
+        "fit(ds)\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize')\n"
+        "             if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
