@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import MonotoneCurve, ObservedDataset, break_ties, has_ties
-from .pipeline import fit, fit_initial
+from .pipeline import DEFAULT_Q, fit, fit_initial
 from .simulate import ValuationDistribution, run_auction
 
 _BIAS_GRID = np.arange(1, 100) / 100.0
@@ -107,7 +107,7 @@ def _simulate_profile(lam, tau, reserves, rng) -> ObservedDataset:
 
 def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,
                          reserve_profile, mc_reps: int, rng,
-                         q: float = 0.25) -> MedianBiasEstimate:
+                         q: float = DEFAULT_Q) -> MedianBiasEstimate:
     """Monte Carlo median-bias approximation on the probability scale.
 
     Each replicate simulates K auctions with Uniform(0,1) valuations at
@@ -144,7 +144,7 @@ def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,
 
 
 def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
-              delta: float, rng, q: float = 0.25,
+              delta: float, rng, q: float = DEFAULT_Q,
               epsilon: float = None) -> ConfidenceBand:
     """Envelope band at level 1-alpha from a random B-way split."""
     if estimator_kind not in _KINDS:

@@ -1,11 +1,16 @@
 """Command-line surface: simulate, estimate, bands, metrics, replicate,
 ingest, and plot-data export.
 
-Every command accepts ``--config FILE`` pointing at a flat key=value
-text file whose keys are the command's flag names (without ``--``) or
-their destinations; explicit flags win over config entries, which win
-over built-in defaults, and an unknown key is a validation error.  The
-resolved configuration is echoed into every output file for provenance.
+`build_parser` is the one place that declares an option: its flag, its
+type and its default.  Every command accepts ``--config FILE``, a flat
+key=value text file whose keys are the command's flag names (without
+``--``) or their destinations.  Each value is parsed by its option's own
+type (a switch such as ``--unconstrained`` takes 1/0, true/false, yes/no
+or on/off) and becomes the command's default, so explicit flags win over
+config entries, which win over built-in defaults.  An unknown key, a key
+set twice and a value that does not parse are validation errors.  The
+command's parsed options are echoed into every output file for
+provenance.
 Exit codes: 0 success, 2 usage error, 3 input validation failure,
 4 numerical failure.
 """
@@ -21,12 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import estimate_median_bias, hulc_band, write_band_csv
+from .bands import _fit_kind, estimate_median_bias, hulc_band, write_band_csv
 from .errors import NumericalError, SecondPriceError, ValidationError
 from .ingest import export_dataset, ingest_bid_csv, read_dataset
 from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
 from .model import MonotoneCurve
-from .pipeline import fit, fit_initial
+from .pipeline import DEFAULT_Q, fit, fit_initial
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 EXIT_OK = 0
@@ -55,8 +60,34 @@ def parse_dist(spec: str) -> ValuationDistribution:
         raise ValidationError(f"cannot parse distribution spec {spec!r}: {exc}")
 
 
-def load_config(path) -> dict:
-    """Flat key=value file; '#' starts a comment."""
+_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(action, raw: str):
+    """Parse a config value as the option's own flag would parse it."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if raw.lower() not in _SWITCH:
+            raise ValueError(f"expected one of {'/'.join(_SWITCH)}")
+        return _SWITCH[raw.lower()]
+    if isinstance(action, argparse._AppendAction):
+        # setting=a;b stands for --setting a --setting b
+        return [v for v in raw.split(";") if v]
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {'/'.join(action.choices)}")
+    return value
+
+
+def load_config(path, options) -> dict:
+    """{dest: value} from a flat key=value file; '#' starts a comment.  A
+    key is an option's flag name without '--' ('-' and '_' alike) or its
+    destination; an unknown key, a second value for one option, or a
+    value its option cannot parse is a ValidationError."""
+    by_key = {}
+    for action in options:
+        by_key[action.option_strings[0][2:].replace("-", "_")] = action
+        by_key[action.dest] = action
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -64,48 +95,33 @@ def load_config(path) -> dict:
             continue
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value")
-        key, val = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = val.strip()
+        key, raw = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in by_key:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}; "
+                                  f"known: {sorted(by_key)}")
+        dest = by_key[key].dest
+        if dest in out:
+            raise ValidationError(f"{path}:{lineno}: key {key!r} sets {dest!r} "
+                                  "a second time")
+        try:
+            out[dest] = _config_value(by_key[key], raw)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{lineno}: bad value {raw!r} for key "
+                                  f"{key!r}: {exc}") from None
     return out
 
 
-class _Resolver:
-    """flag > config file > default, with the resolved values recorded.
+def _provenance(args) -> dict:
+    """The command's option values, None dropped, as echoed into its
+    output files."""
+    values = {a.dest: getattr(args, a.dest) for a in args.options}
+    return {k: ";".join(v) if isinstance(v, list) else v
+            for k, v in values.items() if v is not None}
 
-    Config keys are mapped to argument destinations through the
-    command's ``config_keys`` table, so ``lambda`` sets ``lam``.
-    """
 
-    def __init__(self, args):
-        self.args = args
-        self.config = {}
-        if getattr(args, "config", None):
-            for key, val in load_config(args.config).items():
-                if key not in args.config_keys:
-                    raise ValidationError(
-                        f"{args.config}: unknown key {key!r} for "
-                        f"{args.command}; known: {sorted(args.config_keys)}")
-                self.config[args.config_keys[key]] = val
-        self.resolved = {}
-
-    def get(self, key, cast=str, default=None, required=False):
-        val = getattr(self.args, key, None)
-        if val is None and key in self.config:
-            raw = self.config[key]
-            if cast is bool:
-                val = raw.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                val = cast(raw)
-        if val is None:
-            val = default
-        if val is None and required:
-            raise ValidationError(f"missing required parameter {key!r}")
-        self.resolved[key] = val
-        return val
-
-    def header_lines(self):
-        return [f"{k}={v}" for k, v in sorted(self.resolved.items())
-                if v is not None]
+def _header_lines(config: dict) -> list:
+    return [f"{k}={v}" for k, v in sorted(config.items())]
 
 
 def _write_curves_csv(path, header_lines, knots, series):
@@ -158,17 +174,13 @@ def _read_curves_csv(path):
 # -- commands -----------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    res = _Resolver(args)
-    dist = parse_dist(res.get("dist", str, required=True))
-    config = SimConfig(lam=res.get("lam", float, 1.0),
-                       tau=res.get("tau", float, 100.0),
-                       K=res.get("K", int, required=True),
-                       seed=res.get("seed", int, 0),
-                       reserve_policy=res.get("reserve", float, 0.0))
-    out = res.get("out", str, required=True)
+    dist = parse_dist(args.dist)
+    config = SimConfig(lam=args.lam, tau=args.tau, K=args.K, seed=args.seed,
+                       reserve_policy=args.reserve)
     dataset = run_study(config, dist)
-    export_dataset(dataset, out, header_lines=res.header_lines())
-    print(f"wrote {dataset.K} auctions to {out}")
+    export_dataset(dataset, args.out,
+                   header_lines=_header_lines(_provenance(args)))
+    print(f"wrote {dataset.K} auctions to {args.out}")
     return EXIT_OK
 
 
@@ -183,21 +195,14 @@ def _write_trace_csv(path, history) -> None:
 
 
 def cmd_estimate(args) -> int:
-    res = _Resolver(args)
-    dataset = read_dataset(res.get("data", str, required=True))
-    result = fit(dataset,
-                 q=res.get("q", float, 0.25),
-                 epsilon=res.get("epsilon", float),
-                 tol=res.get("tol", float, 1e-8),
-                 max_sweeps=res.get("max_sweeps", int, 10000),
-                 constrained=not res.get("unconstrained", bool, False))
-    trace = res.get("trace", str)
-    if trace is not None:
-        _write_trace_csv(trace, result.ascent.history)
-    out_curves = res.get("out_curves", str, required=True)
-    out_json = res.get("out_json", str)
+    dataset = read_dataset(args.data)
+    result = fit(dataset, q=args.q, epsilon=args.epsilon, tol=args.tol,
+                 max_sweeps=args.max_sweeps, constrained=not args.unconstrained)
+    if args.trace is not None:
+        _write_trace_csv(args.trace, result.ascent.history)
+    config = _provenance(args)
     knots = np.unique(np.concatenate((result.f_init.knots, result.cdf.knots)))
-    _write_curves_csv(out_curves, res.header_lines(), knots,
+    _write_curves_csv(args.out_curves, _header_lines(config), knots,
                       [("f_init", result.f_init), ("f_mle", result.cdf)])
     diagnostics = {
         "lambda_hat": result.lambda_hat,
@@ -207,56 +212,44 @@ def cmd_estimate(args) -> int:
         "final_objective": result.ascent.loglik,
         "converged": result.ascent.converged,
         "constrained": result.constrained,
-        "config": {k: v for k, v in res.resolved.items() if v is not None},
+        "config": config,
     }
     blob = json.dumps(diagnostics, indent=2, sort_keys=True)
-    if out_json:
-        Path(out_json).write_text(blob + "\n")
+    if args.out_json:
+        Path(args.out_json).write_text(blob + "\n")
     print(blob)
     return EXIT_OK
 
 
 def cmd_bands(args) -> int:
-    res = _Resolver(args)
-    dataset = read_dataset(res.get("data", str, required=True))
-    kind = res.get("kind", str, "mle")
-    alpha = res.get("alpha", float, 0.10)
-    seed = res.get("seed", int, 0)
-    q = res.get("q", float, 0.25)
-    epsilon = res.get("epsilon", float)
-    delta = res.get("delta", float, 0.0)
-    if res.get("auto_delta", bool, False):
-        lam_hat, selection, _, f_init = fit_initial(dataset, q=q,
-                                                    epsilon=epsilon)
+    dataset = read_dataset(args.data)
+    delta = args.delta
+    if args.auto_delta:
+        lam_hat, selection, _, f_init = fit_initial(dataset, q=args.q,
+                                                    epsilon=args.epsilon)
         reserves = np.array([0.0 if k in selection.V
                              else min(float(f_init(a.reserve)), 1.0 - 1e-9)
                              for k, a in enumerate(dataset.auctions)])
-        bias = estimate_median_bias(kind, dataset.K, lam_hat, dataset.tau,
-                                    reserves, res.get("bias_reps", int, 100),
-                                    np.random.default_rng(seed), q=q)
-        delta = bias.delta
-    band = hulc_band(dataset, kind, alpha, delta,
-                     np.random.default_rng(seed), q=q, epsilon=epsilon)
-    if kind == "init":
-        estimate = fit_initial(dataset, q=q, epsilon=epsilon)[3]
-    else:
-        estimate = fit(dataset, q=q, epsilon=epsilon).cdf
-    out = res.get("out", str, required=True)
-    res.resolved["delta"] = delta
-    write_band_csv(band, estimate, out, header_lines=res.header_lines())
+        delta = estimate_median_bias(args.kind, dataset.K, lam_hat, dataset.tau,
+                                     reserves, args.bias_reps,
+                                     np.random.default_rng(args.seed),
+                                     q=args.q).delta
+    band = hulc_band(dataset, args.kind, args.alpha, delta,
+                     np.random.default_rng(args.seed), q=args.q,
+                     epsilon=args.epsilon)
+    estimate = _fit_kind(dataset, args.kind, args.q, args.epsilon)
+    config = dict(_provenance(args), delta=delta)
+    write_band_csv(band, estimate, args.out, header_lines=_header_lines(config))
     print(f"B={band.batches} batches, average width {band.average_width:.4f}, "
-          f"wrote {out}")
+          f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
-    res = _Resolver(args)
-    curves_path = res.get("curves", str, required=True)
-    curves = _read_curves_csv(curves_path)
-    a = res.get("series_a", str, "f_init")
-    b = res.get("series_b", str, "f_mle")
+    curves = _read_curves_csv(args.curves)
+    a, b = args.series_a, args.series_b
     if a not in curves or b not in curves:
-        raise ValidationError(f"series {a!r}/{b!r} not found in {curves_path}; "
+        raise ValidationError(f"series {a!r}/{b!r} not found in {args.curves}; "
                               f"available: {sorted(curves)}")
     out = {"ks": ks_distance(curves[a], curves[b]),
            "tv": tv_distance(curves[a], curves[b])}
@@ -265,26 +258,16 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    res = _Resolver(args)
-    specs = getattr(args, "setting", None)
-    if not specs and "setting" in res.config:
-        specs = [s for s in res.config["setting"].split(";") if s]
-    if not specs:
-        raise ValidationError("missing required parameter 'setting'")
-    res.resolved["setting"] = ";".join(specs)
     settings = []
-    for spec in specs:
+    for spec in args.setting:
         dist_spec, _, k = spec.rpartition(":")
         settings.append((parse_dist(dist_spec), int(k)))
-    reports = replicate_table(settings,
-                              replicates=res.get("reps", int, 100),
-                              base_seed=res.get("seed", int, 0),
-                              lam=res.get("lam", float, 1.0),
-                              tau=res.get("tau", float, 100.0),
-                              q=res.get("q", float, 0.25))
-    out = res.get("out", str)
-    if out:
-        write_report_csv(reports, out, header_lines=res.header_lines())
+    reports = replicate_table(settings, replicates=args.reps,
+                              base_seed=args.seed, lam=args.lam, tau=args.tau,
+                              q=args.q)
+    if args.out:
+        write_report_csv(reports, args.out,
+                         header_lines=_header_lines(_provenance(args)))
     for r in reports:
         print(f"{r.label}: ks_mle={r.mean_ks_mle:.4f} ks_init={r.mean_ks_init:.4f} "
               f"tv_mle={r.mean_tv_mle:.4f} tv_init={r.mean_tv_init:.4f} "
@@ -293,21 +276,16 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    res = _Resolver(args)
-    dataset, report = ingest_bid_csv(res.get("data", str, required=True),
-                                     duration_days=res.get("duration", float,
-                                                           required=True),
-                                     noise_seed=res.get("noise_seed", int, 0),
-                                     noise_scale=res.get("noise_scale", float,
-                                                         0.01))
-    out = res.get("out", str, required=True)
-    export_dataset(dataset, out, header_lines=res.header_lines())
-    report_out = res.get("report_out", str)
+    dataset, report = ingest_bid_csv(args.data, duration_days=args.duration,
+                                     noise_seed=args.noise_seed,
+                                     noise_scale=args.noise_scale)
+    export_dataset(dataset, args.out,
+                   header_lines=_header_lines(_provenance(args)))
     lines = report.lines()
-    if report_out:
-        Path(report_out).write_text("\n".join(lines) + "\n")
+    if args.report_out:
+        Path(args.report_out).write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    print(f"wrote {dataset.K} auctions to {out}")
+    print(f"wrote {dataset.K} auctions to {args.out}")
     return EXIT_OK
 
 
@@ -376,25 +354,24 @@ def _write_svg(svg_path, xs, rows) -> None:
 
 
 def cmd_plot(args) -> int:
-    res = _Resolver(args)
-    curves = _read_curves_csv(res.get("curves", str, required=True))
+    curves = _read_curves_csv(args.curves)
     band = None
-    bands_path = res.get("bands", str)
-    if bands_path:
+    if args.bands:
         from .bands import ConfidenceBand
-        _, data = _read_numeric_csv(bands_path, width=3)
+        _, data = _read_numeric_csv(args.bands, width=3)
         band = ConfidenceBand(data[:, 0], data[:, 1], data[:, 2],
-                              alpha=0.0 + res.get("alpha", float, 0.10),
-                              batches=1)
-    out_csv = res.get("out_csv", str, required=True)
-    export_plot_data(curves, band, out_csv, svg_path=res.get("out_svg", str))
-    print(f"wrote {out_csv}")
+                              alpha=args.alpha, batches=1)
+    export_plot_data(curves, band, args.out_csv, svg_path=args.out_svg)
+    print(f"wrote {args.out_csv}")
     return EXIT_OK
 
 
 # -- parser -------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every command's options: flag, type and
+    default.  ``required`` options are checked after ``--config`` is read,
+    since the file may set them, and a missing one exits 3, not 2."""
     parser = argparse.ArgumentParser(
         prog="secondprice",
         description="Estimate a valuation distribution from second-price "
@@ -404,56 +381,90 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, flags):
         p = sub.add_parser(name)
         p.add_argument("--config")
-        config_keys = {}
+        options, required = [], []
         for flag, kwargs in flags:
-            dest = p.add_argument(flag, **kwargs).dest
-            config_keys[flag[2:].replace("-", "_")] = dest
-            config_keys[dest] = dest
-        p.set_defaults(func=func, config_keys=config_keys)
-        return p
+            need = kwargs.pop("required", False)
+            options.append(p.add_argument(flag, **kwargs))
+            if need:
+                required.append(options[-1].dest)
+        p.set_defaults(func=func, subparser=p, options=options,
+                       required=required)
 
     add("simulate", cmd_simulate, [
-        ("--dist", {}), ("--K", {"type": int}), ("--lambda", {"type": float,
-                                                              "dest": "lam"}),
-        ("--tau", {"type": float}), ("--seed", {"type": int}),
-        ("--reserve", {"type": float}), ("--out", {})])
+        ("--dist", {"required": True}),
+        ("--K", {"type": int, "required": True}),
+        ("--lambda", {"type": float, "default": 1.0, "dest": "lam"}),
+        ("--tau", {"type": float, "default": 100.0}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--reserve", {"type": float, "default": 0.0}),
+        ("--out", {"required": True})])
     add("estimate", cmd_estimate, [
-        ("--data", {}), ("--q", {"type": float}), ("--epsilon", {"type": float}),
-        ("--tol", {"type": float}), ("--max-sweeps", {"type": int}),
-        ("--unconstrained", {"action": "store_true", "default": None}),
-        ("--trace", {}), ("--out-curves", {}), ("--out-json", {})])
+        ("--data", {"required": True}),
+        ("--q", {"type": float, "default": DEFAULT_Q}),
+        ("--epsilon", {"type": float}),
+        ("--tol", {"type": float, "default": 1e-8}),
+        ("--max-sweeps", {"type": int, "default": 10000}),
+        ("--unconstrained", {"action": "store_true"}), ("--trace", {}),
+        ("--out-curves", {"required": True}), ("--out-json", {})])
     add("bands", cmd_bands, [
-        ("--data", {}), ("--kind", {"choices": ["init", "mle"]}),
-        ("--alpha", {"type": float}), ("--delta", {"type": float}),
-        ("--auto-delta", {"action": "store_true", "default": None}),
-        ("--bias-reps", {"type": int}), ("--seed", {"type": int}),
-        ("--q", {"type": float}), ("--epsilon", {"type": float}),
-        ("--out", {})])
+        ("--data", {"required": True}),
+        ("--kind", {"choices": ["init", "mle"], "default": "mle"}),
+        ("--alpha", {"type": float, "default": 0.10}),
+        ("--delta", {"type": float, "default": 0.0}),
+        ("--auto-delta", {"action": "store_true"}),
+        ("--bias-reps", {"type": int, "default": 100}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--q", {"type": float, "default": DEFAULT_Q}),
+        ("--epsilon", {"type": float}), ("--out", {"required": True})])
     add("metrics", cmd_metrics, [
-        ("--curves", {}), ("--series-a", {}), ("--series-b", {})])
+        ("--curves", {"required": True}), ("--series-a", {"default": "f_init"}),
+        ("--series-b", {"default": "f_mle"})])
     add("replicate", cmd_replicate, [
-        ("--setting", {"action": "append"}), ("--reps", {"type": int}),
-        ("--seed", {"type": int}), ("--lambda", {"type": float, "dest": "lam"}),
-        ("--tau", {"type": float}), ("--q", {"type": float}),
-        ("--out", {})])
+        ("--setting", {"action": "append", "required": True}),
+        ("--reps", {"type": int, "default": 100}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--lambda", {"type": float, "default": 1.0, "dest": "lam"}),
+        ("--tau", {"type": float, "default": 100.0}),
+        ("--q", {"type": float, "default": DEFAULT_Q}), ("--out", {})])
     add("ingest", cmd_ingest, [
-        ("--data", {}), ("--duration", {"type": float}),
-        ("--noise-seed", {"type": int}), ("--noise-scale", {"type": float}),
-        ("--out", {}), ("--report-out", {})])
+        ("--data", {"required": True}),
+        ("--duration", {"type": float, "required": True}),
+        ("--noise-seed", {"type": int, "default": 0}),
+        ("--noise-scale", {"type": float, "default": 0.01}),
+        ("--out", {"required": True}), ("--report-out", {})])
     add("plot", cmd_plot, [
-        ("--curves", {}), ("--bands", {}), ("--alpha", {"type": float}),
-        ("--out-csv", {}), ("--out-svg", {})])
+        ("--curves", {"required": True}), ("--bands", {}),
+        ("--alpha", {"type": float, "default": 0.10}),
+        ("--out-csv", {"required": True}), ("--out-svg", {})])
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv; with ``--config``, parse it again with the file's values
+    as the command's defaults, so a flag beats the file and the file beats
+    the declared default."""
     parser = build_parser()
-    try:
+    args = parser.parse_args(argv)
+    if args.config:
+        config = load_config(args.config, args.options)
+        # an append flag extends its default, so a --setting given as a
+        # flag must drop the config's list rather than add to it
+        args.subparser.set_defaults(**{
+            dest: value for dest, value in config.items()
+            if not isinstance(getattr(args, dest), list)})
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    missing = [d for d in args.required if getattr(args, d) in (None, [])]
+    if missing:
+        raise ValidationError(f"missing required parameter {missing[0]!r}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
+        args = parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: usage error or --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import MonotoneCurve, ObservedDataset
-from .pipeline import fit, fit_initial
+from .pipeline import DEFAULT_Q, fit, fit_initial
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 _TV_REFINE_TOL = 1e-5
@@ -126,7 +126,7 @@ class StudyReport:
 
 def replicate_table(settings, replicates: int, base_seed: int,
                     lam: float = 1.0, tau: float = 100.0,
-                    q: float = 0.25) -> list:
+                    q: float = DEFAULT_Q) -> list:
     """Simulate, fit, and score each (distribution, K) setting.
 
     Reserves are 0 throughout (with automatic tie jitter), matching the
@@ -176,7 +176,7 @@ class TrainTestReport:
 
 
 def train_test_eval(dataset: ObservedDataset, ratio: float,
-                    replications: int, rng, q: float = 0.25,
+                    replications: int, rng, q: float = DEFAULT_Q,
                     epsilon: float = None) -> TrainTestReport:
     """Random train/test splits at the given train fraction; the test-set
     MLE serves as the reference each train-set estimate is scored

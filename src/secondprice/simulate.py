@@ -165,8 +165,13 @@ class ValuationDistribution:
         if self.kind == "gamma":
             shape, rate = self.params
             y = np.maximum(x, 0.0) / (1.0 / rate)
-            log_pdf = special.xlogy(shape - 1.0, y) - y - special.gammaln(shape)
-            return np.where(x < 0.0, 0.0, np.exp(log_pdf) / (1.0 / rate))
+            # the density vanishes as y -> inf, where xlogy(shape - 1, y) - y
+            # would be inf - inf
+            y_fin = np.where(y == np.inf, 0.0, y)
+            log_pdf = (special.xlogy(shape - 1.0, y_fin) - y_fin
+                       - special.gammaln(shape))
+            return np.where((x < 0.0) | (y == np.inf), 0.0,
+                            np.exp(log_pdf) / (1.0 / rate))
         a, b = self.params
         y = np.clip(x, 0.0, 1.0)
         log_pdf = (special.xlogy(a - 1.0, y) + special.xlog1py(b - 1.0, -y)

@@ -119,21 +119,131 @@ class TestConfigPrecedence:
         assert read_dataset(by_config) == read_dataset(by_flag)
         assert "# lam=3.0" in by_config.read_text().splitlines()
 
-    @pytest.mark.parametrize("command,key", [("replicate", "mc_reps"),
-                                             ("estimate", "max_sweps")])
-    def test_unknown_config_key_is_validation_error(self, tmp_path, capsys,
-                                                    command, key):
+    @pytest.mark.parametrize("command,line", [
+        ("replicate", "mc_reps=3000"),        # unknown keys
+        ("estimate", "max_sweps=3000"),
+        ("simulate", "K=abc"),                # values their option cannot parse
+        ("simulate", "tau=abc"),
+        ("estimate", "unconstrained=ture"),
+        ("bands", "auto_delta=maybe"),
+        ("bands", "kind=both"),
+        ("simulate", "lambda=2.0"),           # lam is already set
+        ("replicate", "reps=2"),              # reps is already set
+    ], ids=["replicate-mc_reps", "estimate-max_sweps", "simulate-K",
+            "simulate-tau", "estimate-unconstrained", "bands-auto_delta",
+            "bands-kind", "simulate-lambda-twice", "replicate-reps-twice"])
+    def test_bad_config_line_is_validation_error(self, tmp_path, capsys,
+                                                 command, line):
         # the rest of each config is a complete, valid run
+        data = simulate(tmp_path)
         valid = {"replicate": "setting=uniform:1,8:25\nreps=1\ntau=20.0\n",
-                 "estimate": f"data={simulate(tmp_path)}\n"
-                             f"out_curves={tmp_path / 'c.csv'}\n"}[command]
+                 "estimate": f"data={data}\nout_curves={tmp_path / 'c.csv'}\n",
+                 "simulate": "dist=uniform:1,8\nK=5\nlam=1.0\ntau=20.0\n"
+                             f"out={tmp_path / 'd.csv'}\n",
+                 "bands": f"data={data}\nalpha=0.3\nout={tmp_path / 'b.csv'}\n"
+                 }[command]
         config = tmp_path / "run.cfg"
         config.write_text(valid)
         assert main([command, "--config", str(config)]) == 0
-        config.write_text(valid + f"{key}=3000\n")
+        config.write_text(valid + line + "\n")
         capsys.readouterr()
         assert main([command, "--config", str(config)]) == 3
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(line.split("=")[0]) in err
+        assert f"{config}:{len(valid.splitlines()) + 1}:" in err
+
+
+BID_LOG = ("auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+           "1,5.0,1.0,alice,0,0.5,5.0\n"
+           "1,7.0,2.0,bob,0,0.5,5.0\n"
+           "2,6.0,1.5,carol,0,0.8,0.8\n")
+
+# command, its flags, a config that sets the same values, the file it
+# writes, and that file's provenance header (delta=? stands for the
+# median-bias value that --auto-delta computes)
+PROVENANCE = {
+    "simulate": (
+        ["--dist", "uniform:1,8", "--K", "40", "--lambda", "1.5", "--tau", "20",
+         "--seed", "5", "--out", "sim.csv"],
+        "dist=uniform:1,8\nK=40\nlambda=1.5\ntau=20\nseed=5\nout=sim.csv\n",
+        "sim.csv",
+        ["K=40", "dist=uniform:1,8", "lam=1.5", "out=sim.csv", "reserve=0.0",
+         "seed=5", "tau=20.0"]),
+    "estimate": (
+        ["--data", "data.csv", "--unconstrained", "--trace", "trace.csv",
+         "--out-curves", "curves.csv", "--out-json", "diag.json"],
+        "data=data.csv\nunconstrained=true\ntrace=trace.csv\n"
+        "out-curves=curves.csv\nout_json=diag.json\n",
+        "curves.csv",
+        ["data=data.csv", "max_sweeps=10000", "out_curves=curves.csv",
+         "out_json=diag.json", "q=0.25", "tol=1e-08", "trace=trace.csv",
+         "unconstrained=True"]),
+    "bands": (
+        ["--data", "data.csv", "--kind", "init", "--alpha", "0.3", "--seed", "1",
+         "--out", "band.csv"],
+        "data=data.csv\nkind=init\nalpha=0.3\nseed=1\nout=band.csv\n",
+        "band.csv",
+        ["alpha=0.3", "auto_delta=False", "bias_reps=100", "data=data.csv",
+         "delta=0.0", "kind=init", "out=band.csv", "q=0.25", "seed=1"]),
+    "bands-auto-delta": (
+        ["--data", "data.csv", "--kind", "init", "--alpha", "0.3",
+         "--auto-delta", "--seed", "1", "--out", "band.csv"],
+        "data=data.csv\nkind=init\nalpha=0.3\nauto-delta=yes\nseed=1\n"
+        "out=band.csv\n",
+        "band.csv",
+        ["alpha=0.3", "auto_delta=True", "bias_reps=100", "data=data.csv",
+         "delta=?", "kind=init", "out=band.csv", "q=0.25", "seed=1"]),
+    "replicate": (
+        ["--setting", "uniform:1,8:25", "--setting", "uniform:1,8:30",
+         "--reps", "1", "--tau", "20", "--seed", "3", "--out", "report.csv"],
+        "setting=uniform:1,8:25;uniform:1,8:30\nreps=1\ntau=20\nseed=3\n"
+        "out=report.csv\n",
+        "report.csv",
+        ["lam=1.0", "out=report.csv", "q=0.25", "reps=1", "seed=3",
+         "setting=uniform:1,8:25;uniform:1,8:30", "tau=20.0"]),
+    "ingest": (
+        ["--data", "log.csv", "--duration", "7", "--noise-seed", "1",
+         "--out", "dataset.csv", "--report-out", "report.txt"],
+        "data=log.csv\nduration=7\nnoise-seed=1\nout=dataset.csv\n"
+        "report_out=report.txt\n",
+        "dataset.csv",
+        ["data=log.csv", "duration=7.0", "noise_scale=0.01", "noise_seed=1",
+         "out=dataset.csv", "report_out=report.txt"]),
+}
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize("case", list(PROVENANCE))
+    def test_header(self, tmp_path, monkeypatch, case, via):
+        monkeypatch.chdir(tmp_path)
+        simulate(tmp_path)
+        (tmp_path / "log.csv").write_text(BID_LOG)
+        flags, config, out, want = PROVENANCE[case]
+        argv = flags
+        if via == "config":
+            (tmp_path / "run.cfg").write_text(config)
+            argv = ["--config", "run.cfg"]
+        assert main([case.split("-")[0], *argv]) == 0
+        header = [r[2:] for r in (tmp_path / out).read_text().splitlines()
+                  if r.startswith("# ")]
+        if "delta=?" in want:
+            delta = float(header[want.index("delta=?")].split("=")[1])
+            assert 0.0 < delta < 0.5
+            header[want.index("delta=?")] = "delta=?"
+        assert header == want
+        rows = [r for r in (tmp_path / out).read_text().splitlines()
+                if not r.startswith("#")]
+        if case == "estimate":
+            diag = json.loads((tmp_path / "diag.json").read_text())
+            assert diag["constrained"] is False
+            assert diag["config"] == {
+                "data": "data.csv", "max_sweeps": 10000,
+                "out_curves": "curves.csv", "out_json": "diag.json", "q": 0.25,
+                "tol": 1e-8, "trace": "trace.csv", "unconstrained": True}
+        if case == "replicate":
+            assert [r.split(",")[0] for r in rows[1:]] == ["uniform-K25",
+                                                           "uniform-K30"]
 
 
 class TestEstimate:
@@ -260,10 +370,20 @@ class TestReplicateCommand:
 
     def test_setting_from_config(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("setting=uniform:1,8:25\nreps=1\nlambda=0.5\n"
-                          "tau=20.0\n")
+        config.write_text("setting=uniform:1,8:25;uniform:1,8:30\nreps=1\n"
+                          "lambda=0.5\ntau=20.0\n")
         assert main(["replicate", "--config", str(config)]) == 0
-        assert "uniform-K25" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "uniform-K25" in out and "uniform-K30" in out
+        # a --setting flag replaces the config's list
+        assert main(["replicate", "--config", str(config),
+                     "--setting", "uniform:1,8:35"]) == 0
+        labels = [r.split(":")[0] for r in capsys.readouterr().out.splitlines()]
+        assert labels == ["uniform-K35"]
+        # an empty list is a missing setting
+        config.write_text("setting=;\nreps=1\n")
+        assert main(["replicate", "--config", str(config)]) == 3
+        assert "'setting'" in capsys.readouterr().err
 
 
 class TestPlotCommand:

@@ -11,6 +11,12 @@ import secondprice
 SRC = Path(secondprice.__file__).parent
 
 
+def _src_on_path() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+
+
 def test_no_assert_invariants():
     # `python -O` strips assert statements, so invariants are enforced by
     # raising the package's own exceptions instead
@@ -51,8 +57,16 @@ def test_cli_import_and_a_fit_leave_scipy_stats_and_optimize_unloaded():
         "fit(ds)\n"
         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize')\n"
         "             if m in sys.modules))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code], env=_src_on_path(),
+                         check=True, capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_bid_log_analysis_script_starts():
+    # the script imports the library at start-up, so a renamed or removed
+    # name fails here before any data is needed
+    script = SRC.parents[1] / "scripts" / "run_bid_log_analysis.py"
+    out = subprocess.run([sys.executable, str(script), "--help"],
+                         env=_src_on_path(), capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
