@@ -9,8 +9,10 @@ repeated random train/test splits.
 
 import argparse
 
-from secondprice import (ObservedDataset, fit, ingest_bid_csv, ks_distance,
-                         train_test_eval, tv_distance, write_band_csv)
+import numpy as np
+
+from secondprice import (fit, ingest_bid_csv, ks_distance, train_test_eval,
+                         tv_distance, write_band_csv)
 from secondprice.bands import hulc_band
 
 
@@ -31,10 +33,8 @@ def main() -> None:
                                      noise_seed=args.noise_seed)
     for line in report.lines():
         print(line)
-    keep = tuple(a for a in dataset.auctions
-                 if a.reserve < args.max_reserve)
-    subset = ObservedDataset(keep, dataset.tau)
-    print(f"kept {len(keep)} of {dataset.K} auctions with opening bid "
+    subset = dataset.take(np.flatnonzero(dataset.reserve < args.max_reserve))
+    print(f"kept {subset.K} of {dataset.K} auctions with opening bid "
           f"below {args.max_reserve}")
 
     res = fit(subset)

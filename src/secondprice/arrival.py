@@ -94,5 +94,5 @@ def estimate_lambda(dataset: ObservedDataset, low_reserve_set) -> float:
     idx = sorted(low_reserve_set)
     if not idx:
         raise NumericalError("low-reserve auction set is empty; relax (q, epsilon)")
-    mean_jumps = float(np.mean([dataset.auctions[k].m for k in idx]))
+    mean_jumps = float(np.mean(dataset.m[idx]))
     return g_inverse(mean_jumps) / dataset.tau

@@ -157,9 +157,7 @@ def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
     perm = rng.permutation(dataset.K)
     curves = []
     for chunk in np.array_split(perm, B):
-        sub = ObservedDataset(tuple(dataset.auctions[int(k)] for k in chunk),
-                              dataset.tau)
-        curves.append(_fit_kind(sub, estimator_kind, q, epsilon))
+        curves.append(_fit_kind(dataset.take(chunk), estimator_kind, q, epsilon))
     knots = np.unique(np.concatenate([c.knots for c in curves]))
     vals = np.vstack([np.asarray(c(knots)) for c in curves])
     return ConfidenceBand(knots, vals.min(axis=0), vals.max(axis=0),

@@ -227,9 +227,8 @@ def cmd_bands(args) -> int:
     if args.auto_delta:
         lam_hat, selection, _, f_init = fit_initial(dataset, q=args.q,
                                                     epsilon=args.epsilon)
-        reserves = np.array([0.0 if k in selection.V
-                             else min(float(f_init(a.reserve)), 1.0 - 1e-9)
-                             for k, a in enumerate(dataset.auctions)])
+        reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
+        reserves[list(selection.V)] = 0.0
         delta = estimate_median_bias(args.kind, dataset.K, lam_hat, dataset.tau,
                                      reserves, args.bias_reps,
                                      np.random.default_rng(args.seed),
@@ -261,6 +260,8 @@ def cmd_replicate(args) -> int:
     settings = []
     for spec in args.setting:
         dist_spec, _, k = spec.rpartition(":")
+        if not k.strip().isdecimal():
+            raise ValidationError(f"setting {spec!r}: K must be a whole number, got {k!r}")
         settings.append((parse_dist(dist_spec), int(k)))
     reports = replicate_table(settings, replicates=args.reps,
                               base_seed=args.seed, lam=args.lam, tau=args.tau,

@@ -51,22 +51,18 @@ def select_low_reserve(dataset: ObservedDataset, q: float,
     window captures at least a q-fraction of the reserve prices."""
     if not 0.0 < q < 1.0 or epsilon <= 0:
         raise ValidationError("need 0 < q < 1 and epsilon > 0")
-    reserves = np.array([a.reserve for a in dataset.auctions])
-    order = np.argsort(reserves, kind="stable")
-    rs = reserves[order]
+    rs = np.sort(dataset.reserve)
     K = len(rs)
     m = max(1, math.ceil(q * K))
-    best = None
-    for i in range(K - m + 1):
-        if rs[i + m - 1] - rs[i] >= 2 * epsilon:
-            continue
-        v = max(0.0, np.nextafter(rs[i + m - 1] - epsilon, np.inf))
-        if v < rs[i] + epsilon and (best is None or v < best):
-            best = v
-    if best is None:
+    # window i holds rs[i : i + m]; v is the smallest centre it admits
+    lo, hi = rs[:K - m + 1], rs[m - 1:]
+    v = np.maximum(0.0, np.nextafter(hi - epsilon, np.inf))
+    ok = (hi - lo < 2 * epsilon) & (v < lo + epsilon)
+    if not ok.any():
         raise NumericalError(
             "no reserve window achieves the requested q-fraction; relax (q, epsilon)")
-    inside = (reserves > best - epsilon) & (reserves < best + epsilon)
+    best = v[ok].min()
+    inside = (dataset.reserve > best - epsilon) & (dataset.reserve < best + epsilon)
     return LowReserveSelection(float(best), q, epsilon,
                                frozenset(int(k) for k in np.flatnonzero(inside)))
 
@@ -109,7 +105,8 @@ def g_lambda_inverse(y, lambda_r: float, tau: float):
 
 
 def _sold_above_reserve(dataset: ObservedDataset, selection: LowReserveSelection):
-    return [k for k in sorted(selection.V) if dataset.auctions[k].m > 0]
+    ks = np.fromiter(selection.V, np.intp, len(selection.V))
+    return ks[dataset.m[ks] > 0]
 
 
 def estimate_f_sp(dataset: ObservedDataset, selection: LowReserveSelection,
@@ -118,10 +115,10 @@ def estimate_f_sp(dataset: ObservedDataset, selection: LowReserveSelection,
     to the empirical CDF of final selling prices over low-reserve
     auctions sold above the reserve."""
     ks = _sold_above_reserve(dataset, selection)
-    if not ks:
+    if not ks.size:
         raise NumericalError(
             "no low-reserve auction sold above its reserve; relax (q, epsilon)")
-    prices = np.sort([dataset.auctions[k].final_price for k in ks])
+    prices = np.sort(dataset.final_price[ks])
     n = len(prices)
     values = g_lambda_inverse(np.arange(1, n + 1) / n, lambda_hat, dataset.tau)
     return MonotoneCurve(prices, values, kind="step")
@@ -133,9 +130,9 @@ def estimate_f_fp(dataset: ObservedDataset,
     of first non-reserve standing prices (the min of the first two
     above-reserve valuations)."""
     ks = _sold_above_reserve(dataset, selection)
-    if not ks:
+    if not ks.size:
         raise NumericalError("no low-reserve auction has a standing-price jump")
-    prices = np.sort([dataset.auctions[k].jumps[0][0] for k in ks])
+    prices = np.sort(dataset.price[dataset.offsets[ks]])
     n = len(prices)
     values = 1.0 - np.sqrt(1.0 - np.arange(1, n + 1) / n)
     return MonotoneCurve(prices, values, kind="step")
@@ -151,9 +148,8 @@ def compute_splice_anchors(f_fp: MonotoneCurve,
     p1 = float(f_sp.knots[-1])
     p2 = float(f_sp.knots[0])
     target = float(f_sp(p1))
-    cap = min(p1, p2)
-    candidates = [0.0] + [float(x) for x in f_fp.knots if x <= cap]
-    c = max(x for x in candidates if float(f_fp(x)) <= target)
+    ok = (f_fp.knots <= min(p1, p2)) & (f_fp.values <= target)
+    c = float(np.max(f_fp.knots[ok], initial=0.0))
     return SpliceAnchors(p1, p2, c, target)
 
 
@@ -168,21 +164,14 @@ def combine_initial(f_fp: MonotoneCurve, f_sp: MonotoneCurve,
     p1, c = anchors.p1, anchors.c
     fc = float(f_fp(c))
     fp1 = anchors.bridge_value
-    knots = sorted({float(x) for x in f_fp.knots if x <= c}
-                   | {c, p1}
-                   | {float(x) for x in f_sp.knots if x > p1})
-    values = []
-    for x in knots:
-        if x <= c:
-            values.append(float(f_fp(x)))
-        elif x <= p1:
-            if p1 == c:
-                values.append(fp1)
-            else:
-                values.append(fc + (fp1 - fc) / (p1 - c) * (x - c))
-        else:
-            values.append(float(f_sp(x)))
-    step = MonotoneCurve(np.asarray(knots), np.asarray(values), kind="step")
+    knots = np.unique(np.concatenate((f_fp.knots[f_fp.knots <= c], [c, p1],
+                                      f_sp.knots[f_sp.knots > p1])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # taken only where c < x <= p1, so never when p1 == c
+        bridge = fc + np.divide(fp1 - fc, p1 - c) * (knots - c)
+    values = np.where(knots <= c, f_fp(knots),
+                      np.where(knots <= p1, bridge, f_sp(knots)))
+    step = MonotoneCurve(knots, values, kind="step")
     return step, interpolate(step, anchor_zero=True)
 
 

@@ -191,10 +191,7 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
     skipped = 0
     for _ in range(replications):
         perm = rng.permutation(dataset.K)
-        tr = ObservedDataset(tuple(dataset.auctions[int(k)] for k in perm[:n_train]),
-                             dataset.tau)
-        te = ObservedDataset(tuple(dataset.auctions[int(k)] for k in perm[n_train:]),
-                             dataset.tau)
+        tr, te = dataset.take(perm[:n_train]), dataset.take(perm[n_train:])
         try:
             fit_tr = fit(tr, q=q, epsilon=epsilon)
             fit_te = fit(te, q=q, epsilon=epsilon)

@@ -1,19 +1,26 @@
 """Domain types, validation, cross-auction pooling, and the
 survival-ratio reparametrization of a CDF.
 
+Dataset layout
+--------------
+:class:`ObservedDataset` stores validated :class:`AuctionRecord` objects
+and lays them out once as arrays (see its docstring); every reader
+outside this module and ``ingest`` uses the arrays, not the records.
+
 Indexing conventions
 --------------------
 Rank arrays (``u``, ``S``, ``Sbar``) and the bookkeeping vectors ``l`` and
 ``qsize`` are 1-based, matching the order-statistic definitions they come
 from: ``u[j]`` is the position of the j-th pooled non-reserve standing
 price inside ``z`` counting from 1.  Auction index sets (``Ks``) are
-plain 0-based Python indices into ``ObservedDataset.auctions``.
+plain 0-based Python indices into the dataset's auctions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -81,66 +88,81 @@ class AuctionRecord:
         return tuple(t for _, t in self.jumps)
 
     @property
-    def tail_time(self) -> float:
-        """Time from the last standing-price change to the close."""
-        return max(0.0, self.duration - sum(self.waits))
-
-    @property
-    def first_wait(self) -> float:
-        """Waiting time until the first jump; the full duration if none."""
-        return self.jumps[0][1] if self.jumps else self.duration
-
-    @property
     def final_price(self) -> float:
         """Final selling price (the reserve when there are no jumps)."""
         return self.jumps[-1][0] if self.jumps else self.reserve
 
-    def price_times(self) -> list[tuple[float, float]]:
-        """(price, attached time) pairs for the reserve and every jump.
-
-        The time attached to a price is how long it stood as the selling
-        price; the last one is the tail time to the close.
-        """
-        out = [(self.reserve, self.first_wait)]
-        for i, (x, _) in enumerate(self.jumps):
-            t = self.jumps[i + 1][1] if i + 1 < self.m else self.tail_time
-            out.append((x, t))
-        return out
-
 
 @dataclass(frozen=True)
 class ObservedDataset:
-    """K independent auctions of the same product with a common duration."""
+    """K independent auctions of the same product with a common duration.
+
+    ``auctions`` and ``tau`` are the data (they alone take part in ``==``
+    and ``hash``); the read-only arrays below are their layout, built once
+    at construction:
+
+    - ``reserve[K]``, ``sold[K]``, and ``tail[K]``, the time from the last
+      standing-price change to the close (``tau`` if there is none);
+    - ``price[M]`` and ``wait[M]``, every jump of every auction in order,
+      auction k's at ``offsets[k]:offsets[k+1]``.
+    """
 
     auctions: tuple[AuctionRecord, ...]
     tau: float
+    reserve: np.ndarray = field(init=False, compare=False, repr=False)
+    sold: np.ndarray = field(init=False, compare=False, repr=False)
+    tail: np.ndarray = field(init=False, compare=False, repr=False)
+    offsets: np.ndarray = field(init=False, compare=False, repr=False)
+    price: np.ndarray = field(init=False, compare=False, repr=False)
+    wait: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "auctions", tuple(self.auctions))
+        auctions = tuple(self.auctions)
+        object.__setattr__(self, "auctions", auctions)
         violations = []
-        if len(self.auctions) < 1:
+        if len(auctions) < 1:
             violations.append("dataset must contain at least one auction")
-        for k, a in enumerate(self.auctions):
-            if a.duration != self.tau:
-                violations.append(
-                    f"auction {k} has duration {a.duration} != common tau {self.tau}"
-                )
+        violations += [f"auction {k} has duration {a.duration} != common tau {self.tau}"
+                       for k, a in enumerate(auctions) if a.duration != self.tau]
         if violations:
             raise ValidationError(violations)
+        K = len(auctions)
+        offsets = np.zeros(K + 1, dtype=np.intp)
+        np.cumsum([a.m for a in auctions], out=offsets[1:])
+        M = int(offsets[-1])
+        price, wait = np.fromiter(chain.from_iterable(chain.from_iterable(
+            a.jumps for a in auctions)), float, 2 * M).reshape(M, 2).T.copy()
+        # waits summed left to right per auction, as the records add them
+        spent = np.fromiter((sum(a.waits) for a in auctions), float, K)
+        for name, arr in (("reserve", np.fromiter((a.reserve for a in auctions), float, K)),
+                          ("sold", np.fromiter((a.sold for a in auctions), bool, K)),
+                          ("tail", np.maximum(0.0, self.tau - spent)),
+                          ("offsets", offsets), ("price", price), ("wait", wait)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def K(self) -> int:
         return len(self.auctions)
 
-    def pooled_prices(self) -> np.ndarray:
-        vals = [a.reserve for a in self.auctions]
-        for a in self.auctions:
-            vals.extend(a.prices)
-        return np.asarray(vals, dtype=float)
+    @property
+    def m(self) -> np.ndarray:
+        """Number of standing-price changes per auction."""
+        return np.diff(self.offsets)
+
+    @property
+    def final_price(self) -> np.ndarray:
+        """Final selling price per auction (the reserve if it never jumped)."""
+        last = np.append(self.price, 0.0)[self.offsets[1:] - 1]  # unused where m == 0
+        return np.where(self.m > 0, last, self.reserve)
+
+    def take(self, idx) -> ObservedDataset:
+        """The sub-dataset of the auctions at ``idx``, in ``idx`` order."""
+        return ObservedDataset(tuple(self.auctions[int(k)] for k in idx), self.tau)
 
 
 def has_ties(dataset: ObservedDataset) -> bool:
-    vals = np.sort(dataset.pooled_prices())
+    vals = np.sort(np.concatenate((dataset.reserve, dataset.price)))
     return bool(np.any(np.diff(vals) == 0.0))
 
 
@@ -149,13 +171,14 @@ def break_ties(dataset: ObservedDataset, rng: np.random.Generator,
     """Return a tie-free copy by adding Uniform(0, scale) noise to the
     reserve prices (jump prices from a continuous model are tie-free with
     probability one; reserves are where ties occur in practice)."""
-    auctions = []
-    for a in dataset.auctions:
-        # cap the jitter so the reserve cannot overtake the first jump
-        cap = scale if a.m == 0 else min(scale, 0.5 * (a.jumps[0][0] - a.reserve))
-        r = a.reserve + rng.uniform(0.0, cap)
-        auctions.append(AuctionRecord(r, a.duration, a.jumps, a.sold))
-    out = ObservedDataset(tuple(auctions), dataset.tau)
+    # cap the jitter so the reserve cannot overtake the first jump
+    first = np.append(dataset.price, np.inf)[dataset.offsets[:-1]]
+    first = np.where(dataset.m > 0, first, np.inf)
+    cap = np.minimum(scale, 0.5 * (first - dataset.reserve))
+    reserves = (dataset.reserve + rng.uniform(0.0, cap)).tolist()
+    out = ObservedDataset(tuple(AuctionRecord(r, a.duration, a.jumps, a.sold)
+                                for r, a in zip(reserves, dataset.auctions)),
+                          dataset.tau)
     if has_ties(out):
         raise TieError("ties persist after reserve jitter")
     return out
@@ -165,11 +188,12 @@ def break_ties(dataset: ObservedDataset, rng: np.random.Generator,
 class PooledData:
     """Merged cross-auction order structures used by the likelihood.
 
-    ``xbar``/``z`` are ascending price arrays; ``tbar``/``ttilde`` carry
-    the waiting time attached to each price; ``u``, ``S``, ``Sbar`` are
-    1-based ranks (see module docstring); ``l``/``qsize`` follow the
-    partition bookkeeping of the log-likelihood; ``t0`` holds the first
-    waiting times of the sold auctions, ordered by auction index.
+    ``xbar``/``z`` are ascending price arrays (the jump prices, and the
+    jump prices with the reserves); ``ttilde`` carries the time each price
+    in ``z`` stood as its auction's selling price; ``u``, ``S``, ``Sbar``
+    are 1-based ranks (see module docstring); ``l``/``qsize`` follow the
+    partition bookkeeping of the log-likelihood; ``Ks`` holds the 0-based
+    indices of the sold auctions.
     """
 
     xbar: np.ndarray
@@ -178,11 +202,9 @@ class PooledData:
     S: frozenset
     Sbar: frozenset
     Ks: frozenset
-    tbar: np.ndarray
     ttilde: np.ndarray
     l: np.ndarray
     qsize: np.ndarray
-    t0: np.ndarray
 
     @property
     def ell(self) -> int:
@@ -201,39 +223,26 @@ def pool(dataset: ObservedDataset) -> PooledData:
     if has_ties(dataset):
         raise TieError("ties among pooled prices; apply noise before pooling")
 
-    jump_entries = []   # (price, time)
-    z_entries = []      # (price, time)
-    finals = []         # final selling prices of auctions sold above reserve
-    for k, a in enumerate(dataset.auctions):
-        pt = a.price_times()
-        z_entries.extend(pt)
-        jump_entries.extend(pt[1:])
-        if a.m > 0:
-            finals.append(a.final_price)
-
-    jump_entries.sort(key=lambda e: e[0])
-    z_entries.sort(key=lambda e: e[0])
-    xbar = np.array([p for p, _ in jump_entries], dtype=float)
-    tbar = np.array([t for _, t in jump_entries], dtype=float)
-    z = np.array([p for p, _ in z_entries], dtype=float)
-    ttilde = np.array([t for _, t in z_entries], dtype=float)
-    ell, n = len(xbar), len(z)
+    # per auction, the reserve then its jump prices; each price stands
+    # until the next wait of its auction, the last one until the close
+    starts, ends = dataset.offsets[:-1], dataset.offsets[1:]
+    prices = np.insert(dataset.price, starts, dataset.reserve)
+    order = np.argsort(prices)
+    z = prices[order]
+    ttilde = np.insert(dataset.wait, ends, dataset.tail)[order]
+    xbar = np.sort(dataset.price)
+    finals = dataset.price[ends[dataset.m > 0] - 1]   # of auctions sold above reserve
 
     # 1-based ranks of xbar inside z, and of the final selling prices
     u = np.searchsorted(z, xbar) + 1
-    S = frozenset(int(np.searchsorted(xbar, p)) + 1 for p in finals)
-    Sbar = frozenset(int(np.searchsorted(z, p)) + 1 for p in finals)
-    Ks = frozenset(k for k, a in enumerate(dataset.auctions) if a.sold)
-
-    idx = np.arange(1, n + 1)
+    S = frozenset((np.searchsorted(xbar, finals) + 1).tolist())
+    sbar = np.sort(np.searchsorted(z, finals) + 1)
+    idx = np.arange(1, len(z) + 1)
     l = np.searchsorted(u, idx, side="right")          # count of u_j <= i
-    sbar_sorted = np.sort(np.fromiter(Sbar, dtype=int)) if Sbar else np.empty(0, int)
-    qsize = len(sbar_sorted) - np.searchsorted(sbar_sorted, idx, side="left")
-
-    t0 = np.array([dataset.auctions[k].first_wait for k in sorted(Ks)], dtype=float)
-    return PooledData(xbar=xbar, z=z, u=u, S=S, Sbar=Sbar, Ks=Ks,
-                      tbar=tbar, ttilde=ttilde, l=l.astype(int),
-                      qsize=qsize.astype(int), t0=t0)
+    qsize = len(sbar) - np.searchsorted(sbar, idx, side="left")
+    return PooledData(xbar=xbar, z=z, u=u, S=S, Sbar=frozenset(sbar.tolist()),
+                      Ks=frozenset(np.flatnonzero(dataset.sold).tolist()),
+                      ttilde=ttilde, l=l.astype(int), qsize=qsize.astype(int))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ _THETA_CLIP = 1e-6
 def default_epsilon(dataset: ObservedDataset) -> float:
     """Half-width of the low-reserve window: 1% of the median final
     selling price, floored at 0.01."""
-    med = float(np.median([a.final_price for a in dataset.auctions]))
+    med = float(np.median(dataset.final_price))
     return max(0.01, 0.01 * med)
 
 

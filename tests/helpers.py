@@ -1,7 +1,7 @@
 """Independent reference implementations used to verify the library:
-a per-bid standing-price state machine, a direct-definition
-log-likelihood, a brute-force coordinate curvature weight, and an
-exhaustive grid search over the survival-ratio box."""
+a per-bid standing-price state machine, per-auction reserve jitter, a
+direct-definition log-likelihood, a brute-force coordinate curvature
+weight, and an exhaustive grid search over the survival-ratio box."""
 
 import math
 
@@ -37,6 +37,17 @@ def naive_replay(reserve, duration, times, bids):
     waits = [t - s for s, t in zip([0.0] + jump_times, jump_times)]
     return AuctionRecord(reserve, duration, tuple(zip(jump_prices, waits)),
                          top is not None)
+
+
+def naive_jittered_reserves(auctions, rng, scale=0.01):
+    """The reserves tie-breaking must produce: one scalar Uniform(0, cap)
+    draw per auction, in auction order, where cap is ``scale`` or half the
+    gap from the reserve to the first jump price, whichever is smaller."""
+    out = []
+    for a in auctions:
+        cap = scale if not a.jumps else min(scale, 0.5 * (a.jumps[0][0] - a.reserve))
+        out.append(a.reserve + rng.uniform(0.0, cap))
+    return out
 
 
 def naive_loglik(theta, pooled, lam):

@@ -384,6 +384,13 @@ class TestReplicateCommand:
         config.write_text("setting=;\nreps=1\n")
         assert main(["replicate", "--config", str(config)]) == 3
         assert "'setting'" in capsys.readouterr().err
+        # a K that is not an integer is a validation error naming the setting
+        for spec in ("uniform:1,8:abc", "uniform:1,8:2.5"):
+            config.write_text(f"setting={spec}\nreps=1\n")
+            assert main(["replicate", "--config", str(config)]) == 3
+            assert repr(spec) in capsys.readouterr().err
+            assert main(["replicate", "--setting", spec]) == 3
+            assert repr(spec) in capsys.readouterr().err
 
 
 class TestPlotCommand:

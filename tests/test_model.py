@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondprice import (AuctionRecord, MonotoneCurve, ObservedDataset,
-                         TieError, ValidationError, break_ties, cdf_to_theta,
-                         has_ties, interpolate, pool, theta_to_cdf)
+from secondprice import (AuctionRecord, MonotoneCurve, NumericalError,
+                         ObservedDataset, TieError, ValidationError,
+                         break_ties, cdf_to_theta, has_ties, interpolate, pool,
+                         theta_to_cdf)
+from secondprice.pipeline import fit_initial
+
+from helpers import naive_jittered_reserves
 
 TAU = 30.0
 
@@ -28,22 +32,10 @@ class TestAuctionRecord:
         assert a.m == 2
         assert a.prices == (3.0, 5.0)
         assert a.waits == (1.0, 2.5)
-        assert a.first_wait == 1.0
-        assert a.tail_time == 10.0 - 3.5
         assert a.final_price == 5.0
-
-    def test_no_jump_properties(self):
-        a = AuctionRecord(2.0, 10.0, (), False)
-        assert a.m == 0
-        assert a.first_wait == 10.0
-        assert a.final_price == 2.0
-        assert a.tail_time == 10.0
-
-    def test_price_times_attaches_standing_durations(self):
-        a = AuctionRecord(2.0, 10.0, ((3.0, 1.0), (5.0, 2.5)), True)
-        # reserve stands until the first jump; each jump price stands
-        # until the next jump; the last one stands until the close
-        assert a.price_times() == [(2.0, 1.0), (3.0, 2.5), (5.0, 10.0 - 3.5)]
+        b = AuctionRecord(2.0, 10.0, (), False)
+        assert b.m == 0 and b.prices == () and b.waits == ()
+        assert b.final_price == 2.0
 
     @pytest.mark.parametrize("kwargs", [
         dict(reserve=-1.0, duration=10.0, jumps=(), sold=False),
@@ -85,6 +77,68 @@ class TestAuctionRecord:
             ObservedDataset((a,), 20.0)
 
 
+class TestObservedDataset:
+    def test_arrays_and_take(self):
+        ds = four_auction_dataset()
+        assert np.array_equal(ds.reserve, [10.0, 5.0, 13.0, 7.0])
+        assert np.array_equal(ds.sold, [True, True, True, False])
+        assert np.array_equal(ds.offsets, [0, 3, 7, 7, 7])
+        assert np.array_equal(ds.price, [12, 15, 19, 16, 18, 20, 25])
+        assert np.array_equal(ds.wait, [1.0, 2.0, 3.0, 1.5, 2.5, 3.5, 4.5])
+        # time from the last change to the close; the whole auction if none
+        assert np.array_equal(ds.tail, [TAU - 6.0, TAU - 12.0, TAU, TAU])
+        assert np.array_equal(ds.m, [3, 4, 0, 0])
+        assert np.array_equal(ds.final_price, [19.0, 25.0, 13.0, 7.0])
+        assert not ds.price.flags.writeable
+        # the arrays are layout, not data: equality and hash ignore them
+        assert ds == four_auction_dataset()
+        assert hash(ds) == hash(four_auction_dataset())
+        sub = ds.take([2, 0])
+        assert np.array_equal(sub.reserve, [13.0, 10.0])
+        assert np.array_equal(sub.offsets, [0, 0, 3])
+        assert np.array_equal(sub.price, [12, 15, 19])
+        assert sub == ObservedDataset((ds.auctions[2], ds.auctions[0]), TAU)
+
+
+def no_jump_dataset(reserves=(3.0, 1.0, 2.0), sold=(True, False, True)):
+    return ObservedDataset(tuple(AuctionRecord(r, TAU, (), s)
+                                 for r, s in zip(reserves, sold)), TAU)
+
+
+class TestNoJumps:
+    def test_empty_jump_arrays(self):
+        ds = no_jump_dataset()
+        for arr in (ds.price, ds.wait):
+            assert arr.dtype == np.float64 and arr.shape == (0,)
+        assert ds.offsets.dtype.kind == "i"
+        assert np.array_equal(ds.offsets, [0, 0, 0, 0])
+        assert np.array_equal(ds.m, [0, 0, 0])
+        assert np.array_equal(ds.tail, [TAU] * 3)
+        assert np.array_equal(ds.final_price, ds.reserve)
+
+    def test_pool(self):
+        p = pool(no_jump_dataset())
+        assert p.ell == 0 and p.n == 3
+        assert np.array_equal(p.z, [1.0, 2.0, 3.0])
+        assert np.array_equal(p.ttilde, [TAU] * 3)
+        assert p.S == p.Sbar == frozenset()
+        assert p.Ks == frozenset({0, 2})
+        assert np.array_equal(p.l, [0, 0, 0])
+        assert np.array_equal(p.qsize, [0, 0, 0])
+
+    def test_fit_initial_fails(self):
+        with pytest.raises(NumericalError):
+            fit_initial(no_jump_dataset())
+
+    def test_break_ties(self):
+        ds = no_jump_dataset(reserves=(1.0, 1.0, 2.0))
+        assert has_ties(ds)
+        out = break_ties(ds, np.random.default_rng(4))
+        assert not has_ties(out) and out.price.shape == (0,)
+        expected = naive_jittered_reserves(ds.auctions, np.random.default_rng(4))
+        assert out.reserve.tolist() == expected
+
+
 class TestPooling:
     def test_four_auction_order_structures(self):
         p = pool(four_auction_dataset())
@@ -101,11 +155,9 @@ class TestPooling:
         p = pool(four_auction_dataset())
         tail1 = TAU - 6.0
         tail2 = TAU - 12.0
-        assert np.array_equal(p.tbar, [2.0, 3.0, 2.5, 3.5, tail1, 4.5, tail2])
         assert np.array_equal(
             p.ttilde,
             [1.5, TAU, 1.0, 2.0, TAU, 3.0, 2.5, 3.5, tail1, 4.5, tail2])
-        assert np.array_equal(p.t0, [1.0, 1.5, TAU])
         assert np.array_equal(p.qsize, [2] * 9 + [1, 1])
 
     def test_pool_rejects_ties(self):
@@ -122,8 +174,23 @@ class TestPooling:
         out = break_ties(ds, np.random.default_rng(0))
         assert not has_ties(out)
         # the jitter never lets a reserve overtake its first jump price
-        assert out.auctions[0].reserve < out.auctions[0].jumps[0][0]
+        assert out.reserve[0] < out.price[0]
         pool(out)
+
+    def test_break_ties_matches_scalar_draws(self):
+        # caps below the scale (first jumps just above the reserve) and at
+        # it; one draw per auction in auction order
+        ds = ObservedDataset((
+            AuctionRecord(1.0, 10.0, ((1.004, 1.0),), True),
+            AuctionRecord(1.0, 10.0, (), False),
+            AuctionRecord(1.0, 10.0, ((3.0, 2.0), (4.0, 1.0)), True),
+            AuctionRecord(2.0, 10.0, (), True),
+            AuctionRecord(2.0, 10.0, ((2.001, 1.0),), True)), 10.0)
+        out = break_ties(ds, np.random.default_rng(7))
+        expected = naive_jittered_reserves(ds.auctions, np.random.default_rng(7))
+        assert out.reserve.tolist() == expected
+        assert all(type(a.reserve) is float for a in out.auctions)
+        assert [a.jumps for a in out.auctions] == [a.jumps for a in ds.auctions]
 
 
 class TestMonotoneCurve:
