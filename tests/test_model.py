@@ -33,9 +33,25 @@ class TestAuctionRecord:
         assert a.prices == (3.0, 5.0)
         assert a.waits == (1.0, 2.5)
         assert a.final_price == 5.0
-        b = AuctionRecord(2.0, 10.0, (), False)
-        assert b.m == 0 and b.prices == () and b.waits == ()
-        assert b.final_price == 2.0
+
+    def test_no_jump_properties(self):
+        a = AuctionRecord(2.0, 10.0, (), False)
+        assert a.m == 0 and a.prices == () and a.waits == ()
+        assert a.final_price == 2.0
+        # the reserve stands for the whole auction
+        ds = ObservedDataset((a,), 10.0)
+        assert np.array_equal(ds.tail, [10.0])
+        assert ds.wait.size == 0
+
+    def test_price_times_attaches_standing_durations(self):
+        a = AuctionRecord(2.0, 10.0, ((3.0, 1.0), (5.0, 2.5)), True)
+        ds = ObservedDataset((a,), 10.0)
+        # reserve stands until the first jump; each jump price stands
+        # until the next jump; the last one stands until the close
+        assert np.array_equal(ds.reserve, [2.0])
+        assert np.array_equal(ds.price, [3.0, 5.0])
+        assert np.array_equal(ds.wait, [1.0, 2.5])
+        assert np.array_equal(ds.tail, [10.0 - 3.5])
 
     @pytest.mark.parametrize("kwargs", [
         dict(reserve=-1.0, duration=10.0, jumps=(), sold=False),
