@@ -10,9 +10,8 @@ from .errors import (NumericalError, SecondPriceError, TieError,
 from .ingest import (BidRow, CleaningReport, export_bid_log, export_dataset,
                      ingest_bid_csv, read_dataset)
 from .initial import (LowReserveSelection, SpliceAnchors, combine_initial,
-                      compute_splice_anchors, estimate_f_fp, estimate_f_sp,
-                      g_lambda_cdf, g_lambda_inverse, initial_theta,
-                      select_low_reserve)
+                      compute_splice_anchors, estimate_f_fp, g_lambda_cdf,
+                      initial_theta, select_low_reserve)
 from .metrics import (StudyReport, TrainTestReport, ks_distance,
                       replicate_table, train_test_eval, tv_distance,
                       write_report_csv)

@@ -222,8 +222,8 @@ def export_dataset(dataset: ObservedDataset, path,
         writer.writerow(["kind", "auction", "reserve_or_price",
                          "duration_or_wait", "sold"])
         for k, a in enumerate(dataset.auctions):
-            writer.writerow(["auction", k, repr(a.reserve), repr(a.duration),
-                             int(a.sold)])
+            writer.writerow(["auction", k, repr(float(a.reserve)),
+                             repr(float(a.duration)), int(a.sold)])
             for x, t in a.jumps:
                 writer.writerow(["jump", k, repr(x), repr(t), ""])
 

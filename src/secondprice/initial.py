@@ -1,6 +1,7 @@
-"""Initial CDF estimator built from final selling prices and first
-non-reserve standing prices of low-reserve auctions, spliced and
-interpolated, plus the starting parameter vector it induces."""
+"""Initial CDF estimator for low-reserve auctions: the first-price
+estimator built from first non-reserve standing prices, joined by a
+linear bridge to 1 at the largest final selling price, and interpolated;
+plus the starting parameter vector it induces."""
 
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .model import (MonotoneCurve, ObservedDataset, ThetaVector, cdf_to_theta,
                     interpolate)
-
-_BISECT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,11 @@ class LowReserveSelection:
 
 @dataclass(frozen=True)
 class SpliceAnchors:
-    """Splice geometry combining the two partial estimators: p1 is the
-    largest non-reserve standing price, p2 the smallest final selling
-    price (both over the qualifying low-reserve auctions), c the splice
-    point, and bridge_value the level the linear bridge reaches at p1."""
+    """Splice geometry of the initial estimate: p1 and p2 are the largest
+    and the smallest final selling price over the qualifying low-reserve
+    auctions, c the splice point where the first-price estimate hands
+    over to the bridge, and bridge_value the level the linear bridge
+    reaches at p1."""
 
     p1: float
     p2: float
@@ -86,42 +86,9 @@ def g_lambda_cdf(eta, lambda_r: float, tau: float):
     return out if out.ndim else float(out)
 
 
-def g_lambda_inverse(y, lambda_r: float, tau: float):
-    """Bisection inverse of :func:`g_lambda_cdf` on eta in [0, 1], run
-    over every level of ``y`` at once (a scalar ``y`` gives a float).
-    Levels at or below 0 map to exactly 0, at or above 1 to exactly 1."""
-    y = np.asarray(y, dtype=float)
-    lo = np.zeros(y.shape)
-    hi = np.ones(y.shape)
-    width = 1.0       # every bracket halves in step, so they share a width
-    while width > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        below = g_lambda_cdf(mid, lambda_r, tau) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        width *= 0.5
-    out = np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, 0.5 * (lo + hi)))
-    return out if out.ndim else float(out)
-
-
 def _sold_above_reserve(dataset: ObservedDataset, selection: LowReserveSelection):
     ks = np.fromiter(selection.V, np.intp, len(selection.V))
     return ks[dataset.m[ks] > 0]
-
-
-def estimate_f_sp(dataset: ObservedDataset, selection: LowReserveSelection,
-                  lambda_hat: float) -> MonotoneCurve:
-    """Selling-price estimator: the inverse selling-price-CDF map applied
-    to the empirical CDF of final selling prices over low-reserve
-    auctions sold above the reserve."""
-    ks = _sold_above_reserve(dataset, selection)
-    if not ks.size:
-        raise NumericalError(
-            "no low-reserve auction sold above its reserve; relax (q, epsilon)")
-    prices = np.sort(dataset.final_price[ks])
-    n = len(prices)
-    values = g_lambda_inverse(np.arange(1, n + 1) / n, lambda_hat, dataset.tau)
-    return MonotoneCurve(prices, values, kind="step")
 
 
 def estimate_f_fp(dataset: ObservedDataset,
@@ -138,41 +105,35 @@ def estimate_f_fp(dataset: ObservedDataset,
     return MonotoneCurve(prices, values, kind="step")
 
 
-def compute_splice_anchors(f_fp: MonotoneCurve,
-                           f_sp: MonotoneCurve) -> SpliceAnchors:
-    """p1 = largest standing price among the qualifying auctions (the
-    largest selling-price knot), p2 = smallest selling-price knot, c =
-    largest first-price knot (or 0) at or below min(p1, p2) where the
-    first-price estimate does not exceed the bridge target, which is the
-    selling-price estimate at p1."""
-    p1 = float(f_sp.knots[-1])
-    p2 = float(f_sp.knots[0])
-    target = float(f_sp(p1))
-    ok = (f_fp.knots <= min(p1, p2)) & (f_fp.values <= target)
-    c = float(np.max(f_fp.knots[ok], initial=0.0))
-    return SpliceAnchors(p1, p2, c, target)
+def compute_splice_anchors(dataset: ObservedDataset,
+                           selection: LowReserveSelection,
+                           f_fp: MonotoneCurve) -> SpliceAnchors:
+    """p1 = largest and p2 = smallest final selling price over the
+    low-reserve auctions sold above the reserve, c = largest first-price
+    knot (or 0) at or below min(p1, p2); the bridge reaches 1 at p1."""
+    prices = dataset.final_price[_sold_above_reserve(dataset, selection)]
+    if not prices.size:
+        raise NumericalError(
+            "no low-reserve auction sold above its reserve; relax (q, epsilon)")
+    p1, p2 = float(prices.max()), float(prices.min())
+    c = float(np.max(f_fp.knots[f_fp.knots <= min(p1, p2)], initial=0.0))
+    return SpliceAnchors(p1, p2, c, 1.0)
 
 
-def combine_initial(f_fp: MonotoneCurve, f_sp: MonotoneCurve,
-                    anchors: SpliceAnchors):
-    """Splice the two partial estimators: first-price estimate below the
-    splice point, a linear bridge up to p1, selling-price estimate above.
-
-    Returns ``(step_estimate, continuous_estimate)`` where the continuous
-    version is the linear interpolation anchored at (0, 0).
-    """
+def combine_initial(f_fp: MonotoneCurve,
+                    anchors: SpliceAnchors) -> MonotoneCurve:
+    """The continuous initial estimate: the first-price estimate up to
+    the splice point, then a linear bridge to ``bridge_value`` at p1,
+    interpolated linearly between knots and anchored at (0, 0)."""
     p1, c = anchors.p1, anchors.c
     fc = float(f_fp(c))
-    fp1 = anchors.bridge_value
-    knots = np.unique(np.concatenate((f_fp.knots[f_fp.knots <= c], [c, p1],
-                                      f_sp.knots[f_sp.knots > p1])))
+    knots = np.unique(np.concatenate((f_fp.knots[f_fp.knots <= c], [c, p1])))
     with np.errstate(divide="ignore", invalid="ignore"):
-        # taken only where c < x <= p1, so never when p1 == c
-        bridge = fc + np.divide(fp1 - fc, p1 - c) * (knots - c)
-    values = np.where(knots <= c, f_fp(knots),
-                      np.where(knots <= p1, bridge, f_sp(knots)))
-    step = MonotoneCurve(knots, values, kind="step")
-    return step, interpolate(step, anchor_zero=True)
+        # taken only where c < x, so never when p1 == c
+        bridge = fc + np.divide(anchors.bridge_value - fc, p1 - c) * (knots - c)
+    values = np.where(knots <= c, f_fp(knots), bridge)
+    return interpolate(MonotoneCurve(knots, values, kind="step"),
+                       anchor_zero=True)
 
 
 def initial_theta(f_init: MonotoneCurve, z: np.ndarray) -> ThetaVector:

@@ -11,8 +11,8 @@ import numpy as np
 from .arrival import estimate_lambda
 from .errors import NumericalError
 from .initial import (LowReserveSelection, SpliceAnchors, combine_initial,
-                      compute_splice_anchors, estimate_f_fp, estimate_f_sp,
-                      initial_theta, select_low_reserve)
+                      compute_splice_anchors, estimate_f_fp, initial_theta,
+                      select_low_reserve)
 from .mle import (AscentResult, LikelihoodContext, projected_newton,
                   reconstruct_cdf)
 from .model import (MonotoneCurve, ObservedDataset, PooledData, ThetaVector,
@@ -74,10 +74,9 @@ def fit_initial(dataset: ObservedDataset, q: float = DEFAULT_Q,
         raise NumericalError(
             "arrival-rate estimate is zero (no standing-price jumps in the "
             "low-reserve auctions)")
-    f_sp = estimate_f_sp(dataset, selection, lambda_hat)
     f_fp = estimate_f_fp(dataset, selection)
-    anchors = compute_splice_anchors(f_fp, f_sp)
-    _, f_init = combine_initial(f_fp, f_sp, anchors)
+    anchors = compute_splice_anchors(dataset, selection, f_fp)
+    f_init = combine_initial(f_fp, anchors)
     return lambda_hat, selection, anchors, f_init
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to verify the library:
-a per-bid standing-price state machine, per-auction reserve jitter, a
-direct-definition log-likelihood, a brute-force coordinate curvature
-weight, and an exhaustive grid search over the survival-ratio box."""
+a per-bid standing-price state machine, per-auction reserve jitter, the
+initial estimate built record by record, a direct-definition
+log-likelihood, a brute-force coordinate curvature weight, and an
+exhaustive grid search over the survival-ratio box."""
 
 import math
 
@@ -48,6 +49,36 @@ def naive_jittered_reserves(auctions, rng, scale=0.01):
         cap = scale if not a.jumps else min(scale, 0.5 * (a.jumps[0][0] - a.reserve))
         out.append(a.reserve + rng.uniform(0.0, cap))
     return out
+
+
+def naive_initial_estimate(dataset, selection):
+    """The continuous initial estimate from the auction records.
+
+    Over the low-reserve auctions with a jump: the first-price estimate
+    at x is 1 - sqrt(1 - i/n), i of the n first jump prices being at or
+    below x; p1 and p2 are the largest and smallest final price; c is the
+    largest first jump price at or below min(p1, p2) (0 if none); then a
+    line from the estimate at c to 1 at p1, and (0, 0) in front.
+    Returns ((p1, p2, c, 1.0), knots, values).
+    """
+    sold = [dataset.auctions[k] for k in sorted(selection.V)
+            if dataset.auctions[k].jumps]
+    firsts = sorted(a.jumps[0][0] for a in sold)
+    finals = [a.final_price for a in sold]
+    n = len(firsts)
+    p1, p2 = max(finals), min(finals)
+    c = max([x for x in firsts if x <= min(p1, p2)], default=0.0)
+
+    def f_fp(x):
+        return 1.0 - math.sqrt(1.0 - sum(f <= x for f in firsts) / n)
+
+    fc = f_fp(c)
+    knots = sorted({x for x in firsts if x <= c} | {c, p1})
+    values = [f_fp(x) if x <= c else fc + (1.0 - fc) / (p1 - c) * (x - c)
+              for x in knots]
+    if knots[0] > 0.0:
+        knots, values = [0.0] + knots, [0.0] + values
+    return (p1, p2, c, 1.0), np.array(knots), np.array(values)
 
 
 def naive_loglik(theta, pooled, lam):

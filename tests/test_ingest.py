@@ -6,7 +6,8 @@ import csv
 import numpy as np
 import pytest
 
-from secondprice import (BidRow, ValidationError, ValuationDistribution,
+from secondprice import (AuctionRecord, BidRow, ObservedDataset,
+                         ValidationError, ValuationDistribution,
                          export_bid_log, export_dataset, ingest_bid_csv,
                          read_dataset, run_auction)
 
@@ -195,6 +196,18 @@ class TestCanonicalFormat:
         export_dataset(uniform_dataset, path, header_lines=["source=test"])
         back = read_dataset(path)
         assert back == uniform_dataset
+
+    def test_round_trip_of_numpy_scalar_fields(self, tmp_path):
+        # a record keeps the number type it was built with; the file must
+        # still hold plain float literals
+        ds = ObservedDataset((
+            AuctionRecord(np.float64(2.0), np.float64(10.0), ((3.0, 1.0),), True),
+            AuctionRecord(np.float64(0.5), np.float64(10.0), (), False)),
+            10.0)
+        path = tmp_path / "dataset.csv"
+        export_dataset(ds, path)
+        assert "np.float64" not in path.read_text()
+        assert read_dataset(path) == ds
 
     GOOD = ("kind,auction,reserve_or_price,duration_or_wait,sold\n"
             "auction,0,1.0,10.0,1\n"

@@ -1,5 +1,7 @@
-"""Low-reserve selection, the two partial CDF estimators, the selling
-price CDF map on the probability scale, and the splice combining them."""
+"""Low-reserve selection, the selling-price CDF map on the probability
+scale, the first-price estimator, the splice that bridges it to 1 at
+the largest final selling price, and the whole initial estimate against
+a record-by-record reference."""
 
 import mpmath
 import numpy as np
@@ -7,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import naive_initial_estimate
 from secondprice import (AuctionRecord, MonotoneCurve, NumericalError,
-                         ObservedDataset, SpliceAnchors, ValidationError,
+                         ObservedDataset, SimConfig, SpliceAnchors,
+                         ValidationError, ValuationDistribution,
                          combine_initial, compute_splice_anchors,
-                         estimate_f_fp, estimate_f_sp, g_lambda_cdf,
-                         g_lambda_inverse, initial_theta, select_low_reserve,
-                         theta_to_cdf)
+                         estimate_f_fp, fit, g_lambda_cdf, initial_theta,
+                         run_study, select_low_reserve, theta_to_cdf)
+from secondprice import initial, pipeline
+from secondprice.pipeline import fit_initial
 
 
 def oracle_price_cdf(eta: float, s: float, n_max: int = 400) -> float:
@@ -55,29 +60,6 @@ class TestPriceCdfMap:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValidationError):
             g_lambda_cdf(0.5, 0.0, 1.0)
-
-    @pytest.mark.parametrize("s", [0.5, 2.0, 10.0, 100.0])
-    def test_inverse_round_trip(self, s):
-        for y in (0.05, 0.3, 0.6, 0.95):
-            eta = g_lambda_inverse(y, s, 1.0)
-            assert g_lambda_cdf(eta, s, 1.0) == pytest.approx(y, abs=1e-9)
-
-    @pytest.mark.parametrize("s", [0.05, 3.5, 100.0, 700.0])
-    def test_inverse_over_an_array_matches_scalar_calls(self, s):
-        levels = np.concatenate(([-0.5, 0.0], np.arange(1, 201) / 200, [1.5]))
-        together = g_lambda_inverse(levels, s, 1.0)
-        one_by_one = np.array([g_lambda_inverse(float(y), s, 1.0)
-                               for y in levels])
-        assert isinstance(together, np.ndarray)
-        assert np.max(np.abs(together - one_by_one)) <= 1e-10
-        assert together[0] == together[1] == 0.0
-        assert together[-2] == together[-1] == 1.0
-
-    def test_inverse_exact_at_bounds(self):
-        assert g_lambda_inverse(0.0, 2.0, 1.0) == 0.0
-        assert g_lambda_inverse(-0.5, 2.0, 1.0) == 0.0
-        assert g_lambda_inverse(1.0, 2.0, 1.0) == 1.0
-        assert g_lambda_inverse(1.5, 2.0, 1.0) == 1.0
 
 
 def reserves_dataset(reserves, jumps_per_auction=None, tau=10.0):
@@ -137,47 +119,48 @@ class TestPartialEstimators:
         assert np.array_equal(f_fp.knots, [1.0, 1.5])
         assert np.allclose(f_fp.values, [1.0 - np.sqrt(0.5), 1.0])
 
-    def test_selling_price_estimator_values(self):
-        ds, sel = self.make()
-        f_sp = estimate_f_sp(ds, sel, lambda_hat=0.5)
-        assert np.array_equal(f_sp.knots, [2.0, 3.0])
-        assert f_sp.values[0] == pytest.approx(
-            g_lambda_inverse(0.5, 0.5, ds.tau))
-        assert f_sp.values[1] == 1.0
-
     def test_no_sold_auction_raises(self):
         ds = reserves_dataset([0.0, 0.01])
         sel = select_low_reserve(ds, q=0.5, epsilon=0.1)
         with pytest.raises(NumericalError):
             estimate_f_fp(ds, sel)
+        f_fp = MonotoneCurve([1.0], [1.0], kind="step")
         with pytest.raises(NumericalError):
-            estimate_f_sp(ds, sel, 1.0)
+            compute_splice_anchors(ds, sel, f_fp)
 
 
 class TestSplice:
-    def test_anchor_geometry(self):
-        f_sp = MonotoneCurve([10.0, 12.0, 15.0], [0.3, 0.6, 1.0], kind="step")
+    def make(self):
+        # qualifying sold auctions end at 10, 12 and 15; the one at
+        # reserve 5 lies outside the low-reserve window
+        ds = reserves_dataset(
+            [0.0, 0.01, 0.02, 0.03, 5.0],
+            jumps_per_auction=[
+                [(3.0, 1.0), (12.0, 1.0)],
+                [(4.0, 1.0), (10.0, 1.0)],
+                [(6.0, 1.0), (15.0, 1.0)],
+                None,
+                [(8.0, 1.0)],
+            ])
+        sel = select_low_reserve(ds, q=0.5, epsilon=0.1)
+        assert sel.V == frozenset({0, 1, 2, 3})
         f_fp = MonotoneCurve([2.0, 5.0, 9.0, 11.0], [0.2, 0.5, 0.9, 1.0],
                              kind="step")
-        anchors = compute_splice_anchors(f_fp, f_sp)
+        return ds, sel, f_fp
+
+    def test_anchor_geometry(self):
+        ds, sel, f_fp = self.make()
+        anchors = compute_splice_anchors(ds, sel, f_fp)
         assert anchors.p1 == 15.0
         assert anchors.p2 == 10.0
         assert anchors.c == 9.0
         assert anchors.bridge_value == 1.0
 
-    def test_anchor_respects_bridge_target(self):
-        # the first-price estimate overshoots the target above x=2, so
-        # the splice point must retreat to 2
-        f_sp = MonotoneCurve([10.0, 12.0, 15.0], [0.3, 0.6, 0.8], kind="step")
-        f_fp = MonotoneCurve([2.0, 5.0, 9.0], [0.5, 0.85, 0.95], kind="step")
-        anchors = compute_splice_anchors(f_fp, f_sp)
-        assert anchors.c == 2.0
-        assert anchors.bridge_value == pytest.approx(0.8)
-
     def test_anchor_falls_back_to_zero(self):
-        f_sp = MonotoneCurve([10.0], [0.2], kind="step")
-        f_fp = MonotoneCurve([3.0], [0.5], kind="step")
-        anchors = compute_splice_anchors(f_fp, f_sp)
+        # no first-price knot at or below the smallest final price
+        ds, sel, _ = self.make()
+        f_fp = MonotoneCurve([11.0], [1.0], kind="step")
+        anchors = compute_splice_anchors(ds, sel, f_fp)
         assert anchors.c == 0.0
 
     def test_invalid_anchors_rejected(self):
@@ -187,21 +170,67 @@ class TestSplice:
             SpliceAnchors(p1=5.0, p2=4.0, c=1.0, bridge_value=1.5)
 
     def test_combined_estimate(self):
-        f_sp = MonotoneCurve([10.0, 12.0, 15.0], [0.3, 0.6, 1.0], kind="step")
-        f_fp = MonotoneCurve([2.0, 5.0, 9.0, 11.0], [0.2, 0.5, 0.9, 1.0],
-                             kind="step")
-        anchors = compute_splice_anchors(f_fp, f_sp)
-        step, pl = combine_initial(f_fp, f_sp, anchors)
-        # below the splice point: the first-price estimate
-        for x in (2.0, 5.0, 9.0):
-            assert step(x) == f_fp(x)
-        # at p1 the bridge reaches the target level
-        assert step(anchors.p1) == pytest.approx(anchors.bridge_value)
-        assert np.all(np.diff(step.values) >= 0.0)
+        ds, sel, f_fp = self.make()
+        anchors = compute_splice_anchors(ds, sel, f_fp)
+        pl = combine_initial(f_fp, anchors)
         assert pl.kind == "pl"
+        assert np.array_equal(pl.knots, [0.0, 2.0, 5.0, 9.0, 15.0])
         assert pl(0.0) == 0.0
-        # the interpolation passes through the step values
-        assert pl(9.0) == pytest.approx(0.9)
+        # up to the splice point: the first-price estimate at its knots
+        for x in (2.0, 5.0, 9.0):
+            assert pl(x) == f_fp(x)
+        # the bridge reaches the target level at p1
+        assert pl(anchors.p1) == pytest.approx(anchors.bridge_value)
+        assert pl(12.0) == pytest.approx(0.9 + 0.1 * 3.0 / 6.0)
+        assert np.all(np.diff(pl.values) >= 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_jump_collapses_the_splice(self):
+        # the only qualifying sold auction jumps once, at x: its first and
+        # final price coincide, so p1 == p2 == c == x and the bridge has
+        # zero width
+        x = 4.0
+        ds = reserves_dataset([0.0, 0.01, 5.0],
+                              jumps_per_auction=[[(x, 1.0)], None, [(9.0, 1.0)]])
+        _, sel, anchors, f_init = fit_initial(ds, q=0.5, epsilon=0.1)
+        assert sel.V == frozenset({0, 1})
+        assert anchors == SpliceAnchors(p1=x, p2=x, c=x, bridge_value=1.0)
+        assert np.array_equal(f_init.knots, [0.0, x])
+        assert np.array_equal(f_init.values, [0.0, 1.0])
+
+
+class TestInitialEstimate:
+    @pytest.mark.parametrize("tau", [100.0, 3.5])
+    @pytest.mark.parametrize("dist", [ValuationDistribution.uniform(1.0, 20.0),
+                                      ValuationDistribution.gamma(10.0, 2.0)],
+                             ids=["uniform", "gamma"])
+    def test_matches_record_reference(self, dist, tau):
+        ds = run_study(SimConfig(lam=1.0, tau=tau, K=200, seed=17), dist)
+        _, sel, anchors, f_init = fit_initial(ds)
+        ref_anchors, ref_knots, ref_values = naive_initial_estimate(ds, sel)
+        assert (anchors.p1, anchors.p2, anchors.c,
+                anchors.bridge_value) == ref_anchors
+        assert np.array_equal(f_init.knots, ref_knots)
+        assert np.array_equal(f_init.values, ref_values)
+
+    def test_does_not_depend_on_the_rate_estimate(self, uniform_dataset,
+                                                  monkeypatch):
+        lam, _, anchors, f_init = fit_initial(uniform_dataset)
+        rate = pipeline.estimate_lambda
+        monkeypatch.setattr(pipeline, "estimate_lambda",
+                            lambda *args: 2.0 * rate(*args))
+        lam2, _, anchors2, f_init2 = fit_initial(uniform_dataset)
+        assert lam2 == 2.0 * lam
+        assert anchors2 == anchors
+        assert np.array_equal(f_init2.knots, f_init.knots)
+        assert np.array_equal(f_init2.values, f_init.values)
+
+    def test_fit_never_evaluates_the_selling_price_map(self, uniform_dataset,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("g_lambda_cdf called")
+        monkeypatch.setattr(initial, "g_lambda_cdf", refuse)
+        fit(uniform_dataset)
 
 
 class TestInitialTheta:
