@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import MonotoneCurve, ObservedDataset, break_ties, has_ties
+from .model import MonotoneCurve, ObservedDataset
 from .pipeline import DEFAULT_Q, fit, fit_initial
-from .simulate import ValuationDistribution, run_auction
+from .simulate import ValuationDistribution, simulate_auctions
 
 _BIAS_GRID = np.arange(1, 100) / 100.0
 
@@ -95,14 +95,10 @@ def _fit_kind(dataset: ObservedDataset, kind: str, q,
 
 
 def _simulate_profile(lam, tau, reserves, rng) -> ObservedDataset:
-    dist = ValuationDistribution.uniform(0.0, 1.0)
-    auctions = [run_auction(lam, tau, float(r), dist, rng) for r in reserves]
-    dataset = ObservedDataset(tuple(auctions), tau)
-    if has_ties(dataset):
-        # transformed reserves repeat (many exact zeros); jitter must stay
-        # far below the unit valuation scale
-        dataset = break_ties(dataset, rng, scale=1e-6)
-    return dataset
+    # transformed reserves repeat (many exact zeros); tie jitter must stay
+    # far below the unit valuation scale
+    return simulate_auctions(lam, tau, ValuationDistribution.uniform(0.0, 1.0),
+                             ((float(r), rng) for r in reserves), rng, 1e-6)
 
 
 def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,

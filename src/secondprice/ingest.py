@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import AuctionRecord, ObservedDataset, break_ties, has_ties
-from .simulate import replay_bids
+from .model import ObservedDataset, audit_auctions, break_ties, has_ties
+from .simulate import replay_bids, replay_streams
 
 _COLUMNS = ("auctionid", "bid", "bidtime", "bidder", "bidderrate",
             "openbid", "price")
@@ -138,26 +139,21 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
         raise ValidationError("bid log contains no usable rows")
 
     rng = np.random.default_rng(np.random.SeedSequence(noise_seed))
-    auctions = []
+    streams = []
+    above = []
     bidders = set()
     multi = 0
     removed = 0
     close_pairs = 0
-    mismatches = []
-    for aid in sorted(rows_by_auction, key=_sort_key):
+    aids = sorted(rows_by_auction, key=_sort_key)
+    for aid in aids:
         rows = sorted(rows_by_auction[aid], key=lambda r: r.bidtime)
         openbid = rows[0].openbid
         # keep the latest row per bidder (proxy bidding: the last bid is
         # the closest to the bidder's true valuation)
-        last = {}
-        for r in rows:
-            if r.bidder in last:
-                removed += 1
-            last[r.bidder] = r
-        counts = {}
-        for r in rows:
-            counts[r.bidder] = counts.get(r.bidder, 0) + 1
-        multi += sum(1 for c in counts.values() if c > 1)
+        last = {r.bidder: r for r in rows}
+        removed += len(rows) - len(last)
+        multi += sum(c > 1 for c in Counter(r.bidder for r in rows).values())
         kept = sorted(last.values(), key=lambda r: r.bidtime)
         bidders.update(last)
 
@@ -167,18 +163,16 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
             close_pairs += int(np.sum(gaps < max(noise_scale, 1e-12)))
         noisy = raw + (rng.uniform(0.0, noise_scale, len(raw))
                        if noise_scale > 0 else 0.0)
-        times = [r.bidtime for r in kept]
-        record = replay_bids(openbid, duration_days, times, noisy)
-        above = int(np.sum(noisy > openbid))
-        if record.m != max(0, above - 1):
-            mismatches.append(aid)
-        auctions.append(record)
+        streams.append((openbid, np.array([r.bidtime for r in kept]), noisy))
+        above.append(int(np.sum(noisy > openbid)))
 
-    dataset = ObservedDataset(tuple(auctions), duration_days)
+    dataset = replay_streams(streams, duration_days)
+    mismatches = [aid for aid, m, n in zip(aids, dataset.m.tolist(), above)
+                  if m != max(0, n - 1)]
     jitter = has_ties(dataset)
     if jitter:
         dataset = break_ties(dataset, rng, scale=max(noise_scale, 0.01))
-    report = CleaningReport(n_auctions=len(auctions), n_rows=n_rows,
+    report = CleaningReport(n_auctions=dataset.K, n_rows=n_rows,
                             n_bidders=len(bidders),
                             multi_bid_bidders=multi,
                             removed_rows=removed, close_pairs=close_pairs,
@@ -221,22 +215,25 @@ def export_dataset(dataset: ObservedDataset, path,
         writer = csv.writer(fh)
         writer.writerow(["kind", "auction", "reserve_or_price",
                          "duration_or_wait", "sold"])
-        for k, a in enumerate(dataset.auctions):
-            writer.writerow(["auction", k, repr(float(a.reserve)),
-                             repr(float(a.duration)), int(a.sold)])
-            for x, t in a.jumps:
-                writer.writerow(["jump", k, repr(x), repr(t), ""])
+        tau = repr(float(dataset.tau))
+        reserve, sold, offsets, price, wait = (
+            a.tolist() for a in (dataset.reserve, dataset.sold, dataset.offsets,
+                                 dataset.price, dataset.wait))
+        for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            writer.writerow(["auction", k, repr(reserve[k]), tau, int(sold[k])])
+            writer.writerows(["jump", k, repr(x), repr(t), ""]
+                             for x, t in zip(price[lo:hi], wait[lo:hi]))
 
 
 def read_dataset(path) -> ObservedDataset:
     """Read a canonical dump back into an ObservedDataset.
 
-    Each jump row must follow the row of its own auction.  A malformed
-    row raises :class:`ValidationError` naming its line.
+    Each jump row must follow the row of its own auction, and every
+    auction must have the first one's duration.  A malformed row or an
+    invalid auction raises :class:`ValidationError` naming its line.
     """
     path = Path(path)
-    headers = []  # (line, reserve, duration, sold)
-    jumps = []
+    headers, jumps, m = [], [], []  # (line, reserve, duration, sold); (price, wait); counts
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         rows = (r for r in reader if r and not r[0].startswith("#"))
@@ -255,23 +252,27 @@ def read_dataset(path) -> ObservedDataset:
                     if r[4] not in ("0", "1"):
                         raise ValueError(f"sold must be 0 or 1, got {r[4]!r}")
                     headers.append((reader.line_num, a, b, r[4] == "1"))
-                    jumps.append([])
+                    m.append(0)
                 elif kind == "jump":
                     if not headers or k != len(headers) - 1:
                         raise ValueError(f"jump row for auction {k} does not "
                                          f"follow that auction's row")
-                    jumps[k].append((a, b))
+                    jumps.append((a, b))
+                    m[k] += 1
                 else:
                     raise ValueError(f"unknown row kind {kind!r}")
             except ValueError as exc:
                 raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
     if not headers:
         raise ValidationError(f"{path} contains no auctions")
-    auctions = []
-    for (line, res, dur, sold), j in zip(headers, jumps):
+    lines, reserve, duration, sold = zip(*headers)
+    price, wait = np.array(jumps, dtype=float).reshape(-1, 2).T
+    tau = duration[0]
+    violations = [(k, f"duration {d} != common tau {tau}")
+                  for k, d in enumerate(duration) if d != tau]
+    if not violations:
         try:
-            auctions.append(AuctionRecord(res, dur, tuple(j), sold))
-        except ValidationError as exc:
-            raise ValidationError([f"{path} line {line}: {v}"
-                                   for v in exc.violations]) from None
-    return ObservedDataset(tuple(auctions), headers[0][2])
+            return ObservedDataset.from_arrays(reserve, sold, m, price, wait, tau)
+        except ValidationError:
+            violations, _ = audit_auctions(reserve, tau, sold, m, price, wait)
+    raise ValidationError([f"{path} line {lines[k]}: {text}" for k, text in violations])

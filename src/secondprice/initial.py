@@ -132,8 +132,7 @@ def combine_initial(f_fp: MonotoneCurve,
         # taken only where c < x, so never when p1 == c
         bridge = fc + np.divide(anchors.bridge_value - fc, p1 - c) * (knots - c)
     values = np.where(knots <= c, f_fp(knots), bridge)
-    return interpolate(MonotoneCurve(knots, values, kind="step"),
-                       anchor_zero=True)
+    return interpolate(MonotoneCurve(knots, values, kind="step"))
 
 
 def initial_theta(f_init: MonotoneCurve, z: np.ndarray) -> ThetaVector:

@@ -381,5 +381,4 @@ def _reduced_newton(d, w, c, jump, starts):
 def reconstruct_cdf(theta_hat: ThetaVector, z: np.ndarray) -> MonotoneCurve:
     """Piecewise-linear CDF estimate through the cumulative-product step
     values on the pooled grid, anchored at (0, 0)."""
-    return interpolate(theta_to_cdf(theta_hat, np.asarray(z, dtype=float)),
-                       anchor_zero=True)
+    return interpolate(theta_to_cdf(theta_hat, np.asarray(z, dtype=float)))

@@ -3,9 +3,10 @@ survival-ratio reparametrization of a CDF.
 
 Dataset layout
 --------------
-:class:`ObservedDataset` stores validated :class:`AuctionRecord` objects
-and lays them out once as arrays (see its docstring); every reader
-outside this module and ``ingest`` uses the arrays, not the records.
+:class:`ObservedDataset` stores its auctions as arrays only (see its
+docstring), and every reader uses them.  An :class:`AuctionRecord` is one
+auction as a Python value, for building or inspecting small datasets.
+One set of rules, :func:`audit_auctions`, checks both.
 
 Indexing conventions
 --------------------
@@ -19,14 +20,56 @@ plain 0-based Python indices into the dataset's auctions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import TieError, ValidationError
 
 _TAIL_TOL = 1e-9
+_STORED = ("reserve", "sold", "offsets", "price", "wait")
+
+
+def audit_auctions(reserve, duration, sold, m, price, wait):
+    """Check auctions of a common ``duration`` against the auction rules:
+    ``reserve``, ``sold`` and the jump counts ``m`` per auction, ``price``
+    and ``wait`` per jump, auction by auction.  Returns a ``(k, message)``
+    pair per rule that auction k breaks, in auction order, and each
+    auction's waits summed left to right, as Python's ``sum`` adds them."""
+    reserve, price, wait = (np.asarray(a) for a in (reserve, price, wait))
+    sold, m = np.asarray(sold, dtype=bool), np.asarray(m, dtype=np.intp)
+    K, start = len(m), m.cumsum() - m
+    owner = np.arange(K).repeat(m)
+    spent, rows = np.zeros(K), m.nonzero()[0]
+    with np.errstate(invalid="ignore"):     # inf - inf among non-finite waits
+        for j in range(m.max(initial=0)):
+            rows = rows[m[rows] > j]
+            spent[rows] += wait[start[rows] + j]
+    jumped, low = m > 0, np.zeros(K, dtype=bool)
+    low[jumped] = price[start[jumped]] <= reserve[jumped]
+    down = np.flatnonzero((price[1:] <= price[:-1]) & (owner[1:] == owner[:-1]))
+    down_at = np.full(K, len(price))        # each auction's first decrease
+    np.minimum.at(down_at, owner[down], down)
+    rules = [
+        (reserve < 0, lambda k: f"reserve {reserve[k]} is negative"),
+        (np.full(K, duration <= 0), lambda k: f"duration {duration} is not positive"),
+        (~np.isfinite(reserve) | (not math.isfinite(duration))
+         | (np.bincount(owner[~(np.isfinite(price) & np.isfinite(wait))], minlength=K) > 0),
+         lambda k: "reserve, duration, jump prices and waits must be finite"),
+        (low, lambda k: f"first jump price {price[start[k]]} does not exceed "
+                        f"reserve {reserve[k]}"),
+        (down_at < len(price), lambda k: "jump prices not strictly increasing at "
+                                         f"{price[down_at[k]]} -> {price[down_at[k] + 1]}"),
+        (np.bincount(owner[wait <= 0], minlength=K) > 0, lambda k: "non-positive waiting time"),
+        (jumped & (spent > duration + _TAIL_TOL * max(duration, 1.0)),
+         lambda k: f"waiting times sum to {spent[k]} > duration {duration}"),
+        (jumped & ~sold, lambda k: "auction has standing-price jumps but is marked unsold"),
+    ]
+    if not any(mask.any() for mask, _ in rules):
+        return [], spent
+    return sorted(((k, text(k)) for mask, text in rules for k in np.flatnonzero(mask).tolist()),
+                  key=lambda found: found[0]), spent
 
 
 @dataclass(frozen=True)
@@ -45,34 +88,10 @@ class AuctionRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple((float(x), float(t)) for x, t in self.jumps))
-        violations = []
-        if self.reserve < 0:
-            violations.append(f"reserve {self.reserve} is negative")
-        if self.duration <= 0:
-            violations.append(f"duration {self.duration} is not positive")
-        prices = [x for x, _ in self.jumps]
-        waits = [t for _, t in self.jumps]
-        if not all(map(math.isfinite, (self.reserve, self.duration, *prices, *waits))):
-            violations.append("reserve, duration, jump prices and waits must be finite")
-        if prices:
-            if prices[0] <= self.reserve:
-                violations.append(
-                    f"first jump price {prices[0]} does not exceed reserve {self.reserve}"
-                )
-            for a, b in zip(prices, prices[1:]):
-                if b <= a:
-                    violations.append(f"jump prices not strictly increasing at {a} -> {b}")
-                    break
-            if any(t <= 0 for t in waits):
-                violations.append("non-positive waiting time")
-            if sum(waits) > self.duration + _TAIL_TOL * max(self.duration, 1.0):
-                violations.append(
-                    f"waiting times sum to {sum(waits)} > duration {self.duration}"
-                )
-            if not self.sold:
-                violations.append("auction has standing-price jumps but is marked unsold")
+        violations, _ = audit_auctions([self.reserve], self.duration, [bool(self.sold)],
+                                       [self.m], np.array(self.prices), np.array(self.waits))
         if violations:
-            raise ValidationError(violations)
+            raise ValidationError([text for _, text in violations])
 
     @property
     def m(self) -> int:
@@ -93,57 +112,75 @@ class AuctionRecord:
         return self.jumps[-1][0] if self.jumps else self.reserve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ObservedDataset:
     """K independent auctions of the same product with a common duration.
 
-    ``auctions`` and ``tau`` are the data (they alone take part in ``==``
-    and ``hash``); the read-only arrays below are their layout, built once
-    at construction:
-
-    - ``reserve[K]``, ``sold[K]``, and ``tail[K]``, the time from the last
-      standing-price change to the close (``tau`` if there is none);
-    - ``price[M]`` and ``wait[M]``, every jump of every auction in order,
-      auction k's at ``offsets[k]:offsets[k+1]``.
+    Its data, which ``==`` and ``hash`` compare, are ``tau`` and the
+    read-only arrays ``reserve[K]`` and ``sold[K]``, and ``price[M]`` and
+    ``wait[M]``, every jump of every auction in order, auction k's at
+    ``offsets[k]:offsets[k+1]``.  ``tail[K]``, the time from the last
+    standing-price change to the close (``tau`` if there is none), is
+    derived from them once.  ``ObservedDataset(records, tau)`` and
+    :meth:`from_arrays` both check every auction with :func:`audit_auctions`.
     """
 
-    auctions: tuple[AuctionRecord, ...]
+    reserve: np.ndarray
+    sold: np.ndarray
+    offsets: np.ndarray
+    price: np.ndarray
+    wait: np.ndarray
     tau: float
-    reserve: np.ndarray = field(init=False, compare=False, repr=False)
-    sold: np.ndarray = field(init=False, compare=False, repr=False)
-    tail: np.ndarray = field(init=False, compare=False, repr=False)
-    offsets: np.ndarray = field(init=False, compare=False, repr=False)
-    price: np.ndarray = field(init=False, compare=False, repr=False)
-    wait: np.ndarray = field(init=False, compare=False, repr=False)
+    tail: np.ndarray
 
-    def __post_init__(self):
-        auctions = tuple(self.auctions)
-        object.__setattr__(self, "auctions", auctions)
-        violations = []
-        if len(auctions) < 1:
-            violations.append("dataset must contain at least one auction")
-        violations += [f"auction {k} has duration {a.duration} != common tau {self.tau}"
-                       for k, a in enumerate(auctions) if a.duration != self.tau]
+    def __init__(self, auctions, tau):
+        auctions = tuple(auctions)
+        mismatched = [f"auction {k} has duration {a.duration} != common tau {tau}"
+                      for k, a in enumerate(auctions) if a.duration != tau]
+        if mismatched:
+            raise ValidationError(mismatched)
+        price, wait = np.array([j for a in auctions for j in a.jumps], dtype=float).reshape(-1, 2).T
+        self._store([a.reserve for a in auctions], [a.sold for a in auctions],
+                    [a.m for a in auctions], price, wait, tau)
+
+    @classmethod
+    def from_arrays(cls, reserve, sold, m, price, wait, tau) -> ObservedDataset:
+        """The dataset of copies of ``reserve[K]``, ``sold[K]``, the jump
+        counts ``m[K]`` and every jump's ``price`` and ``wait`` in order."""
+        dataset = cls.__new__(cls)
+        dataset._store(reserve, sold, m, price, wait, tau)
+        return dataset
+
+    def _store(self, reserve, sold, m, price, wait, tau):
+        reserve, price, wait = (np.array(a, dtype=float) for a in (reserve, price, wait))
+        sold, m = np.array(sold, dtype=bool), np.asarray(m, dtype=np.intp)
+        if not (m.ndim == 1 and reserve.shape == sold.shape == m.shape and np.all(m >= 0)
+                and price.shape == wait.shape == (m.sum(),)):
+            raise ValidationError("need one reserve, sold flag and jump count per auction"
+                                  " and one price and wait per jump")
+        if len(m) < 1:
+            raise ValidationError("dataset must contain at least one auction")
+        violations, spent = audit_auctions(reserve, tau, sold, m, price, wait)
         if violations:
-            raise ValidationError(violations)
-        K = len(auctions)
-        offsets = np.zeros(K + 1, dtype=np.intp)
-        np.cumsum([a.m for a in auctions], out=offsets[1:])
-        M = int(offsets[-1])
-        price, wait = np.fromiter(chain.from_iterable(chain.from_iterable(
-            a.jumps for a in auctions)), float, 2 * M).reshape(M, 2).T.copy()
-        # waits summed left to right per auction, as the records add them
-        spent = np.fromiter((sum(a.waits) for a in auctions), float, K)
-        for name, arr in (("reserve", np.fromiter((a.reserve for a in auctions), float, K)),
-                          ("sold", np.fromiter((a.sold for a in auctions), bool, K)),
-                          ("tail", np.maximum(0.0, self.tau - spent)),
-                          ("offsets", offsets), ("price", price), ("wait", wait)):
+            raise ValidationError([f"auction {k}: {text}" for k, text in violations])
+        offsets = np.concatenate(([0], m.cumsum()))
+        for name, arr in zip(("reserve", "sold", "offsets", "price", "wait", "tail"),
+                             (reserve, sold, offsets, price, wait, np.maximum(0.0, tau - spent))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "tau", tau)
+
+    def __eq__(self, other):
+        return isinstance(other, ObservedDataset) and self.tau == other.tau and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in _STORED)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which == does not tell apart
+        return hash((self.tau, *((getattr(self, f) + 0.0).tobytes() for f in _STORED)))
 
     @property
     def K(self) -> int:
-        return len(self.auctions)
+        return len(self.reserve)
 
     @property
     def m(self) -> np.ndarray:
@@ -156,9 +193,21 @@ class ObservedDataset:
         last = np.append(self.price, 0.0)[self.offsets[1:] - 1]  # unused where m == 0
         return np.where(self.m > 0, last, self.reserve)
 
+    @cached_property
+    def auctions(self) -> tuple[AuctionRecord, ...]:
+        """The auctions as records, built on first access."""
+        reserve, sold, offsets = (a.tolist() for a in (self.reserve, self.sold, self.offsets))
+        jumps = list(zip(self.price.tolist(), self.wait.tolist()))
+        return tuple(AuctionRecord(reserve[k], self.tau, tuple(jumps[lo:hi]), sold[k])
+                     for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])))
+
     def take(self, idx) -> ObservedDataset:
         """The sub-dataset of the auctions at ``idx``, in ``idx`` order."""
-        return ObservedDataset(tuple(self.auctions[int(k)] for k in idx), self.tau)
+        idx = np.arange(self.K)[np.asarray(idx, dtype=np.intp)]
+        m = self.m[idx]
+        jumps = np.arange(m.sum()) + np.repeat(self.offsets[idx] - (m.cumsum() - m), m)
+        return ObservedDataset.from_arrays(self.reserve[idx], self.sold[idx], m,
+                                           self.price[jumps], self.wait[jumps], self.tau)
 
 
 def has_ties(dataset: ObservedDataset) -> bool:
@@ -175,10 +224,8 @@ def break_ties(dataset: ObservedDataset, rng: np.random.Generator,
     first = np.append(dataset.price, np.inf)[dataset.offsets[:-1]]
     first = np.where(dataset.m > 0, first, np.inf)
     cap = np.minimum(scale, 0.5 * (first - dataset.reserve))
-    reserves = (dataset.reserve + rng.uniform(0.0, cap)).tolist()
-    out = ObservedDataset(tuple(AuctionRecord(r, a.duration, a.jumps, a.sold)
-                                for r, a in zip(reserves, dataset.auctions)),
-                          dataset.tau)
+    out = ObservedDataset.from_arrays(dataset.reserve + rng.uniform(0.0, cap), dataset.sold,
+                                      dataset.m, dataset.price, dataset.wait, dataset.tau)
     if has_ties(out):
         raise TieError("ties persist after reserve jitter")
     return out
@@ -328,12 +375,12 @@ def cdf_to_theta(values: np.ndarray) -> ThetaVector:
     return ThetaVector(np.clip(theta, 0.0, 1.0))
 
 
-def interpolate(curve: MonotoneCurve, anchor_zero: bool = False) -> MonotoneCurve:
+def interpolate(curve: MonotoneCurve) -> MonotoneCurve:
     """Linear interpolation of a step curve through its knot values,
-    optionally anchored to pass through (0, 0)."""
+    anchored to pass through (0, 0)."""
     knots = curve.knots
     values = curve.values
-    if anchor_zero and (len(knots) == 0 or knots[0] > 0.0):
+    if knots[0] > 0.0:
         knots = np.concatenate(([0.0], knots))
         values = np.concatenate(([0.0], values))
     return MonotoneCurve(knots, values, kind="pl")

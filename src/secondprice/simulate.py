@@ -1,7 +1,9 @@
 """Synthetic auction generation: Poisson bidder arrivals, the valuation
-distributions used in the simulation study, and ``replay_bids``, the one
-standing-price rule (running second maximum of the reserve and the bids)
-that the simulator, bid-log ingestion and bid-log export all share.
+distributions used in the simulation study, and the one standing-price
+rule (running second maximum of the reserve and the bids), replayed over
+many bid streams at once by ``replay_streams`` and over one by
+``replay_bids``, that the simulator, bid-log ingestion and bid-log
+export all share.
 
 Gamma and beta valuations are drawn with the generator's own
 ``standard_gamma`` and ``beta``.  Their CDFs and quantiles are the
@@ -219,56 +221,102 @@ class SimConfig:
                 "SimConfig requires finite lam > 0, finite tau > 0, K >= 1")
 
 
-def replay_bids(reserve: float, duration: float, times, bids) -> AuctionRecord:
-    """Replay a chronological (time, bid) stream and return its record.
-
-    The standing price is the running second maximum of the reserve and
-    the bids so far, and a jump is recorded wherever it strictly
-    increases.  A bid at or below the standing price cannot change that
-    maximum, so this is also the path of the placed bids.  The auction
-    sells iff some bid exceeds the reserve.
-    """
-    times = np.asarray(times, dtype=float)
-    bids = np.asarray(bids, dtype=float)
-    tops = np.maximum.accumulate(np.concatenate(([reserve], bids)))
-    # maximum propagates NaN, so the last top is finite iff no bid is NaN
-    # or +inf (a -inf bid is never placed, and AuctionRecord rejects a
-    # non-finite jump time)
-    if times.shape != bids.shape or not math.isfinite(tops[-1]):
+def _replay_rows(reserve, times, bids):
+    """Replay chronological bid streams at once, padded with -inf bids
+    (never placed).  The standing price is the running second maximum of
+    the reserve and the bids so far, with a jump wherever it strictly
+    increases (a bid at or below it cannot change that maximum, so this is
+    also the path of the placed bids); a stream sells iff a bid exceeds
+    its reserve.  Returns ``sold``, ``m`` and the jumps' prices and waits."""
+    lengths = np.fromiter(map(len, bids), np.intp, len(bids))
+    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    bid = np.full((len(bids), filled.shape[1] + 1), -np.inf)
+    bid[:, 0] = reserve
+    bid[:, 1:][filled] = np.concatenate(bids)
+    top = np.maximum.accumulate(bid, axis=1)
+    times = np.concatenate(times)
+    # maximum propagates NaN, so the last top is finite iff the reserve
+    # and every bid are (bar -inf bids)
+    if not np.isfinite(top[:, -1]).all() or times.shape != (lengths.sum(),):
         raise ValidationError("reserve and bids must be finite, with one time per bid")
-    sec = np.maximum.accumulate(np.concatenate(([reserve],
-                                                np.minimum(bids, tops[:-1]))))
-    jump_idx = np.flatnonzero(sec[1:] > sec[:-1])
-    waits = np.diff(times[jump_idx], prepend=0.0)
-    return AuctionRecord(reserve, duration, tuple(zip(sec[1:][jump_idx], waits)),
-                         bool(tops[-1] > reserve))
+    second = np.maximum.accumulate(
+        np.concatenate((bid[:, :1], np.minimum(bid[:, 1:], top[:, :-1])), axis=1), axis=1)
+    jump = second[:, 1:] > second[:, :-1]
+    at = np.zeros(filled.shape)
+    at[filled] = times
+    when, m = at[jump], jump.sum(axis=1)
+    before = np.concatenate(([0.0], when[:-1]))    # the row's previous jump time,
+    before[(m.cumsum() - m)[m > 0]] = 0.0           # or 0.0 before its first
+    return top[:, -1] > bid[:, 0], m, second[:, 1:][jump], when - before
 
 
-def _arrival_times(lam: float, tau: float, rng: np.random.Generator) -> np.ndarray:
-    """Exponential(lam) inter-arrival times accumulated until tau."""
+# padded bid cells replayed at once, which bounds the replay's memory
+_CELL_BUDGET = 1 << 17
+
+
+def _chunks(streams):
+    """Consecutive lists of streams of at most ``_CELL_BUDGET`` padded
+    cells each, or of one longer stream."""
+    chunk, width = [], 0
+    for stream in streams:
+        width = max(width, len(stream[2]))
+        if chunk and (len(chunk) + 1) * width > _CELL_BUDGET:
+            yield chunk
+            chunk, width = [], len(stream[2])
+        chunk.append(stream)
+    if chunk:
+        yield chunk
+
+
+def replay_streams(streams, tau: float) -> ObservedDataset:
+    """The dataset of ``(reserve, times, bids)`` streams, each with one
+    time per bid, replayed in order; ``streams`` is consumed one chunk at
+    a time."""
+    parts = [(reserve, *_replay_rows(reserve, times, bids))
+             for reserve, times, bids in (zip(*chunk) for chunk in _chunks(streams))]
+    columns = [np.concatenate(c) for c in zip(*parts)] or [()] * 5
+    return ObservedDataset.from_arrays(*columns, tau)
+
+
+def replay_bids(reserve: float, duration: float, times, bids) -> AuctionRecord:
+    """Replay one chronological (time, bid) stream and return its record."""
+    sold, _, price, wait = _replay_rows([reserve], [np.asarray(times, dtype=float)],
+                                        [np.asarray(bids, dtype=float)])
+    return AuctionRecord(reserve, duration, tuple(zip(price.tolist(), wait.tolist())),
+                         bool(sold[0]))
+
+
+def _draw(lam: float, tau: float, dist: ValuationDistribution,
+          rng: np.random.Generator):
+    """One auction's bidders: Exponential(lam) inter-arrival times
+    accumulated until tau, then their bids."""
     times = np.empty(0)
-    total = 0.0
     block = max(16, int(lam * tau + 6 * np.sqrt(lam * tau) + 10))
-    while True:
-        gaps = rng.exponential(1.0 / lam, block)
-        new = total + np.cumsum(gaps)
-        times = np.concatenate((times, new))
-        total = times[-1]
-        if total > tau:
-            break
-    return times[times <= tau]
+    while not times.size or times[-1] <= tau:
+        total = times[-1] if times.size else 0.0
+        times = np.concatenate((times, total + np.cumsum(rng.exponential(1.0 / lam, block))))
+    times = times[times <= tau]
+    return times, dist.sample(rng, len(times))
 
 
 def run_auction(lam: float, tau: float, reserve: float,
                 dist: ValuationDistribution, rng: np.random.Generator,
                 return_trace: bool = False):
     """Simulate a single auction; optionally return the full bid trace."""
-    times = _arrival_times(lam, tau, rng)
-    bids = dist.sample(rng, len(times))
+    times, bids = _draw(lam, tau, dist, rng)
     record = replay_bids(reserve, tau, times, bids)
-    if return_trace:
-        return record, (times, bids)
-    return record
+    return (record, (times, bids)) if return_trace else record
+
+
+def simulate_auctions(lam: float, tau: float, dist: ValuationDistribution,
+                      draws, tie_rng: np.random.Generator,
+                      scale: float) -> ObservedDataset:
+    """One auction per ``(reserve, rng)`` of ``draws``, in order, its
+    bidders drawn from its ``rng``; prices that tie are then broken with
+    Uniform(0, ``scale``) reserve jitter drawn from ``tie_rng``."""
+    dataset = replay_streams(((reserve, *_draw(lam, tau, dist, rng))
+                              for reserve, rng in draws), tau)
+    return break_ties(dataset, tie_rng, scale) if has_ties(dataset) else dataset
 
 
 def run_study(config: SimConfig, dist: ValuationDistribution) -> ObservedDataset:
@@ -276,16 +324,10 @@ def run_study(config: SimConfig, dist: ValuationDistribution) -> ObservedDataset
 
     Reserve-price ties (inevitable under a constant reserve policy) are
     broken with Uniform(0, 0.01) jitter on a dedicated substream."""
-    streams = np.random.SeedSequence(config.seed).spawn(config.K + 1)
-    auctions = []
-    for k in range(config.K):
-        rng = np.random.default_rng(streams[k])
-        if callable(config.reserve_policy):
-            reserve = float(config.reserve_policy(rng))
-        else:
-            reserve = float(config.reserve_policy)
-        auctions.append(run_auction(config.lam, config.tau, reserve, dist, rng))
-    dataset = ObservedDataset(tuple(auctions), config.tau)
-    if has_ties(dataset):
-        dataset = break_ties(dataset, np.random.default_rng(streams[-1]))
-    return dataset
+    def stream(k):   # SeedSequence(seed).spawn(K + 1)[k], made when needed
+        return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
+
+    policy = config.reserve_policy
+    draws = ((float(policy(rng) if callable(policy) else policy), rng)
+             for rng in map(stream, range(config.K)))
+    return simulate_auctions(config.lam, config.tau, dist, draws, stream(config.K), 0.01)

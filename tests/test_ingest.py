@@ -258,6 +258,12 @@ class TestCanonicalFormat:
             read_dataset(path)
         msg = str(err.value)
         assert "line 4" in msg and "reserve" in msg and "unsold" in msg
+        # an auction whose duration differs from the first one's
+        path.write_text(self.GOOD.replace("auction,1,1.5,10.0,0", "auction,1,1.5,12.0,0"))
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        msg = str(err.value)
+        assert str(path) in msg and "line 4" in msg and "12.0" in msg
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"

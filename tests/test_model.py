@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secondprice import (AuctionRecord, MonotoneCurve, NumericalError,
-                         ObservedDataset, TieError, ValidationError,
-                         break_ties, cdf_to_theta, has_ties, interpolate, pool,
-                         theta_to_cdf)
+                         ObservedDataset, SimConfig, TieError, ValidationError,
+                         ValuationDistribution, break_ties, cdf_to_theta,
+                         export_bid_log, export_dataset, fit, has_ties,
+                         ingest_bid_csv, interpolate, pool, read_dataset,
+                         run_auction, run_study, theta_to_cdf)
+from secondprice.bands import _simulate_profile
 from secondprice.pipeline import fit_initial
 
 from helpers import naive_jittered_reserves
@@ -106,7 +109,7 @@ class TestObservedDataset:
         assert np.array_equal(ds.m, [3, 4, 0, 0])
         assert np.array_equal(ds.final_price, [19.0, 25.0, 13.0, 7.0])
         assert not ds.price.flags.writeable
-        # the arrays are layout, not data: equality and hash ignore them
+        # the arrays and tau are the data: equality and hash compare them
         assert ds == four_auction_dataset()
         assert hash(ds) == hash(four_auction_dataset())
         sub = ds.take([2, 0])
@@ -114,6 +117,70 @@ class TestObservedDataset:
         assert np.array_equal(sub.offsets, [0, 0, 3])
         assert np.array_equal(sub.price, [12, 15, 19])
         assert sub == ObservedDataset((ds.auctions[2], ds.auctions[0]), TAU)
+
+    @pytest.mark.parametrize("idx", [[1, 1, 3, 1], [3, 2, 1, 0], [2, 3, 2], [0], [-1, 0]])
+    def test_take_matches_records(self, idx):
+        # repeats, reversed order and auctions without jumps
+        ds = four_auction_dataset()
+        sub = ds.take(idx)
+        want = ObservedDataset(tuple(ds.auctions[k] for k in idx), TAU)
+        assert sub == want and hash(sub) == hash(want)
+        for name in ("reserve", "sold", "offsets", "price", "wait", "tail"):
+            assert np.array_equal(getattr(sub, name), getattr(want, name))
+        assert sub.auctions == want.auctions
+
+    def test_one_ulp_apart_is_unequal(self):
+        ds = four_auction_dataset()
+        wait = ds.wait.copy()
+        wait[4] = np.nextafter(wait[4], np.inf)
+        other = ObservedDataset.from_arrays(ds.reserve, ds.sold, ds.m, ds.price, wait, TAU)
+        assert other != ds and ds != other
+        same = ObservedDataset.from_arrays(ds.reserve, ds.sold, ds.m, ds.price,
+                                           ds.wait.copy(), TAU)
+        assert same == ds and hash(same) == hash(ds)
+
+    def test_hash_agrees_with_equality(self):
+        # -0.0 == 0.0, so the two reserves must hash alike
+        a = ObservedDataset((AuctionRecord(-0.0, 10.0, ((1.0, 2.0),), True),), 10.0)
+        b = ObservedDataset((AuctionRecord(0.0, 10.0, ((1.0, 2.0),), True),), 10.0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, four_auction_dataset(), four_auction_dataset()}) == 2
+
+    def test_hot_paths_build_no_records(self, tmp_path, monkeypatch):
+        dist = ValuationDistribution.uniform(1.0, 20.0)
+        rng = np.random.default_rng(3)
+        traces = [(0.5, *run_auction(1.0, 10.0, 0.5, dist, rng, return_trace=True)[1])
+                  for _ in range(30)]
+        export_bid_log(tmp_path / "log.csv", traces, 10.0)
+
+        def refuse(record):
+            raise RuntimeError("an AuctionRecord was built")
+
+        monkeypatch.setattr(AuctionRecord, "__post_init__", refuse)
+        with pytest.raises(RuntimeError):
+            AuctionRecord(1.0, 10.0, (), False)
+        ds = run_study(SimConfig(lam=1.0, tau=100.0, K=200, seed=4), dist)
+        export_dataset(ds, tmp_path / "ds.csv")
+        assert read_dataset(tmp_path / "ds.csv") == ds
+        _, report = ingest_bid_csv(tmp_path / "log.csv", 10.0, noise_seed=1,
+                                   noise_scale=0.0)
+        assert report.reserve_jitter
+        assert ds.take([5, 2, 2]).K == 3
+        break_ties(ds, np.random.default_rng(0))
+        fit(ds)
+        _simulate_profile(1.0, 20.0, np.zeros(50), np.random.default_rng(1))
+
+    def test_from_arrays_names_the_invalid_auction(self):
+        ds = four_auction_dataset()
+        price = ds.price.copy()
+        price[5] = price[4]      # auction 1's third jump repeats its second
+        with pytest.raises(ValidationError) as err:
+            ObservedDataset.from_arrays(ds.reserve, ds.sold, ds.m, price, ds.wait, TAU)
+        assert err.value.violations == [
+            "auction 1: jump prices not strictly increasing at 18.0 -> 18.0"]
+        with pytest.raises(ValidationError):
+            ObservedDataset.from_arrays(ds.reserve, ds.sold, [3, 4, 0], ds.price,
+                                        ds.wait, TAU)
 
 
 def no_jump_dataset(reserves=(3.0, 1.0, 2.0), sold=(True, False, True)):
@@ -253,7 +320,7 @@ class TestMonotoneCurve:
 
     def test_interpolate_anchor_zero(self):
         step = MonotoneCurve([1.0, 2.0], [0.4, 1.0], kind="step")
-        pl = interpolate(step, anchor_zero=True)
+        pl = interpolate(step)
         assert pl.kind == "pl"
         assert pl.knots[0] == 0.0 and pl(0.0) == 0.0
         assert pl(1.0) == pytest.approx(0.4)

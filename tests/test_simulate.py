@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from helpers import naive_replay
+from helpers import naive_jittered_reserves, naive_replay
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from secondprice import (SimConfig, ValidationError, ValuationDistribution,
-                         has_ties, replay_bids, run_auction, run_study)
+from secondprice import (AuctionRecord, ObservedDataset, SimConfig,
+                         ValidationError, ValuationDistribution, has_ties,
+                         replay_bids, run_auction, run_study)
+from secondprice.simulate import _chunks, replay_streams
 
 
 class TestStandingPriceUpdate:
@@ -125,6 +127,71 @@ class TestReplay:
         if above:
             pool = sorted(list(bids) + [reserve])
             assert rec.final_price == pytest.approx(pool[-2])
+
+
+def _random_streams(rng, lengths, tau):
+    """(reserve, times, bids) with bids often equal to each other or to
+    the reserve, all placed before ``tau``."""
+    streams = []
+    for n in lengths:
+        values = np.where(rng.random(n) < 0.3, rng.choice(_FEW_VALUES, n),
+                          rng.uniform(0.0, 20.0, n))
+        times = np.cumsum(rng.uniform(0.01, 1.0, n)) * (0.99 * tau / n if n else 1.0)
+        streams.append((float(rng.choice(_FEW_VALUES)), times, values))
+    return streams
+
+
+class TestBatchedReplay:
+    """Every row of a batched replay equals the per-bid oracle."""
+
+    @staticmethod
+    def assert_rows_match_oracle(streams, tau):
+        got = replay_streams(streams, tau)
+        records = tuple(naive_replay(r, tau, t, b) for r, t, b in streams)
+        assert got == ObservedDataset(records, tau)
+        # each auction's waits added left to right, one at a time
+        assert got.tail.tolist() == [max(0.0, tau - sum(a.waits)) for a in records]
+
+    def test_empty_streams(self):
+        rng = np.random.default_rng(1)
+        self.assert_rows_match_oracle(_random_streams(rng, [0, 0, 0], 10.0), 10.0)
+        self.assert_rows_match_oracle(_random_streams(rng, [0, 4, 0, 0, 7, 0], 10.0), 10.0)
+
+    def test_rows_of_very_different_lengths(self):
+        rng = np.random.default_rng(2)
+        lengths = [0, 1, 900, 2, 57, 0, 3, 1, 250]
+        streams = _random_streams(rng, lengths, 50.0)
+        assert len(list(_chunks(streams))) == 1
+        self.assert_rows_match_oracle(streams, 50.0)
+
+    def test_batch_spanning_several_chunks(self):
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(0, 900, 400)
+        lengths[7] = 0
+        streams = _random_streams(rng, lengths, 50.0)
+        assert len(list(_chunks(streams))) > 1
+        self.assert_rows_match_oracle(streams, 50.0)
+
+    @pytest.mark.parametrize("lam, tau", [(1.0, 0.05), (10.0, 100.0)])
+    def test_study_equals_single_auction_runs(self, lam, tau):
+        # lambda * tau = 0.05 (nearly every auction without a bid) and
+        # 1000; the constant reserve ties, so the jitter runs too
+        config = SimConfig(lam=lam, tau=tau, K=300, seed=21)
+        dist = ValuationDistribution.gamma(10.0, 2.0)
+        streams = np.random.SeedSequence(config.seed).spawn(config.K + 1)
+        records = []
+        for k in range(config.K):
+            rec, (times, bids) = run_auction(lam, tau, 0.0, dist,
+                                             np.random.default_rng(streams[k]),
+                                             return_trace=True)
+            assert rec == naive_replay(0.0, tau, times, bids)
+            records.append(rec)
+        reserves = naive_jittered_reserves(records, np.random.default_rng(streams[-1]))
+        want = ObservedDataset(tuple(AuctionRecord(r, tau, a.jumps, a.sold)
+                                     for r, a in zip(reserves, records)), tau)
+        got = run_study(config, dist)
+        assert got == want
+        assert np.array_equal(got.tail, want.tail)
 
 
 class TestRunAuction:
