@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .ingest import open_output
 from .model import MonotoneCurve, ObservedDataset
 from .pipeline import DEFAULT_Q, fit, fit_initial
 from .simulate import ValuationDistribution, simulate_auctions
@@ -163,14 +163,9 @@ def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
 def write_band_csv(band: ConfidenceBand, estimate: MonotoneCurve, path,
                    header_lines=()) -> None:
     """Band CSV with columns (x, lower, upper, estimate)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with open_output(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "lower", "upper", "estimate"])
         est = np.asarray(estimate(band.knots))
-        for x, lo, hi, e in zip(band.knots, band.lower, band.upper, est):
-            writer.writerow([repr(float(x)), repr(float(lo)),
-                             repr(float(hi)), repr(float(e))])
+        writer.writerows([repr(float(v)) for v in row]
+                         for row in zip(band.knots, band.lower, band.upper, est))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bands import _fit_kind, estimate_median_bias, hulc_band, write_band_csv
 from .errors import NumericalError, SecondPriceError, ValidationError
-from .ingest import export_dataset, ingest_bid_csv, read_dataset
+from .ingest import export_dataset, ingest_bid_csv, open_output, read_dataset
 from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
 from .model import MonotoneCurve
 from .pipeline import DEFAULT_Q, fit, fit_initial
@@ -125,11 +125,7 @@ def _header_lines(config: dict) -> list:
 
 
 def _write_curves_csv(path, header_lines, knots, series):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with open_output(path, header_lines) as fh:
         fh.write("x," + ",".join(name for name, _ in series) + "\n")
         cols = [np.asarray(curve(knots)) for _, curve in series]
         for i, x in enumerate(knots):
@@ -185,13 +181,10 @@ def cmd_simulate(args) -> int:
 
 
 def _write_trace_csv(path, history) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep", "loglik"])
-        for s, v in enumerate(history):
-            writer.writerow([s, repr(float(v))])
+        writer.writerows([s, repr(float(v))] for s, v in enumerate(history))
 
 
 def cmd_estimate(args) -> int:
@@ -216,7 +209,8 @@ def cmd_estimate(args) -> int:
     }
     blob = json.dumps(diagnostics, indent=2, sort_keys=True)
     if args.out_json:
-        Path(args.out_json).write_text(blob + "\n")
+        with open_output(args.out_json) as fh:
+            fh.write(blob + "\n")
     print(blob)
     return EXIT_OK
 
@@ -228,7 +222,7 @@ def cmd_bands(args) -> int:
         lam_hat, selection, _, f_init = fit_initial(dataset, q=args.q,
                                                     epsilon=args.epsilon)
         reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
-        reserves[list(selection.V)] = 0.0
+        reserves[selection.V] = 0.0
         delta = estimate_median_bias(args.kind, dataset.K, lam_hat, dataset.tau,
                                      reserves, args.bias_reps,
                                      np.random.default_rng(args.seed),
@@ -284,7 +278,8 @@ def cmd_ingest(args) -> int:
                    header_lines=_header_lines(_provenance(args)))
     lines = report.lines()
     if args.report_out:
-        Path(args.report_out).write_text("\n".join(lines) + "\n")
+        with open_output(args.report_out) as fh:
+            fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"wrote {dataset.K} auctions to {args.out}")
     return EXIT_OK
@@ -298,20 +293,12 @@ def export_plot_data(curves: dict, band, path, svg_path=None) -> None:
     if band is not None:
         knot_sets.append(np.asarray(band.knots, dtype=float))
     xs = np.unique(np.concatenate(knot_sets))
-    rows = []
-    for name, curve in series.items():
-        for x, v in zip(xs, np.asarray(curve(xs))):
-            rows.append((float(x), name, float(v)))
+    columns = [(name, np.asarray(curve(xs))) for name, curve in series.items()]
     if band is not None:
-        lo = np.interp(xs, band.knots, band.lower)
-        hi = np.interp(xs, band.knots, band.upper)
-        for x, v in zip(xs, lo):
-            rows.append((float(x), "band_lower", float(v)))
-        for x, v in zip(xs, hi):
-            rows.append((float(x), "band_upper", float(v)))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+        columns += [("band_lower", np.interp(xs, band.knots, band.lower)),
+                    ("band_upper", np.interp(xs, band.knots, band.upper))]
+    rows = [(float(x), name, float(v)) for name, vs in columns for x, v in zip(xs, vs)]
+    with open_output(path) as fh:
         fh.write("x,series,value\n")
         for x, name, v in rows:
             fh.write(f"{x!r},{name},{v!r}\n")
@@ -349,9 +336,8 @@ def _write_svg(svg_path, xs, rows) -> None:
         parts.append(f'<text x="{width - margin - 130}" y="{margin + 16 * idx}" '
                      f'fill="{color}" font-size="12">{name}</text>')
     parts.append("</svg>")
-    svg_path = Path(svg_path)
-    svg_path.parent.mkdir(parents=True, exist_ok=True)
-    svg_path.write_text("\n".join(parts) + "\n")
+    with open_output(svg_path) as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def cmd_plot(args) -> int:

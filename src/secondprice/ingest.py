@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ObservedDataset, audit_auctions, break_ties, has_ties
-from .simulate import replay_bids, replay_streams
+from .simulate import replay_streams
 
 _COLUMNS = ("auctionid", "bid", "bidtime", "bidder", "bidderrate",
             "openbid", "price")
@@ -181,6 +182,19 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
     return dataset, report
 
 
+@contextmanager
+def open_output(path, header_lines=()):
+    """Open an output file for writing text as given (``newline=""``),
+    making its parent directory first, and write each of ``header_lines``
+    as a ``# line`` comment before the caller's own content."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        yield fh
+
+
 def export_bid_log(path, traces, duration_days: float) -> None:
     """Write simulated traces as a bid log.
 
@@ -188,18 +202,16 @@ def export_bid_log(path, traces, duration_days: float) -> None:
     synthetic bidder id per row (so dedup is a no-op) and the final
     selling price column computed by replay.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    traces = list(traces)
+    finals = replay_streams(traces, duration_days).final_price.tolist()
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
-        for k, (reserve, times, bids) in enumerate(traces):
-            record = replay_bids(reserve, duration_days, times, bids)
+        for k, ((reserve, times, bids), final) in enumerate(zip(traces, finals)):
             for j, (t, b) in enumerate(zip(times, bids)):
                 writer.writerow([k + 1, repr(float(b)), repr(float(t)),
                                  f"bidder{k + 1}_{j}", 0,
-                                 repr(float(reserve)),
-                                 repr(float(record.final_price))])
+                                 repr(float(reserve)), repr(final)])
 
 
 def export_dataset(dataset: ObservedDataset, path,
@@ -207,11 +219,7 @@ def export_dataset(dataset: ObservedDataset, path,
     """Canonical dump: an auction header row followed by one row per
     standing-price jump; floats written with repr so the read side
     recovers them bit-for-bit."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with open_output(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "auction", "reserve_or_price",
                          "duration_or_wait", "sold"])

@@ -17,12 +17,13 @@ from .model import (MonotoneCurve, ObservedDataset, ThetaVector, cdf_to_theta,
 
 @dataclass(frozen=True)
 class LowReserveSelection:
-    """Auctions whose reserves sit inside the chosen epsilon-window."""
+    """Auctions whose reserves sit inside the chosen epsilon-window:
+    ``V`` holds their 0-based indices, ascending, as a read-only array."""
 
     r_min: float
     q: float
     epsilon: float
-    V: frozenset  # 0-based auction indices
+    V: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,9 @@ def select_low_reserve(dataset: ObservedDataset, q: float,
             "no reserve window achieves the requested q-fraction; relax (q, epsilon)")
     best = v[ok].min()
     inside = (dataset.reserve > best - epsilon) & (dataset.reserve < best + epsilon)
-    return LowReserveSelection(float(best), q, epsilon,
-                               frozenset(int(k) for k in np.flatnonzero(inside)))
+    V = np.flatnonzero(inside)
+    V.flags.writeable = False
+    return LowReserveSelection(float(best), q, epsilon, V)
 
 
 def g_lambda_cdf(eta, lambda_r: float, tau: float):
@@ -87,8 +89,7 @@ def g_lambda_cdf(eta, lambda_r: float, tau: float):
 
 
 def _sold_above_reserve(dataset: ObservedDataset, selection: LowReserveSelection):
-    ks = np.fromiter(selection.V, np.intp, len(selection.V))
-    return ks[dataset.m[ks] > 0]
+    return selection.V[dataset.m[selection.V] > 0]
 
 
 def estimate_f_fp(dataset: ObservedDataset,

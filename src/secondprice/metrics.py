@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .ingest import open_output
 from .model import MonotoneCurve, ObservedDataset
 from .pipeline import DEFAULT_Q, fit, fit_initial
 from .simulate import SimConfig, ValuationDistribution, run_study
@@ -208,11 +208,7 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
 
 def write_report_csv(reports, path, header_lines=()) -> None:
     """One row per setting, mirroring the study-table layout."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with open_output(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["setting", "replicates", "failures",
                          "ks_mle", "ks_init", "tv_mle", "tv_init"])

@@ -10,18 +10,17 @@ One set of rules, :func:`audit_auctions`, checks both.
 
 Indexing conventions
 --------------------
-Rank arrays (``u``, ``S``, ``Sbar``) and the bookkeeping vectors ``l`` and
-``qsize`` are 1-based, matching the order-statistic definitions they come
-from: ``u[j]`` is the position of the j-th pooled non-reserve standing
-price inside ``z`` counting from 1.  Auction index sets (``Ks``) are
-plain 0-based Python indices into the dataset's auctions.
+The rank arrays ``u`` and ``sbar``, the rank sets ``S`` and ``Sbar`` and
+the vectors ``l`` and ``qsize`` are 1-based, matching the order-statistic
+definitions they come from: ``u[j]`` is the position of the j-th pooled
+non-reserve standing price inside ``z`` counting from 1.  Auction indices
+(``ks``, and the set ``Ks``) are 0-based.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -193,9 +192,9 @@ class ObservedDataset:
         last = np.append(self.price, 0.0)[self.offsets[1:] - 1]  # unused where m == 0
         return np.where(self.m > 0, last, self.reserve)
 
-    @cached_property
+    @property
     def auctions(self) -> tuple[AuctionRecord, ...]:
-        """The auctions as records, built on first access."""
+        """The auctions as records, built on each access."""
         reserve, sold, offsets = (a.tolist() for a in (self.reserve, self.sold, self.offsets))
         jumps = list(zip(self.price.tolist(), self.wait.tolist()))
         return tuple(AuctionRecord(reserve[k], self.tau, tuple(jumps[lo:hi]), sold[k])
@@ -235,27 +234,49 @@ def break_ties(dataset: ObservedDataset, rng: np.random.Generator,
 class PooledData:
     """Merged cross-auction order structures used by the likelihood.
 
-    ``xbar``/``z`` are ascending price arrays (the jump prices, and the
-    jump prices with the reserves); ``ttilde`` carries the time each price
-    in ``z`` stood as its auction's selling price; ``u``, ``S``, ``Sbar``
-    are 1-based ranks (see module docstring); ``l``/``qsize`` follow the
-    partition bookkeeping of the log-likelihood; ``Ks`` holds the 0-based
-    indices of the sold auctions.
+    Stored as arrays: ``z``, every reserve and jump price in ascending
+    order; ``ttilde``, the time each price in ``z`` stood as its auction's
+    selling price; ``u`` and ``sbar``, the ascending 1-based ranks in ``z``
+    of the jump prices and of the final selling prices; ``ks``, the
+    ascending indices of the sold auctions.  Derived on access: the jump
+    prices ``xbar``, the likelihood's bookkeeping ``l[i-1]`` (the count of
+    u_j <= i) and ``qsize[i-1]`` (of sbar_j >= i), and the paper's sets
+    ``S`` (the ranks of the final prices in ``xbar``), ``Sbar`` and ``Ks``.
     """
 
-    xbar: np.ndarray
     z: np.ndarray
-    u: np.ndarray
-    S: frozenset
-    Sbar: frozenset
-    Ks: frozenset
     ttilde: np.ndarray
-    l: np.ndarray
-    qsize: np.ndarray
+    u: np.ndarray
+    sbar: np.ndarray
+    ks: np.ndarray
+
+    @property
+    def xbar(self) -> np.ndarray:
+        return self.z[self.u - 1]
+
+    @property
+    def l(self) -> np.ndarray:
+        return np.searchsorted(self.u, np.arange(1, self.n + 1), side="right")
+
+    @property
+    def qsize(self) -> np.ndarray:
+        return len(self.sbar) - np.searchsorted(self.sbar, np.arange(1, self.n + 1))
+
+    @property
+    def S(self) -> frozenset:
+        return frozenset((np.searchsorted(self.u, self.sbar) + 1).tolist())
+
+    @property
+    def Sbar(self) -> frozenset:
+        return frozenset(self.sbar.tolist())
+
+    @property
+    def Ks(self) -> frozenset:
+        return frozenset(self.ks.tolist())
 
     @property
     def ell(self) -> int:
-        return len(self.xbar)
+        return len(self.u)
 
     @property
     def n(self) -> int:
@@ -267,29 +288,20 @@ def pool(dataset: ObservedDataset) -> PooledData:
     """Merge the standing prices of all auctions into the pooled order
     structures.  Raises :class:`TieError` if any two pooled prices are
     equal (the caller is expected to jitter and retry)."""
-    if has_ties(dataset):
-        raise TieError("ties among pooled prices; apply noise before pooling")
-
     # per auction, the reserve then its jump prices; each price stands
     # until the next wait of its auction, the last one until the close
     starts, ends = dataset.offsets[:-1], dataset.offsets[1:]
     prices = np.insert(dataset.price, starts, dataset.reserve)
     order = np.argsort(prices)
     z = prices[order]
+    if np.any(np.diff(z) == 0.0):
+        raise TieError("ties among pooled prices; apply noise before pooling")
     ttilde = np.insert(dataset.wait, ends, dataset.tail)[order]
-    xbar = np.sort(dataset.price)
-    finals = dataset.price[ends[dataset.m > 0] - 1]   # of auctions sold above reserve
-
-    # 1-based ranks of xbar inside z, and of the final selling prices
-    u = np.searchsorted(z, xbar) + 1
-    S = frozenset((np.searchsorted(xbar, finals) + 1).tolist())
-    sbar = np.sort(np.searchsorted(z, finals) + 1)
-    idx = np.arange(1, len(z) + 1)
-    l = np.searchsorted(u, idx, side="right")          # count of u_j <= i
-    qsize = len(sbar) - np.searchsorted(sbar, idx, side="left")
-    return PooledData(xbar=xbar, z=z, u=u, S=S, Sbar=frozenset(sbar.tolist()),
-                      Ks=frozenset(np.flatnonzero(dataset.sold).tolist()),
-                      ttilde=ttilde, l=l.astype(int), qsize=qsize.astype(int))
+    kind = np.ones(len(dataset.price), dtype=np.int8)   # 1 for a jump price,
+    kind[ends[dataset.m > 0] - 1] = 2                   # 2 for a final one,
+    kind = np.insert(kind, starts, 0)[order]            # 0 for a reserve
+    return PooledData(z=z, ttilde=ttilde, u=np.flatnonzero(kind) + 1,
+                      sbar=np.flatnonzero(kind == 2) + 1, ks=np.flatnonzero(dataset.sold))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Independent reference implementations used to verify the library:
 a per-bid standing-price state machine, per-auction reserve jitter, the
-initial estimate built record by record, a direct-definition
-log-likelihood, a brute-force coordinate curvature weight, and an
-exhaustive grid search over the survival-ratio box."""
+initial estimate and the pooled order structures built record by record,
+a direct-definition log-likelihood, a brute-force coordinate curvature
+weight, and an exhaustive grid search over the survival-ratio box."""
 
 import math
 
@@ -61,8 +61,8 @@ def naive_initial_estimate(dataset, selection):
     line from the estimate at c to 1 at p1, and (0, 0) in front.
     Returns ((p1, p2, c, 1.0), knots, values).
     """
-    sold = [dataset.auctions[k] for k in sorted(selection.V)
-            if dataset.auctions[k].jumps]
+    auctions = dataset.auctions
+    sold = [auctions[k] for k in sorted(selection.V) if auctions[k].jumps]
     firsts = sorted(a.jumps[0][0] for a in sold)
     finals = [a.final_price for a in sold]
     n = len(firsts)
@@ -79,6 +79,24 @@ def naive_initial_estimate(dataset, selection):
     if knots[0] > 0.0:
         knots, values = [0.0] + knots, [0.0] + values
     return (p1, p2, c, 1.0), np.array(knots), np.array(values)
+
+
+def naive_pooled(auctions):
+    """The pooled order structures from their definitions, auction by
+    auction.  z holds every reserve and jump price in ascending order and
+    xbar the jump prices; S and Sbar are the 1-based ranks in xbar and in
+    z of the final prices of the auctions with a jump; Ks holds the
+    indices of the sold auctions; l counts the jump prices at or below
+    each z_i, and qsize the final prices at or above it."""
+    z = sorted([a.reserve for a in auctions] + [x for a in auctions for x in a.prices])
+    xbar = sorted(x for a in auctions for x in a.prices)
+    finals = [a.final_price for a in auctions if a.jumps]
+    return dict(xbar=np.array(xbar),
+                S=frozenset(xbar.index(x) + 1 for x in finals),
+                Sbar=frozenset(z.index(x) + 1 for x in finals),
+                Ks=frozenset(k for k, a in enumerate(auctions) if a.sold),
+                l=np.array([sum(x <= zi for x in xbar) for zi in z]),
+                qsize=np.array([sum(x >= zi for x in finals) for zi in z]))
 
 
 def naive_loglik(theta, pooled, lam):

@@ -12,7 +12,8 @@ from scipy import optimize
 
 from secondprice import (AuctionRecord, NumericalError, ObservedDataset,
                          ValidationError, conditional_mean_jumps,
-                         estimate_lambda, g_eval, g_inverse, replay_bids)
+                         estimate_lambda, g_eval, g_inverse)
+from secondprice.simulate import replay_streams
 
 
 def series_mean_jumps(x: float, n_max: int = 200) -> float:
@@ -47,11 +48,11 @@ class TestConditionalMeanJumps:
         # arrival order and count standing-price changes
         rng = np.random.default_rng(1000 + n)
         reps = 20000
-        counts = np.empty(reps)
         times = np.arange(1.0, n + 1.0)
-        for r in range(reps):
-            bids = rng.random(n)
-            counts[r] = replay_bids(0.0, float(n + 1), times, bids).m
+        # one row of draws per rep, as rng.random(n) would give in turn
+        bids = rng.random((reps, n))
+        counts = replay_streams(((0.0, times, b) for b in bids),
+                                float(n + 1)).m.astype(float)
         se = counts.std(ddof=1) / math.sqrt(reps)
         # n=2 always produces exactly one change, so allow zero spread
         assert abs(counts.mean() - conditional_mean_jumps(n)) <= 3.0 * se + 1e-12

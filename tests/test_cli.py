@@ -282,6 +282,15 @@ class TestEstimate:
         assert float(rows[-1][1]) == diag["final_objective"]
         assert diag["config"]["trace"] == str(trace)
 
+    def test_outputs_make_their_directories(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        capsys.readouterr()
+        curves, blob = tmp_path / "new1" / "c.csv", tmp_path / "new2" / "e.json"
+        assert main(["estimate", "--data", str(data), "--out-curves",
+                     str(curves), "--out-json", str(blob)]) == 0
+        assert json.loads(blob.read_text()) == json.loads(capsys.readouterr().out)
+        assert curves.exists()
+
     def test_unconstrained_flag(self, tmp_path):
         data = simulate(tmp_path)
         blob = tmp_path / "diag.json"
@@ -437,6 +446,19 @@ class TestIngestCommand:
         assert "auctions: 2" in report.read_text()
         ds = read_dataset(out)
         assert ds.K == 2
+
+    def test_report_makes_its_directory(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+            "1,5.0,1.0,alice,0,0.5,5.0\n"
+            "1,7.0,2.0,bob,0,0.5,5.0\n")
+        report = tmp_path / "new" / "report.txt"
+        assert main(["ingest", "--data", str(log), "--duration", "7",
+                     "--out", str(tmp_path / "dataset.csv"),
+                     "--report-out", str(report)]) == 0
+        assert report.read_text().splitlines() == \
+            capsys.readouterr().out.splitlines()[:-1]
 
     def test_non_finite_rows_are_validation_errors(self, tmp_path, capsys):
         log = tmp_path / "log.csv"

@@ -77,13 +77,19 @@ class TestSelectLowReserve:
         ds = reserves_dataset([0.0, 0.01, 100.0])
         sel = select_low_reserve(ds, q=0.5, epsilon=1.0)
         assert sel.r_min == 0.0
-        assert sel.V == frozenset({0, 1})
+        assert np.array_equal(sel.V, [0, 1])
 
     def test_picks_the_smallest_feasible_window(self):
         ds = reserves_dataset([0.5, 0.6, 5.0, 5.1, 5.2])
         sel = select_low_reserve(ds, q=0.4, epsilon=0.2)
-        assert sel.V == frozenset({0, 1})
+        assert np.array_equal(sel.V, [0, 1])
         assert sel.r_min <= 0.6
+
+    def test_selection_is_a_sorted_read_only_index_array(self):
+        ds = reserves_dataset([5.0, 0.0, 100.0, 0.01])
+        sel = select_low_reserve(ds, q=0.5, epsilon=1.0)
+        assert isinstance(sel.V, np.ndarray) and sel.V.dtype == np.intp
+        assert np.array_equal(sel.V, [1, 3]) and not sel.V.flags.writeable
 
     def test_no_window_raises(self):
         ds = reserves_dataset([0.0, 10.0, 20.0, 30.0])
@@ -109,7 +115,7 @@ class TestPartialEstimators:
                 [(6.0, 1.0)],
             ])
         sel = select_low_reserve(ds, q=0.5, epsilon=0.1)
-        assert sel.V == frozenset({0, 1, 2})
+        assert np.array_equal(sel.V, [0, 1, 2])
         return ds, sel
 
     def test_first_price_estimator_values(self):
@@ -143,7 +149,7 @@ class TestSplice:
                 [(8.0, 1.0)],
             ])
         sel = select_low_reserve(ds, q=0.5, epsilon=0.1)
-        assert sel.V == frozenset({0, 1, 2, 3})
+        assert np.array_equal(sel.V, [0, 1, 2, 3])
         f_fp = MonotoneCurve([2.0, 5.0, 9.0, 11.0], [0.2, 0.5, 0.9, 1.0],
                              kind="step")
         return ds, sel, f_fp
@@ -193,7 +199,7 @@ class TestSplice:
         ds = reserves_dataset([0.0, 0.01, 5.0],
                               jumps_per_auction=[[(x, 1.0)], None, [(9.0, 1.0)]])
         _, sel, anchors, f_init = fit_initial(ds, q=0.5, epsilon=0.1)
-        assert sel.V == frozenset({0, 1})
+        assert np.array_equal(sel.V, [0, 1])
         assert anchors == SpliceAnchors(p1=x, p2=x, c=x, bridge_value=1.0)
         assert np.array_equal(f_init.knots, [0.0, x])
         assert np.array_equal(f_init.values, [0.0, 1.0])

@@ -298,7 +298,7 @@ def criterion_dataset(kind, K, seed, batch=False):
     if batch:
         # the first of the five band batches of criterion 9
         chunk = np.array_split(np.random.default_rng(seed).permutation(K), 5)[0]
-        ds = ObservedDataset(tuple(ds.auctions[int(k)] for k in chunk), ds.tau)
+        ds = ds.take(chunk)
     return ds
 
 

@@ -1,5 +1,7 @@
 """Domain types, pooling order structures, and the survival-ratio maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from secondprice import (AuctionRecord, MonotoneCurve, NumericalError,
 from secondprice.bands import _simulate_profile
 from secondprice.pipeline import fit_initial
 
-from helpers import naive_jittered_reserves
+from helpers import naive_jittered_reserves, naive_pooled
 
 TAU = 30.0
 
@@ -248,6 +250,30 @@ class TestPooling:
         a2 = AuctionRecord(1.0, 10.0, (), False)
         with pytest.raises(TieError):
             pool(ObservedDataset((a1, a2), 10.0))
+
+    def test_pool_rejects_a_reserve_tying_another_auctions_jump(self):
+        a1 = AuctionRecord(1.0, 10.0, ((2.0, 1.0),), True)
+        a2 = AuctionRecord(2.0, 10.0, (), False)
+        with pytest.raises(TieError, match="^ties among pooled prices; "
+                                           "apply noise before pooling$"):
+            pool(ObservedDataset((a1, a2), 10.0))
+
+    def test_stored_fields_are_arrays(self):
+        p = pool(four_auction_dataset())
+        for f in dataclasses.fields(p):
+            assert isinstance(getattr(p, f.name), np.ndarray), f.name
+
+    def test_matches_per_auction_reference(self):
+        # random reserves leave auctions unsold, and sold without a jump
+        ds = run_study(SimConfig(lam=0.5, tau=10.0, K=60, seed=3,
+                                 reserve_policy=lambda rng: rng.uniform(0.0, 15.0)),
+                       ValuationDistribution.uniform(1.0, 20.0))
+        assert (~ds.sold).any() and (ds.sold & (ds.m == 0)).any()
+        p, want = pool(ds), naive_pooled(ds.auctions)
+        for name in ("xbar", "l", "qsize"):
+            assert np.array_equal(getattr(p, name), want[name]), name
+        assert p.xbar.dtype == np.float64 and p.l.dtype == p.qsize.dtype == np.intp
+        assert (p.S, p.Sbar, p.Ks) == (want["S"], want["Sbar"], want["Ks"])
 
     def test_break_ties_then_pool(self):
         a1 = AuctionRecord(1.0, 10.0, ((2.0, 1.0),), True)
