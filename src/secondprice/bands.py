@@ -6,13 +6,12 @@ scale (Uniform(0,1) valuations, transformed reserves)."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .ingest import open_output
+from .ingest import write_csv
 from .model import MonotoneCurve, ObservedDataset
 from .pipeline import DEFAULT_Q, fit, fit_initial
 from .simulate import ValuationDistribution, simulate_auctions
@@ -163,9 +162,5 @@ def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
 def write_band_csv(band: ConfidenceBand, estimate: MonotoneCurve, path,
                    header_lines=()) -> None:
     """Band CSV with columns (x, lower, upper, estimate)."""
-    with open_output(path, header_lines) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "lower", "upper", "estimate"])
-        est = np.asarray(estimate(band.knots))
-        writer.writerows([repr(float(v)) for v in row]
-                         for row in zip(band.knots, band.lower, band.upper, est))
+    write_csv(path, ("x", "lower", "upper", "estimate"),
+              zip(band.knots, band.lower, band.upper, estimate(band.knots)), header_lines)

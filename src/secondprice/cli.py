@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 usage error, 3 input validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -28,7 +27,8 @@ import numpy as np
 
 from .bands import _fit_kind, estimate_median_bias, hulc_band, write_band_csv
 from .errors import NumericalError, SecondPriceError, ValidationError
-from .ingest import export_dataset, ingest_bid_csv, open_output, read_dataset
+from .ingest import (csv_rows, export_dataset, ingest_bid_csv, open_output,
+                     read_dataset, write_csv)
 from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
 from .model import MonotoneCurve
 from .pipeline import DEFAULT_Q, fit, fit_initial
@@ -124,29 +124,18 @@ def _header_lines(config: dict) -> list:
     return [f"{k}={v}" for k, v in sorted(config.items())]
 
 
-def _write_curves_csv(path, header_lines, knots, series):
-    with open_output(path, header_lines) as fh:
-        fh.write("x," + ",".join(name for name, _ in series) + "\n")
-        cols = [np.asarray(curve(knots)) for _, curve in series]
-        for i, x in enumerate(knots):
-            fh.write(",".join([repr(float(x))] + [repr(float(c[i])) for c in cols])
-                     + "\n")
-
-
 def _read_numeric_csv(path, width=None):
     """Header names and the float rows of a CSV whose '#' lines are
     comments.  The first ``width`` fields of every row (default: one per
     header name) are read and must be finite numbers; a short or
     malformed row raises ValidationError naming its line."""
-    lines = [(n, r) for n, r in enumerate(Path(path).read_text().splitlines(), 1)
-             if r and not r.startswith("#")]
+    lines = list(csv_rows(path))
     if len(lines) < 2:
         raise ValidationError(f"{path} needs a header row and at least one data row")
-    names = lines[0][1].split(",")
+    names = lines[0][1]
     width = width or len(names)
     data = []
-    for lineno, line in lines[1:]:
-        fields = line.split(",")
+    for lineno, fields in lines[1:]:
         try:
             if len(fields) < width:
                 raise ValueError(f"expected {width} fields, got {len(fields)}")
@@ -180,23 +169,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_trace_csv(path, history) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "loglik"])
-        writer.writerows([s, repr(float(v))] for s, v in enumerate(history))
-
-
 def cmd_estimate(args) -> int:
     dataset = read_dataset(args.data)
     result = fit(dataset, q=args.q, epsilon=args.epsilon, tol=args.tol,
                  max_sweeps=args.max_sweeps, constrained=not args.unconstrained)
     if args.trace is not None:
-        _write_trace_csv(args.trace, result.ascent.history)
+        write_csv(args.trace, ("sweep", "loglik"),
+                  enumerate(map(float, result.ascent.history)))
     config = _provenance(args)
     knots = np.unique(np.concatenate((result.f_init.knots, result.cdf.knots)))
-    _write_curves_csv(args.out_curves, _header_lines(config), knots,
-                      [("f_init", result.f_init), ("f_mle", result.cdf)])
+    write_csv(args.out_curves, ("x", "f_init", "f_mle"),
+              zip(knots, result.f_init(knots), result.cdf(knots)), _header_lines(config))
     diagnostics = {
         "lambda_hat": result.lambda_hat,
         "r_min": result.selection.r_min,
@@ -293,22 +276,20 @@ def export_plot_data(curves: dict, band, path, svg_path=None) -> None:
     if band is not None:
         knot_sets.append(np.asarray(band.knots, dtype=float))
     xs = np.unique(np.concatenate(knot_sets))
-    columns = [(name, np.asarray(curve(xs))) for name, curve in series.items()]
+    columns = [(name, np.asarray(curve(xs), dtype=float)) for name, curve in series.items()]
     if band is not None:
         columns += [("band_lower", np.interp(xs, band.knots, band.lower)),
                     ("band_upper", np.interp(xs, band.knots, band.upper))]
-    rows = [(float(x), name, float(v)) for name, vs in columns for x, v in zip(xs, vs)]
-    with open_output(path) as fh:
-        fh.write("x,series,value\n")
-        for x, name, v in rows:
-            fh.write(f"{x!r},{name},{v!r}\n")
+    write_csv(path, ("x", "series", "value"),
+              ((x, name, v) for name, vs in columns for x, v in zip(xs, vs)))
     if svg_path is not None:
-        _write_svg(svg_path, xs, rows)
+        _write_svg(svg_path, xs, columns)
 
 
-def _write_svg(svg_path, xs, rows) -> None:
+def _write_svg(svg_path, xs, columns) -> None:
+    """Draw each (name, values) column over the ascending ``xs``."""
     width, height, margin = 640, 480, 50
-    x0, x1 = float(xs.min()), float(xs.max())
+    x0, x1 = xs[0], xs[-1]
     span = (x1 - x0) or 1.0
 
     def sx(x):
@@ -318,9 +299,6 @@ def _write_svg(svg_path, xs, rows) -> None:
         return height - margin - min(max(v, 0.0), 1.0) * (height - 2 * margin)
 
     palette = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b"]
-    by_series: dict = {}
-    for x, name, v in rows:
-        by_series.setdefault(name, []).append((x, v))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -328,9 +306,9 @@ def _write_svg(svg_path, xs, rows) -> None:
              f'y2="{height - margin}" stroke="black"/>',
              f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
              f'y2="{height - margin}" stroke="black"/>']
-    for idx, (name, pts) in enumerate(sorted(by_series.items())):
+    for idx, (name, vs) in enumerate(sorted(columns, key=lambda c: c[0])):
         color = palette[idx % len(palette)]
-        coords = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in sorted(pts))
+        coords = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(xs, vs))
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{coords}"/>')
         parts.append(f'<text x="{width - margin - 130}" y="{margin + 16 * idx}" '

@@ -7,15 +7,22 @@ latest bid of each bidder within an auction, adds small uniform noise to
 the retained bids to remove ties, and replays the stream through the
 standing-price mechanics.  The canonical format is a lossless dump of an
 ObservedDataset that round-trips exactly.
+
+Every CSV file the package makes is written by `write_csv` and read back
+by `csv_rows`: ``#`` comment lines, a header row, unquoted fields and a
+newline after every line.  Only the bid-log reader uses the csv module,
+since an external log may quote its fields.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +202,32 @@ def open_output(path, header_lines=()):
         yield fh
 
 
+def _field(value) -> str:
+    # numpy's float64 is a float, and repr(float(v)) drops its type name
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_csv(path, names, rows, header_lines=()) -> None:
+    """Write the ``# line`` comments, the header row and one comma-joined
+    line per row, each ended by a newline.  A float is written as
+    ``repr(float(v))``, so it reads back bit-for-bit; nothing is quoted,
+    since every field the package writes is a number or a fixed word."""
+    with open_output(path, header_lines) as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(",".join(map(_field, row)) + "\n" for row in rows)
+
+
+def csv_rows(path):
+    """Yield ``(line number, fields)`` for each non-blank line of a file
+    that `write_csv` wrote.  A ``#`` line is a comment, dropped before any
+    field is split; CRLF and LF line endings read alike."""
+    with Path(path).open() as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line and not line.startswith("#"):
+                yield lineno, line.split(",")
+
+
 def export_bid_log(path, traces, duration_days: float) -> None:
     """Write simulated traces as a bid log.
 
@@ -204,14 +237,10 @@ def export_bid_log(path, traces, duration_days: float) -> None:
     """
     traces = list(traces)
     finals = replay_streams(traces, duration_days).final_price.tolist()
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        for k, ((reserve, times, bids), final) in enumerate(zip(traces, finals)):
-            for j, (t, b) in enumerate(zip(times, bids)):
-                writer.writerow([k + 1, repr(float(b)), repr(float(t)),
-                                 f"bidder{k + 1}_{j}", 0,
-                                 repr(float(reserve)), repr(final)])
+    write_csv(path, _COLUMNS, (
+        [k + 1, float(b), float(t), f"bidder{k + 1}_{j}", 0, float(reserve), final]
+        for k, ((reserve, times, bids), final) in enumerate(zip(traces, finals))
+        for j, (t, b) in enumerate(zip(times, bids))))
 
 
 def export_dataset(dataset: ObservedDataset, path,
@@ -219,18 +248,15 @@ def export_dataset(dataset: ObservedDataset, path,
     """Canonical dump: an auction header row followed by one row per
     standing-price jump; floats written with repr so the read side
     recovers them bit-for-bit."""
-    with open_output(path, header_lines) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "auction", "reserve_or_price",
-                         "duration_or_wait", "sold"])
-        tau = repr(float(dataset.tau))
-        reserve, sold, offsets, price, wait = (
-            a.tolist() for a in (dataset.reserve, dataset.sold, dataset.offsets,
-                                 dataset.price, dataset.wait))
-        for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            writer.writerow(["auction", k, repr(reserve[k]), tau, int(sold[k])])
-            writer.writerows(["jump", k, repr(x), repr(t), ""]
-                             for x, t in zip(price[lo:hi], wait[lo:hi]))
+    tau = float(dataset.tau)
+    reserve, sold, offsets, price, wait = (
+        a.tolist() for a in (dataset.reserve, dataset.sold, dataset.offsets,
+                             dataset.price, dataset.wait))
+    rows = ([("auction", k, reserve[k], tau, int(sold[k]))]
+            + [("jump", k, x, t, "") for x, t in zip(price[lo:hi], wait[lo:hi])]
+            for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])))
+    write_csv(path, ("kind", "auction", "reserve_or_price", "duration_or_wait", "sold"),
+              chain.from_iterable(rows), header_lines)
 
 
 def read_dataset(path) -> ObservedDataset:
@@ -241,40 +267,39 @@ def read_dataset(path) -> ObservedDataset:
     invalid auction raises :class:`ValidationError` naming its line.
     """
     path = Path(path)
-    headers, jumps, m = [], [], []  # (line, reserve, duration, sold); (price, wait); counts
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = (r for r in reader if r and not r[0].startswith("#"))
-        if next(rows, [""])[0] != "kind":
-            raise ValidationError(f"{path} is not a canonical dataset file")
-        for r in rows:
-            try:
-                if len(r) != 5:
-                    raise ValueError(f"expected 5 fields, got {len(r)}")
-                kind, k, a, b = r[0], int(r[1]), float(r[2]), float(r[3])
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    raise ValueError(f"non-finite value in {r[2:4]}")
-                if kind == "auction":
-                    if k != len(headers):
-                        raise ValueError(f"auction rows out of order at index {k}")
-                    if r[4] not in ("0", "1"):
-                        raise ValueError(f"sold must be 0 or 1, got {r[4]!r}")
-                    headers.append((reader.line_num, a, b, r[4] == "1"))
-                    m.append(0)
-                elif kind == "jump":
-                    if not headers or k != len(headers) - 1:
-                        raise ValueError(f"jump row for auction {k} does not "
-                                         f"follow that auction's row")
-                    jumps.append((a, b))
-                    m[k] += 1
-                else:
-                    raise ValueError(f"unknown row kind {kind!r}")
-            except ValueError as exc:
-                raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
+    headers, m = [], []  # (line, reserve, duration, sold); jump counts
+    price, wait = array("d"), array("d")
+    rows = csv_rows(path)
+    if next(rows, (0, [""]))[1][0] != "kind":
+        raise ValidationError(f"{path} is not a canonical dataset file")
+    for lineno, r in rows:
+        try:
+            if len(r) != 5:
+                raise ValueError(f"expected 5 fields, got {len(r)}")
+            kind, k, a, b = r[0], int(r[1]), float(r[2]), float(r[3])
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"non-finite value in {r[2:4]}")
+            if kind == "auction":
+                if k != len(headers):
+                    raise ValueError(f"auction rows out of order at index {k}")
+                if r[4] not in ("0", "1"):
+                    raise ValueError(f"sold must be 0 or 1, got {r[4]!r}")
+                headers.append((lineno, a, b, r[4] == "1"))
+                m.append(0)
+            elif kind == "jump":
+                if not headers or k != len(headers) - 1:
+                    raise ValueError(f"jump row for auction {k} does not "
+                                     f"follow that auction's row")
+                price.append(a)
+                wait.append(b)
+                m[k] += 1
+            else:
+                raise ValueError(f"unknown row kind {kind!r}")
+        except ValueError as exc:
+            raise ValidationError(f"{path} line {lineno}: {exc}") from None
     if not headers:
         raise ValidationError(f"{path} contains no auctions")
     lines, reserve, duration, sold = zip(*headers)
-    price, wait = np.array(jumps, dtype=float).reshape(-1, 2).T
     tau = duration[0]
     violations = [(k, f"duration {d} != common tau {tau}")
                   for k, d in enumerate(duration) if d != tau]

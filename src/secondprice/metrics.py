@@ -4,13 +4,12 @@ datasets, and the train/test split protocol for observed data."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .ingest import open_output
+from .ingest import write_csv
 from .model import MonotoneCurve, ObservedDataset
 from .pipeline import DEFAULT_Q, fit, fit_initial
 from .simulate import SimConfig, ValuationDistribution, run_study
@@ -208,11 +207,9 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
 
 def write_report_csv(reports, path, header_lines=()) -> None:
     """One row per setting, mirroring the study-table layout."""
-    with open_output(path, header_lines) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "replicates", "failures",
-                         "ks_mle", "ks_init", "tv_mle", "tv_init"])
-        for r in reports:
-            writer.writerow([r.label, r.replicates, r.failures,
-                             f"{r.mean_ks_mle:.4f}", f"{r.mean_ks_init:.4f}",
-                             f"{r.mean_tv_mle:.4f}", f"{r.mean_tv_init:.4f}"])
+    write_csv(path, ("setting", "replicates", "failures",
+                     "ks_mle", "ks_init", "tv_mle", "tv_init"),
+              ([r.label, r.replicates, r.failures,
+                f"{r.mean_ks_mle:.4f}", f"{r.mean_ks_init:.4f}",
+                f"{r.mean_tv_mle:.4f}", f"{r.mean_tv_init:.4f}"] for r in reports),
+              header_lines)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from secondprice import read_dataset
+from secondprice import export_bid_log, read_dataset
 from secondprice.cli import main, parse_dist
 
 
@@ -427,6 +427,37 @@ class TestPlotCommand:
         assert main(["plot", "--curves", str(curves), "--bands", str(bands),
                      "--out-csv", str(tmp_path / "plot.csv")]) == 3
         assert f"{bands} line 4" in capsys.readouterr().err
+
+
+class TestCsvDialect:
+    def test_outputs_end_every_line_in_newline_alone(self, tmp_path):
+        data = simulate(tmp_path)
+        curves, trace = tmp_path / "c.csv", tmp_path / "trace.csv"
+        band, report = tmp_path / "band.csv", tmp_path / "report.csv"
+        plot, log = tmp_path / "plot.csv", tmp_path / "log.csv"
+        assert main(["estimate", "--data", str(data), "--out-curves",
+                     str(curves), "--trace", str(trace)]) == 0
+        assert main(["bands", "--data", str(data), "--kind", "init",
+                     "--alpha", "0.3", "--out", str(band)]) == 0
+        assert main(["replicate", "--setting", "uniform:1,8:25", "--reps",
+                     "1", "--lambda", "0.5", "--tau", "20.0", "--out",
+                     str(report)]) == 0
+        assert main(["plot", "--curves", str(curves), "--bands", str(band),
+                     "--out-csv", str(plot)]) == 0
+        export_bid_log(log, [(0.5, np.array([1.0, 2.0]), np.array([3.0, 4.0]))],
+                       10.0)
+        for path in (data, curves, trace, band, report, plot, log):
+            raw = path.read_bytes()
+            assert b"\r" not in raw and raw.endswith(b"\n"), path.name
+
+    def test_output_path_holding_a_quote_and_a_comma(self, tmp_path, capsys):
+        # the echoed "# out=..." line is a comment, never the start of a
+        # quoted field
+        data = simulate(tmp_path, name='a,"b.csv')
+        curves = tmp_path / 'c,"d.csv'
+        assert main(["estimate", "--data", str(data), "--out-curves",
+                     str(curves)]) == 0
+        assert main(["metrics", "--curves", str(curves)]) == 0
 
 
 class TestIngestCommand:

@@ -209,6 +209,12 @@ class TestCanonicalFormat:
         assert "np.float64" not in path.read_text()
         assert read_dataset(path) == ds
 
+    def test_crlf_file_reads_like_lf(self, tmp_path, uniform_dataset):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        export_dataset(uniform_dataset, lf, header_lines=["source=test"])
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_dataset(crlf) == read_dataset(lf) == uniform_dataset
+
     GOOD = ("kind,auction,reserve_or_price,duration_or_wait,sold\n"
             "auction,0,1.0,10.0,1\n"
             "jump,0,2.0,1.0,\n"
@@ -221,6 +227,11 @@ class TestCanonicalFormat:
         assert ds.K == 2
         assert ds.auctions[0].jumps == ((2.0, 1.0),)
         assert not ds.auctions[1].sold
+
+    def test_comment_lines_are_never_parsed(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text('# out=a,"b.csv\n' + self.GOOD + '# "\n')
+        assert read_dataset(path).K == 2
 
     @pytest.mark.parametrize("row", [
         "jump,5,3.0,1.0,",        # auction index never declared

@@ -85,3 +85,23 @@ def test_dataset_layout_stays_in_model_and_ingest():
             if isinstance(node, ast.Attribute) and node.attr in ("auctions", "jumps"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_csv_dialect_stays_in_ingest():
+    # ingest.py writes and splits every CSV file the package makes, so
+    # there is one dialect; the other modules call write_csv and csv_rows
+    scripts = SRC.parents[1] / "scripts"
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *scripts.glob("*.py")]):
+        if path.parent == SRC and path.name == "ingest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "csv" in (n.split(".")[0] for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
