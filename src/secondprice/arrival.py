@@ -92,8 +92,7 @@ def estimate_lambda(dataset: ObservedDataset, low_reserve_set) -> float:
     """Arrival-rate estimate from the mean jump count over auctions with
     negligible reserve prices (F at those reserves is treated as 0), given
     as an index array such as ``LowReserveSelection.V`` or any iterable."""
-    idx = (low_reserve_set if isinstance(low_reserve_set, np.ndarray)
-           else np.fromiter(low_reserve_set, np.intp))
+    idx = np.fromiter(low_reserve_set, np.intp)
     if not idx.size:
         raise NumericalError("low-reserve auction set is empty; relax (q, epsilon)")
     mean_jumps = float(np.mean(dataset.m[idx]))
