@@ -46,20 +46,14 @@ _SERIES_W = np.array([conditional_mean_jumps(n) / math.factorial(n)
                       for n in _SERIES_N])
 
 
-def g_eval(x):
+def g_eval(x: float) -> float:
     """Expected standing-price changes per auction, E[2(H_N - 1); N >= 2]
-    for N ~ Poisson(x); scalar in, float out, array in, array out."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    for N ~ Poisson(x)."""
+    if x < 0:
         raise ValidationError("Poisson mean must be non-negative")
-    # each branch sees only arguments on its own side of the switch
-    small = np.minimum(arr, _SERIES_BELOW)
-    big = np.maximum(arr, _SERIES_BELOW)
-    series = np.exp(-small) * (small[..., None] ** _SERIES_N @ _SERIES_W)
-    closed = 2.0 * (np.euler_gamma + np.log(big) + special.exp1(big)
-                    + np.expm1(-big))
-    out = np.where(arr < _SERIES_BELOW, series, closed)
-    return float(out) if out.ndim == 0 else out
+    if x < _SERIES_BELOW:
+        return float(np.exp(-x) * (x ** _SERIES_N @ _SERIES_W))
+    return float(2.0 * (np.euler_gamma + np.log(x) + special.exp1(x) + np.expm1(-x)))
 
 
 def g_inverse(y: float) -> float:

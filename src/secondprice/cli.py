@@ -8,9 +8,10 @@ key=value text file whose keys are the command's flag names (without
 type (a switch such as ``--unconstrained`` takes 1/0, true/false, yes/no
 or on/off) and becomes the command's default, so explicit flags win over
 config entries, which win over built-in defaults.  An unknown key, a key
-set twice and a value that does not parse are validation errors.  The
-command's parsed options are echoed into every output file for
-provenance.
+set twice and a value that does not parse are validation errors.  For
+provenance, the command's parsed options are echoed as ``# key=value``
+lines at the top of the dataset, curves, band and report CSVs, and as
+the ``config`` key of ``estimate --out-json``.
 Exit codes: 0 success, 2 usage error, 3 input validation failure,
 4 numerical failure.
 """

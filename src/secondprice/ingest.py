@@ -192,13 +192,14 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
 @contextmanager
 def open_output(path, header_lines=()):
     """Open an output file for writing text as given (``newline=""``),
-    making its parent directory first, and write each of ``header_lines``
-    as a ``# line`` comment before the caller's own content."""
+    making its parent directory first, and write each line of each of
+    ``header_lines`` as a ``# line`` comment before the caller's own
+    content, so a value holding a line break stays a comment."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         for line in header_lines:
-            fh.write(f"# {line}\n")
+            fh.writelines(f"# {part}\n" for part in line.splitlines())
         yield fh
 
 

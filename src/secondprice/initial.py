@@ -31,26 +31,22 @@ class SpliceAnchors:
     """Splice geometry of the initial estimate: p1 and p2 are the largest
     and the smallest final selling price over the qualifying low-reserve
     auctions, c the splice point where the first-price estimate hands
-    over to the bridge, and bridge_value the level the linear bridge
-    reaches at p1."""
+    over to the linear bridge that reaches 1 at p1."""
 
     p1: float
     p2: float
     c: float
-    bridge_value: float
 
     def __post_init__(self):
         if self.c > min(self.p1, self.p2) + 1e-12:
             raise ValidationError("splice point must not exceed min(p1, p2)")
-        if not 0.0 <= self.bridge_value <= 1.0:
-            raise ValidationError("bridge value must lie in [0, 1]")
 
 
 def select_low_reserve(dataset: ObservedDataset, q: float,
                        epsilon: float) -> LowReserveSelection:
     """Smallest non-negative r_min whose (r_min - eps, r_min + eps)
     window captures at least a q-fraction of the reserve prices."""
-    if not 0.0 < q < 1.0 or epsilon <= 0:
+    if not 0.0 < q < 1.0 or not epsilon > 0:
         raise ValidationError("need 0 < q < 1 and epsilon > 0")
     rs = np.sort(dataset.reserve)
     K = len(rs)
@@ -118,20 +114,20 @@ def compute_splice_anchors(dataset: ObservedDataset,
             "no low-reserve auction sold above its reserve; relax (q, epsilon)")
     p1, p2 = float(prices.max()), float(prices.min())
     c = float(np.max(f_fp.knots[f_fp.knots <= min(p1, p2)], initial=0.0))
-    return SpliceAnchors(p1, p2, c, 1.0)
+    return SpliceAnchors(p1, p2, c)
 
 
 def combine_initial(f_fp: MonotoneCurve,
                     anchors: SpliceAnchors) -> MonotoneCurve:
     """The continuous initial estimate: the first-price estimate up to
-    the splice point, then a linear bridge to ``bridge_value`` at p1,
-    interpolated linearly between knots and anchored at (0, 0)."""
+    the splice point, then a linear bridge to 1 at p1, interpolated
+    linearly between knots and anchored at (0, 0)."""
     p1, c = anchors.p1, anchors.c
     fc = float(f_fp(c))
     knots = np.unique(np.concatenate((f_fp.knots[f_fp.knots <= c], [c, p1])))
     with np.errstate(divide="ignore", invalid="ignore"):
         # taken only where c < x, so never when p1 == c
-        bridge = fc + np.divide(anchors.bridge_value - fc, p1 - c) * (knots - c)
+        bridge = fc + np.divide(1.0 - fc, p1 - c) * (knots - c)
     values = np.where(knots <= c, f_fp(knots), bridge)
     return interpolate(MonotoneCurve(knots, values, kind="step"))
 

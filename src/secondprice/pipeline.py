@@ -29,19 +29,18 @@ def default_epsilon(dataset: ObservedDataset) -> float:
     return max(0.01, 0.01 * med)
 
 
-def clip_theta0(theta0: ThetaVector, ctx: LikelihoodContext,
-                clip: float = _THETA_CLIP) -> ThetaVector:
+def clip_theta0(theta0: ThetaVector, ctx: LikelihoodContext) -> ThetaVector:
     """Push the starting point strictly inside the feasible region.
 
     The interpolated initial estimate can be flat (ratio exactly 1 at a
     jump position) or saturated at 1 (ratio 0 ahead of later jumps);
     either makes the objective -inf, so those entries are nudged by
-    ``clip`` before the ascent starts.
+    ``_THETA_CLIP`` before the ascent starts.
     """
     t = np.asarray(theta0.theta, dtype=float).copy()
-    t[ctx.is_jump] = np.minimum(t[ctx.is_jump], 1.0 - clip)
+    t[ctx.is_jump] = np.minimum(t[ctx.is_jump], 1.0 - _THETA_CLIP)
     pos = ctx.coef > 0
-    t[pos] = np.maximum(t[pos], clip)
+    t[pos] = np.maximum(t[pos], _THETA_CLIP)
     return ThetaVector(t)
 
 

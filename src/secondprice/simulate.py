@@ -8,10 +8,9 @@ export all share.
 Gamma and beta valuations are drawn with the generator's own
 ``standard_gamma`` and ``beta``.  Their CDFs and quantiles are the
 regularized incomplete gamma and beta functions of ``scipy.special``
-and their inverses, their densities are closed forms, and Pareto's are
-power laws.  These are the formulas ``scipy.stats`` evaluates, with the
-same argument scaling, so the draws and the CDFs equal its ``rvs`` and
-``cdf`` bit for bit."""
+and their inverses, and Pareto's are power laws.  These are the
+formulas ``scipy.stats`` evaluates, with the same argument scaling, so
+the draws and the CDFs equal its ``rvs`` and ``cdf`` bit for bit."""
 
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from scipy import special
 from .errors import ValidationError
 from .model import AuctionRecord, ObservedDataset, break_ties, has_ties
 
-_KINDS = ("uniform", "piecewise_uniform", "pareto", "gamma", "beta", "table")
+_KINDS = ("uniform", "piecewise_uniform", "pareto", "gamma", "beta")
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,8 @@ class ValuationDistribution:
 
     Supported kinds: ``uniform(a, b)``, ``piecewise_uniform`` (weighted
     mixture of uniforms), ``pareto(scale, shape)``, ``gamma(shape,
-    rate)``, ``beta(a, b)`` and ``table`` (inverse-CDF knots).  Pareto is
-    exposed with explicit (scale, shape) naming; both values are
-    configurable.
+    rate)`` and ``beta(a, b)``.  Pareto is exposed with explicit (scale,
+    shape) naming; both values are configurable.
     """
 
     kind: str
@@ -84,19 +82,6 @@ class ValuationDistribution:
             raise ValidationError("beta requires positive shape parameters")
         return ValuationDistribution("beta", (float(a), float(b)))
 
-    @staticmethod
-    def table(xs, ps) -> "ValuationDistribution":
-        """Inverse-CDF knots: F(xs[i]) = ps[i]; linear in between."""
-        xs = tuple(float(x) for x in xs)
-        ps = tuple(float(p) for p in ps)
-        if len(xs) != len(ps) or len(xs) < 2:
-            raise ValidationError("table needs >= 2 matching knots")
-        if any(np.diff(xs) <= 0) or any(np.diff(ps) < 0):
-            raise ValidationError("table knots must be increasing")
-        if ps[0] != 0.0 or ps[-1] != 1.0 or xs[0] < 0:
-            raise ValidationError("table must span probabilities 0..1 over x >= 0")
-        return ValuationDistribution("table", (xs, ps))
-
     # -- API ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "uniform":
@@ -111,9 +96,6 @@ class ValuationDistribution:
         if self.kind == "pareto":
             scale, shape = self.params
             return scale * rng.uniform(0.0, 1.0, size) ** (-1.0 / shape)
-        if self.kind == "table":
-            xs, ps = self.params
-            return np.interp(rng.uniform(0.0, 1.0, size), ps, xs)
         if self.kind == "gamma":
             shape, rate = self.params
             return rng.standard_gamma(shape, size) * (1.0 / rate)
@@ -130,9 +112,6 @@ class ValuationDistribution:
             for a, b, w in self.params:
                 out = out + w * np.clip((x - a) / (b - a), 0.0, 1.0)
             return out
-        if self.kind == "table":
-            xs, ps = self.params
-            return np.interp(x, xs, ps)
         if self.kind == "pareto":
             scale, shape = self.params
             return 1.0 - np.maximum(x / scale, 1.0) ** -shape
@@ -142,44 +121,6 @@ class ValuationDistribution:
         a, b = self.params
         return special.betainc(a, b, np.clip(x, 0.0, 1.0))
 
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            a, b = self.params
-            return np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-        if self.kind == "piecewise_uniform":
-            out = np.zeros_like(x, dtype=float)
-            for a, b, w in self.params:
-                out = out + np.where((x >= a) & (x <= b), w / (b - a), 0.0)
-            return out
-        if self.kind == "table":
-            xs, ps = self.params
-            slopes = np.diff(ps) / np.diff(xs)
-            idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-            return np.where((x >= xs[0]) & (x < xs[-1]), slopes[idx], 0.0)
-        # each density is evaluated on its support only, then zeroed
-        # outside it (NaN stays NaN)
-        if self.kind == "pareto":
-            scale, shape = self.params
-            y = x / scale
-            return np.where(y < 1.0, 0.0,
-                            shape * np.maximum(y, 1.0) ** (-shape - 1.0) / scale)
-        if self.kind == "gamma":
-            shape, rate = self.params
-            y = np.maximum(x, 0.0) / (1.0 / rate)
-            # the density vanishes as y -> inf, where xlogy(shape - 1, y) - y
-            # would be inf - inf
-            y_fin = np.where(y == np.inf, 0.0, y)
-            log_pdf = (special.xlogy(shape - 1.0, y_fin) - y_fin
-                       - special.gammaln(shape))
-            return np.where((x < 0.0) | (y == np.inf), 0.0,
-                            np.exp(log_pdf) / (1.0 / rate))
-        a, b = self.params
-        y = np.clip(x, 0.0, 1.0)
-        log_pdf = (special.xlogy(a - 1.0, y) + special.xlog1py(b - 1.0, -y)
-                   - special.betaln(a, b))
-        return np.where((x < 0.0) | (x > 1.0), 0.0, np.exp(log_pdf))
-
     def support(self) -> tuple[float, float]:
         """(lo, hi) with hi chosen so that F(hi) >= 1 - 1e-9 for
         unbounded distributions."""
@@ -187,9 +128,6 @@ class ValuationDistribution:
             return self.params
         if self.kind == "piecewise_uniform":
             return (min(p[0] for p in self.params), max(p[1] for p in self.params))
-        if self.kind == "table":
-            xs, _ = self.params
-            return (xs[0], xs[-1])
         q = 1.0 - 1e-9
         if self.kind == "pareto":
             scale, shape = self.params

@@ -59,7 +59,7 @@ def naive_initial_estimate(dataset, selection):
     below x; p1 and p2 are the largest and smallest final price; c is the
     largest first jump price at or below min(p1, p2) (0 if none); then a
     line from the estimate at c to 1 at p1, and (0, 0) in front.
-    Returns ((p1, p2, c, 1.0), knots, values).
+    Returns ((p1, p2, c), knots, values).
     """
     auctions = dataset.auctions
     sold = [auctions[k] for k in sorted(selection.V) if auctions[k].jumps]
@@ -78,7 +78,7 @@ def naive_initial_estimate(dataset, selection):
               for x in knots]
     if knots[0] > 0.0:
         knots, values = [0.0] + knots, [0.0] + values
-    return (p1, p2, c, 1.0), np.array(knots), np.array(values)
+    return (p1, p2, c), np.array(knots), np.array(values)
 
 
 def naive_pooled(auctions):

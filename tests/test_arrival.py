@@ -76,14 +76,16 @@ class TestMomentFunction:
 
         xs = np.geomspace(1e-4, 1e3, 201)
         ref = np.array([exact(x) for x in xs])
-        np.testing.assert_allclose(g_eval(xs), ref, rtol=4e-15, atol=0)
+        np.testing.assert_allclose([g_eval(x) for x in xs], ref, rtol=4e-15,
+                                   atol=0)
 
     def test_pins_zero_and_is_monotone(self):
         assert g_eval(0.0) == 0.0
         for centre in (0.01, 1.0):
-            seam = g_eval(np.linspace(0.98 * centre, 1.02 * centre, 401))
+            seam = [g_eval(x)
+                    for x in np.linspace(0.98 * centre, 1.02 * centre, 401)]
             assert np.all(np.diff(seam) > 0.0)
-        wide = g_eval(np.geomspace(1e-6, 1e6, 2001))
+        wide = [g_eval(x) for x in np.geomspace(1e-6, 1e6, 2001)]
         assert np.all(np.diff(wide) > 0.0)
 
     def test_inverse_round_trip(self):

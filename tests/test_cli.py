@@ -313,6 +313,16 @@ class TestEstimate:
         assert code == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--tol", "--epsilon"])
+    def test_nan_tolerance_or_window_is_validation_error(self, tmp_path,
+                                                         capsys, flag):
+        data = simulate(tmp_path)
+        capsys.readouterr()
+        code = main(["estimate", "--data", str(data), "--out-curves",
+                     str(tmp_path / "c.csv"), flag, "nan"])
+        assert code == 3
+        assert "> 0" in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     def test_distances_between_series(self, tmp_path, capsys):
@@ -458,6 +468,13 @@ class TestCsvDialect:
         assert main(["estimate", "--data", str(data), "--out-curves",
                      str(curves)]) == 0
         assert main(["metrics", "--curves", str(curves)]) == 0
+
+    @pytest.mark.parametrize("name", ["a\nb.csv", "c\rd.csv"])
+    def test_output_path_holding_a_line_break(self, tmp_path, capsys, name):
+        # each line of the echoed "# out=..." entry is a comment of its own
+        data = simulate(tmp_path, name=name)
+        assert main(["estimate", "--data", str(data), "--out-curves",
+                     str(tmp_path / "c.csv")]) == 0
 
 
 class TestIngestCommand:

@@ -160,7 +160,6 @@ class TestSplice:
         assert anchors.p1 == 15.0
         assert anchors.p2 == 10.0
         assert anchors.c == 9.0
-        assert anchors.bridge_value == 1.0
 
     def test_anchor_falls_back_to_zero(self):
         # no first-price knot at or below the smallest final price
@@ -171,9 +170,7 @@ class TestSplice:
 
     def test_invalid_anchors_rejected(self):
         with pytest.raises(ValidationError):
-            SpliceAnchors(p1=5.0, p2=4.0, c=4.5, bridge_value=1.0)
-        with pytest.raises(ValidationError):
-            SpliceAnchors(p1=5.0, p2=4.0, c=1.0, bridge_value=1.5)
+            SpliceAnchors(p1=5.0, p2=4.0, c=4.5)
 
     def test_combined_estimate(self):
         ds, sel, f_fp = self.make()
@@ -185,8 +182,8 @@ class TestSplice:
         # up to the splice point: the first-price estimate at its knots
         for x in (2.0, 5.0, 9.0):
             assert pl(x) == f_fp(x)
-        # the bridge reaches the target level at p1
-        assert pl(anchors.p1) == pytest.approx(anchors.bridge_value)
+        # the bridge reaches 1 at p1
+        assert pl(anchors.p1) == pytest.approx(1.0)
         assert pl(12.0) == pytest.approx(0.9 + 0.1 * 3.0 / 6.0)
         assert np.all(np.diff(pl.values) >= 0.0)
 
@@ -200,7 +197,7 @@ class TestSplice:
                               jumps_per_auction=[[(x, 1.0)], None, [(9.0, 1.0)]])
         _, sel, anchors, f_init = fit_initial(ds, q=0.5, epsilon=0.1)
         assert np.array_equal(sel.V, [0, 1])
-        assert anchors == SpliceAnchors(p1=x, p2=x, c=x, bridge_value=1.0)
+        assert anchors == SpliceAnchors(p1=x, p2=x, c=x)
         assert np.array_equal(f_init.knots, [0.0, x])
         assert np.array_equal(f_init.values, [0.0, 1.0])
 
@@ -214,8 +211,7 @@ class TestInitialEstimate:
         ds = run_study(SimConfig(lam=1.0, tau=tau, K=200, seed=17), dist)
         _, sel, anchors, f_init = fit_initial(ds)
         ref_anchors, ref_knots, ref_values = naive_initial_estimate(ds, sel)
-        assert (anchors.p1, anchors.p2, anchors.c,
-                anchors.bridge_value) == ref_anchors
+        assert (anchors.p1, anchors.p2, anchors.c) == ref_anchors
         assert np.array_equal(f_init.knots, ref_knots)
         assert np.array_equal(f_init.values, ref_values)
 

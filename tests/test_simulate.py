@@ -219,7 +219,6 @@ class TestValuationDistribution:
         ValuationDistribution.pareto(3.0, 100.0),
         ValuationDistribution.gamma(10.0, 2.0),
         ValuationDistribution.beta(2.0, 2.0),
-        ValuationDistribution.table([0.0, 1.0, 3.0], [0.0, 0.4, 1.0]),
     ])
     def test_cdf_sample_consistency(self, dist):
         rng = np.random.default_rng(42)
@@ -265,20 +264,6 @@ class TestValuationDistribution:
         x = np.concatenate((np.linspace(-1.0, 1.5 * hi, 2001),
                             [lo, hi, -0.0, -np.inf, np.inf]))
         np.testing.assert_allclose(dist.cdf(x), ref.cdf(x), rtol=1e-12, atol=0)
-        # every density vanishes at +-inf; scipy's gamma with shape > 1
-        # returns NaN at +inf (inf - inf in its log-density), so 0 is the
-        # reference there
-        finite = np.isfinite(x)
-        want = np.zeros_like(x)
-        want[finite] = ref.pdf(x[finite])
-        np.testing.assert_allclose(dist.pdf(x), want, rtol=1e-12, atol=0)
-
-    def test_pdf_integrates_to_one(self):
-        dist = ValuationDistribution.piecewise_uniform(
-            [(1, 2, 0.5), (3, 4, 0.5)])
-        grid = np.linspace(0.0, 5.0, 20001)
-        mass = np.trapezoid(dist.pdf(grid), grid)
-        assert mass == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("bad", [
         lambda: ValuationDistribution.uniform(3.0, 2.0),
@@ -287,7 +272,6 @@ class TestValuationDistribution:
         lambda: ValuationDistribution.gamma(1.0, 0.0),
         lambda: ValuationDistribution.beta(-1.0, 2.0),
         lambda: ValuationDistribution.piecewise_uniform([(1, 2, 0.7)]),
-        lambda: ValuationDistribution.table([0.0, 1.0], [0.0, 0.5]),
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ValidationError):
