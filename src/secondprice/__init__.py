@@ -18,8 +18,7 @@ from .metrics import (StudyReport, TrainTestReport, ks_distance,
 from .mle import (AscentResult, LikelihoodContext, coordinate_ascent, log_lik,
                   projected_newton, reconstruct_cdf)
 from .model import (AuctionRecord, MonotoneCurve, ObservedDataset, PooledData,
-                    ThetaVector, break_ties, cdf_to_theta, has_ties,
-                    interpolate, pool, theta_to_cdf)
+                    ThetaVector, break_ties, cdf_to_theta, has_ties, pool)
 from .pipeline import FitResult, clip_theta0, default_epsilon, fit, fit_initial
 from .simulate import (SimConfig, ValuationDistribution, replay_bids,
                        run_auction, run_study)

@@ -153,7 +153,7 @@ def _read_curves_csv(path):
     """Read a curves CSV back into {column: piecewise-linear curve}."""
     names, data = _read_numeric_csv(path)
     x = data[:, 0]
-    return {name: MonotoneCurve(x, np.clip(data[:, j], 0.0, 1.0), kind="pl")
+    return {name: MonotoneCurve(x, np.clip(data[:, j], 0.0, 1.0))
             for j, name in enumerate(names) if j > 0}
 
 

@@ -118,6 +118,10 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
         if missing:
             raise ValidationError([f"missing column {c!r}" for c in missing])
         for lineno, rec in enumerate(reader, start=2):
+            short = [c for c in _COLUMNS if rec[c] is None]
+            if short:
+                errors.append(f"row {lineno}: no value for {', '.join(short)}")
+                continue
             try:
                 row = BidRow(auctionid=rec["auctionid"].strip(),
                              bid=float(rec["bid"]),
@@ -126,7 +130,7 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
                              bidderrate=int(float(rec["bidderrate"])),
                              openbid=float(rec["openbid"]),
                              price=float(rec["price"]))
-            except (ValueError, ValidationError) as exc:
+            except (ValueError, OverflowError, ValidationError) as exc:
                 errors.append(f"row {lineno}: {exc}")
                 continue
             if row.bidtime > duration_days:

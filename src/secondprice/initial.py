@@ -1,7 +1,7 @@
 """Initial CDF estimator for low-reserve auctions: the first-price
 estimator built from first non-reserve standing prices, joined by a
-linear bridge to 1 at the largest final selling price, and interpolated;
-plus the starting parameter vector it induces."""
+linear bridge to 1 at the largest final selling price; plus the starting
+parameter vector it induces."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import (MonotoneCurve, ObservedDataset, ThetaVector, cdf_to_theta,
-                    interpolate)
+from .model import MonotoneCurve, ObservedDataset, ThetaVector, cdf_to_theta
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,18 @@ class SpliceAnchors:
     """Splice geometry of the initial estimate: p1 and p2 are the largest
     and the smallest final selling price over the qualifying low-reserve
     auctions, c the splice point where the first-price estimate hands
-    over to the linear bridge that reaches 1 at p1."""
+    over to the linear bridge that reaches 1 at p1.  Requires
+    c <= p2 <= p1."""
 
     p1: float
     p2: float
     c: float
 
     def __post_init__(self):
-        if self.c > min(self.p1, self.p2) + 1e-12:
-            raise ValidationError("splice point must not exceed min(p1, p2)")
+        if self.p2 > self.p1:
+            raise ValidationError("p2 must not exceed p1")
+        if self.c > self.p2:
+            raise ValidationError("splice point must not exceed p2")
 
 
 def select_low_reserve(dataset: ObservedDataset, q: float,
@@ -92,14 +94,15 @@ def estimate_f_fp(dataset: ObservedDataset,
                   selection: LowReserveSelection) -> MonotoneCurve:
     """First-price estimator: square-root inversion of the empirical CDF
     of first non-reserve standing prices (the min of the first two
-    above-reserve valuations)."""
+    above-reserve valuations), linear between the sorted prices and
+    anchored at (0, 0)."""
     ks = _sold_above_reserve(dataset, selection)
     if not ks.size:
         raise NumericalError("no low-reserve auction has a standing-price jump")
     prices = np.sort(dataset.price[dataset.offsets[ks]])
     n = len(prices)
     values = 1.0 - np.sqrt(1.0 - np.arange(1, n + 1) / n)
-    return MonotoneCurve(prices, values, kind="step")
+    return MonotoneCurve.from_zero(prices, values)
 
 
 def compute_splice_anchors(dataset: ObservedDataset,
@@ -107,21 +110,20 @@ def compute_splice_anchors(dataset: ObservedDataset,
                            f_fp: MonotoneCurve) -> SpliceAnchors:
     """p1 = largest and p2 = smallest final selling price over the
     low-reserve auctions sold above the reserve, c = largest first-price
-    knot (or 0) at or below min(p1, p2); the bridge reaches 1 at p1."""
+    knot (or 0) at or below p2; the bridge reaches 1 at p1."""
     prices = dataset.final_price[_sold_above_reserve(dataset, selection)]
     if not prices.size:
         raise NumericalError(
             "no low-reserve auction sold above its reserve; relax (q, epsilon)")
     p1, p2 = float(prices.max()), float(prices.min())
-    c = float(np.max(f_fp.knots[f_fp.knots <= min(p1, p2)], initial=0.0))
+    c = float(np.max(f_fp.knots[f_fp.knots <= p2], initial=0.0))
     return SpliceAnchors(p1, p2, c)
 
 
 def combine_initial(f_fp: MonotoneCurve,
                     anchors: SpliceAnchors) -> MonotoneCurve:
     """The continuous initial estimate: the first-price estimate up to
-    the splice point, then a linear bridge to 1 at p1, interpolated
-    linearly between knots and anchored at (0, 0)."""
+    the splice point, then a linear bridge to 1 at p1."""
     p1, c = anchors.p1, anchors.c
     fc = float(f_fp(c))
     knots = np.unique(np.concatenate((f_fp.knots[f_fp.knots <= c], [c, p1])))
@@ -129,7 +131,7 @@ def combine_initial(f_fp: MonotoneCurve,
         # taken only where c < x, so never when p1 == c
         bridge = fc + np.divide(1.0 - fc, p1 - c) * (knots - c)
     values = np.where(knots <= c, f_fp(knots), bridge)
-    return interpolate(MonotoneCurve(knots, values, kind="step"))
+    return MonotoneCurve(knots, values)
 
 
 def initial_theta(f_init: MonotoneCurve, z: np.ndarray) -> ThetaVector:

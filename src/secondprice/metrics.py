@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
-from .model import MonotoneCurve, ObservedDataset
-from .pipeline import DEFAULT_Q, fit, fit_initial
+from .model import ObservedDataset
+from .pipeline import DEFAULT_Q, fit
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 _TV_REFINE_TOL = 1e-5
@@ -44,12 +44,11 @@ def ks_distance(f1, f2) -> float:
     """sup |F1 - F2|.
 
     For piecewise-linear curves the difference is piecewise linear, so
-    the sup is attained on the union knot set; step curves additionally
-    contribute their left limits; analytic inputs are sampled on a
-    refinement grid over the combined support.
+    the sup is attained on the union knot set; analytic inputs are
+    sampled on a refinement grid over the combined support.
     """
     pts = _eval_points(f1, f2)
-    pts = np.concatenate((pts, np.nextafter(pts, -np.inf), [0.0]))
+    pts = np.concatenate((pts, [0.0]))
     pts = pts[pts >= 0.0]
     d = float(np.max(np.abs(_cdf_at(f1, pts) - _cdf_at(f2, pts))))
     # both functions reach their terminal value beyond the largest point;
@@ -85,10 +84,6 @@ def tv_distance(f1, f2) -> float:
     less than 1e-5.  Mass an estimate never accumulates is treated as an
     atom at the right end of the evaluation window.
     """
-    for f in (f1, f2):
-        if isinstance(f, MonotoneCurve) and f.kind == "step":
-            raise ValidationError(
-                "tv_distance needs piecewise-linear curves; interpolate first")
     pts = _eval_points(f1, f2)
     if pts[0] > 0.0:
         pts = np.concatenate(([0.0], pts))
@@ -131,7 +126,10 @@ def replicate_table(settings, replicates: int, base_seed: int,
     Reserves are 0 throughout (with automatic tie jitter), matching the
     negligible-reserve regime the arrival-rate estimator assumes.
     Replicates whose pipeline errors out are excluded and counted.
+    Needs ``replicates >= 1``.
     """
+    if replicates < 1:
+        raise ValidationError(f"need at least 1 replicate, got {replicates}")
     reports = []
     for s, (dist, K) in enumerate(settings):
         raw = []
@@ -179,9 +177,11 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
                     epsilon: float = None) -> TrainTestReport:
     """Random train/test splits at the given train fraction; the test-set
     MLE serves as the reference each train-set estimate is scored
-    against."""
+    against.  Needs ``replications >= 1``."""
     if not 0 < ratio < 1:
         raise ValidationError("train fraction must be in (0, 1)")
+    if replications < 1:
+        raise ValidationError(f"need at least 1 replication, got {replications}")
     n_train = int(round(ratio * dataset.K))
     if n_train < 1 or n_train >= dataset.K:
         raise ValidationError("split leaves an empty train or test set")

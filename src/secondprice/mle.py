@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NumericalError, ValidationError
-from .model import MonotoneCurve, PooledData, ThetaVector, interpolate, theta_to_cdf
+from .model import MonotoneCurve, PooledData, ThetaVector
 
 _ASSERT_SLACK = 1e-9
 _ARMIJO = 1e-4         # sufficient-increase fraction of the line search
@@ -379,6 +379,7 @@ def _reduced_newton(d, w, c, jump, starts):
 
 
 def reconstruct_cdf(theta_hat: ThetaVector, z: np.ndarray) -> MonotoneCurve:
-    """Piecewise-linear CDF estimate through the cumulative-product step
-    values on the pooled grid, anchored at (0, 0)."""
-    return interpolate(theta_to_cdf(theta_hat, np.asarray(z, dtype=float)))
+    """Piecewise-linear CDF estimate through F(z_i) = 1 - prod_{j<=i}
+    theta_j on the pooled grid, anchored at (0, 0)."""
+    values = np.clip(np.maximum.accumulate(1.0 - np.cumprod(theta_hat.theta)), 0.0, 1.0)
+    return MonotoneCurve.from_zero(z, values)

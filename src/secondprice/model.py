@@ -8,6 +8,11 @@ docstring), and every reader uses them.  An :class:`AuctionRecord` is one
 auction as a Python value, for building or inspecting small datasets.
 One set of rules, :func:`audit_auctions`, checks both.
 
+Curves
+------
+``MonotoneCurve(knots, values)`` takes no ``kind``: every curve is the
+piecewise-linear CDF through its knots, constant outside them.
+
 Indexing conventions
 --------------------
 The rank arrays ``u`` and ``sbar``, the rank sets ``S`` and ``Sbar`` and
@@ -306,17 +311,11 @@ def pool(dataset: ObservedDataset) -> PooledData:
 
 @dataclass(frozen=True)
 class MonotoneCurve:
-    """A CDF estimate: step or piecewise-linear over a knot grid.
-
-    Step curves are right-continuous, 0 below the first knot (all
-    estimators here are anchored at F(0) = 0) and constant beyond the
-    last knot.  Piecewise-linear curves are constant outside the knot
-    range.
-    """
+    """A CDF estimate: the piecewise-linear curve through ``(knots,
+    values)``, constant outside the knot range."""
 
     knots: np.ndarray
     values: np.ndarray
-    kind: str = "step"
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -324,8 +323,6 @@ class MonotoneCurve:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
         violations = []
-        if self.kind not in ("step", "pl"):
-            violations.append(f"unknown curve kind {self.kind!r}")
         if len(knots) != len(values) or len(knots) == 0:
             violations.append("knots and values must be equal-length and non-empty")
         elif not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
@@ -340,13 +337,17 @@ class MonotoneCurve:
         if violations:
             raise ValidationError(violations)
 
+    @classmethod
+    def from_zero(cls, knots, values) -> MonotoneCurve:
+        """The curve through ``(knots, values)``, anchored at (0, 0) when
+        the first knot is positive (every estimator here has F(0) = 0)."""
+        knots, values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+        if len(knots) and knots[0] > 0.0:
+            knots, values = np.concatenate(([0.0], knots)), np.concatenate(([0.0], values))
+        return cls(knots, values)
+
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "step":
-            idx = np.searchsorted(self.knots, x, side="right") - 1
-            out = np.where(idx >= 0, self.values[np.clip(idx, 0, None)], 0.0)
-        else:
-            out = np.interp(x, self.knots, self.values)
+        out = np.interp(np.asarray(x, dtype=float), self.knots, self.values)
         return out if out.ndim else float(out)
 
 
@@ -366,17 +367,6 @@ class ThetaVector:
         return len(self.theta)
 
 
-def theta_to_cdf(theta: ThetaVector, z: np.ndarray) -> MonotoneCurve:
-    """F(z_i) = 1 - prod_{j<=i} theta_j, as a step curve on z."""
-    t = theta.theta if isinstance(theta, ThetaVector) else np.asarray(theta, float)
-    z = np.asarray(z, dtype=float)
-    if len(t) != len(z):
-        raise ValidationError("theta and z must have equal length")
-    values = 1.0 - np.cumprod(t)
-    values = np.clip(np.maximum.accumulate(values), 0.0, 1.0)
-    return MonotoneCurve(z, values, kind="step")
-
-
 def cdf_to_theta(values: np.ndarray) -> ThetaVector:
     """theta_i = (1 - F(z_i)) / (1 - F(z_{i-1})), G(z_0) = 1, 0/0 := 0."""
     v = np.asarray(values, dtype=float)
@@ -385,14 +375,3 @@ def cdf_to_theta(values: np.ndarray) -> ThetaVector:
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.where(g_prev > 0.0, g / np.where(g_prev > 0, g_prev, 1.0), 0.0)
     return ThetaVector(np.clip(theta, 0.0, 1.0))
-
-
-def interpolate(curve: MonotoneCurve) -> MonotoneCurve:
-    """Linear interpolation of a step curve through its knot values,
-    anchored to pass through (0, 0)."""
-    knots = curve.knots
-    values = curve.values
-    if knots[0] > 0.0:
-        knots = np.concatenate(([0.0], knots))
-        values = np.concatenate(([0.0], values))
-    return MonotoneCurve(knots, values, kind="pl")

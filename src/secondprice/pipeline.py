@@ -32,7 +32,7 @@ def default_epsilon(dataset: ObservedDataset) -> float:
 def clip_theta0(theta0: ThetaVector, ctx: LikelihoodContext) -> ThetaVector:
     """Push the starting point strictly inside the feasible region.
 
-    The interpolated initial estimate can be flat (ratio exactly 1 at a
+    The piecewise-linear initial estimate can be flat (ratio exactly 1 at a
     jump position) or saturated at 1 (ratio 0 ahead of later jumps);
     either makes the objective -inf, so those entries are nudged by
     ``_THETA_CLIP`` before the ascent starts.

@@ -411,6 +411,11 @@ class TestReplicateCommand:
             assert main(["replicate", "--setting", spec]) == 3
             assert repr(spec) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_replicate_count_below_one_is_validation_error(self, capsys, reps):
+        assert main(["replicate", "--setting", "uniform:1,8:10", "--reps", reps]) == 3
+        assert "at least 1 replicate" in capsys.readouterr().err
+
 
 class TestPlotCommand:
     def test_plot_outputs(self, tmp_path):
@@ -522,4 +527,21 @@ class TestIngestCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert all(f"row {n}" in err for n in (3, 4, 5))
+        assert not out.exists()
+
+    def test_short_or_overflowing_rows_are_validation_errors(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+            "1,5.0,1.0,alice,0,0.5,8.0\n"
+            "1,6.0\n"
+            "1,7.0,2.0,bob,inf,0.5,8.0\n"
+            "1,8.0,3.0,carol,1e400,0.5,8.0\n")
+        out = tmp_path / "dataset.csv"
+        code = main(["ingest", "--data", str(log), "--duration", "7",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert all(f"row {n}" in err for n in (3, 4, 5))
+        assert "Traceback" not in err
         assert not out.exists()

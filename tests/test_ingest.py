@@ -126,11 +126,15 @@ class TestIngest:
         write_log(path, [
             ["1", -5.0, 1.0, "alice", 0, 1.0, 7.0],
             ["1", 5.0, 99.0, "bob", 0, 1.0, 7.0],
+            ["1", 6.0],
+            ["1", 5.0, 2.0, "carol", "inf", 1.0, 7.0],
+            ["1", 5.0, 3.0, "dave", "1e400", 1.0, 7.0],
         ])
         with pytest.raises(ValidationError) as err:
             ingest_bid_csv(path, duration_days=7.0, noise_seed=0)
         msg = str(err.value)
-        assert "row 2" in msg and "row 3" in msg
+        assert all(f"row {n}" in msg for n in (2, 3, 4, 5, 6))
+        assert "row 4: no value for bidtime, bidder, bidderrate, openbid, price" in msg
 
     def test_non_finite_rows_reported(self, tmp_path):
         path = tmp_path / "log.csv"

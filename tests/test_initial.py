@@ -3,6 +3,8 @@ scale, the first-price estimator, the splice that bridges it to 1 at
 the largest final selling price, and the whole initial estimate against
 a record-by-record reference."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from secondprice import (AuctionRecord, MonotoneCurve, NumericalError,
                          ValidationError, ValuationDistribution,
                          combine_initial, compute_splice_anchors,
                          estimate_f_fp, fit, g_lambda_cdf, initial_theta,
-                         run_study, select_low_reserve, theta_to_cdf)
+                         run_study, select_low_reserve)
 from secondprice import initial, pipeline
 from secondprice.pipeline import fit_initial
 
@@ -121,16 +123,29 @@ class TestPartialEstimators:
     def test_first_price_estimator_values(self):
         ds, sel = self.make()
         f_fp = estimate_f_fp(ds, sel)
-        # first jump prices of the qualifying sold auctions: 1.0 and 1.5
-        assert np.array_equal(f_fp.knots, [1.0, 1.5])
-        assert np.allclose(f_fp.values, [1.0 - np.sqrt(0.5), 1.0])
+        # first jump prices of the qualifying sold auctions: 1.0 and 1.5,
+        # joined linearly and anchored at (0, 0)
+        assert np.array_equal(f_fp.knots, [0.0, 1.0, 1.5])
+        assert np.array_equal(f_fp.values, [0.0, 1.0 - math.sqrt(0.5), 1.0])
+        assert f_fp(1.25) == pytest.approx(0.5 * (f_fp(1.0) + 1.0))
+
+    def test_first_price_estimator_matches_direct_computation(self, uniform_dataset):
+        _, sel, _, _ = fit_initial(uniform_dataset)
+        records = uniform_dataset.auctions
+        first = sorted(records[k].prices[0] for k in sel.V if records[k].m)
+        n = len(first)
+        f_fp = estimate_f_fp(uniform_dataset, sel)
+        assert f_fp(0.0) == 0.0
+        assert np.array_equal(f_fp.knots, [0.0, *first])
+        assert np.array_equal(f_fp(np.array(first)),
+                              [1.0 - math.sqrt(1.0 - i / n) for i in range(1, n + 1)])
 
     def test_no_sold_auction_raises(self):
         ds = reserves_dataset([0.0, 0.01])
         sel = select_low_reserve(ds, q=0.5, epsilon=0.1)
         with pytest.raises(NumericalError):
             estimate_f_fp(ds, sel)
-        f_fp = MonotoneCurve([1.0], [1.0], kind="step")
+        f_fp = MonotoneCurve([1.0], [1.0])
         with pytest.raises(NumericalError):
             compute_splice_anchors(ds, sel, f_fp)
 
@@ -150,8 +165,7 @@ class TestSplice:
             ])
         sel = select_low_reserve(ds, q=0.5, epsilon=0.1)
         assert np.array_equal(sel.V, [0, 1, 2, 3])
-        f_fp = MonotoneCurve([2.0, 5.0, 9.0, 11.0], [0.2, 0.5, 0.9, 1.0],
-                             kind="step")
+        f_fp = MonotoneCurve.from_zero([2.0, 5.0, 9.0, 11.0], [0.2, 0.5, 0.9, 1.0])
         return ds, sel, f_fp
 
     def test_anchor_geometry(self):
@@ -164,19 +178,21 @@ class TestSplice:
     def test_anchor_falls_back_to_zero(self):
         # no first-price knot at or below the smallest final price
         ds, sel, _ = self.make()
-        f_fp = MonotoneCurve([11.0], [1.0], kind="step")
+        f_fp = MonotoneCurve([11.0], [1.0])
         anchors = compute_splice_anchors(ds, sel, f_fp)
         assert anchors.c == 0.0
 
     def test_invalid_anchors_rejected(self):
-        with pytest.raises(ValidationError):
+        SpliceAnchors(p1=5.0, p2=4.0, c=4.0)
+        with pytest.raises(ValidationError, match="splice point"):
             SpliceAnchors(p1=5.0, p2=4.0, c=4.5)
+        with pytest.raises(ValidationError, match="p2"):
+            SpliceAnchors(p1=4.0, p2=5.0, c=3.0)
 
     def test_combined_estimate(self):
         ds, sel, f_fp = self.make()
         anchors = compute_splice_anchors(ds, sel, f_fp)
         pl = combine_initial(f_fp, anchors)
-        assert pl.kind == "pl"
         assert np.array_equal(pl.knots, [0.0, 2.0, 5.0, 9.0, 15.0])
         assert pl(0.0) == 0.0
         # up to the splice point: the first-price estimate at its knots
@@ -241,7 +257,6 @@ class TestInitialTheta:
     def test_round_trip_through_theta(self, raw):
         values = np.sort(np.asarray(raw))
         knots = np.arange(1.0, len(values) + 1.0)
-        curve = MonotoneCurve(knots, values, kind="pl")
+        curve = MonotoneCurve(knots, values)
         theta = initial_theta(curve, knots)
-        back = theta_to_cdf(theta, knots)
-        assert np.allclose(back.values, values, atol=1e-10)
+        assert np.allclose(1.0 - np.cumprod(theta.theta), values, atol=1e-10)

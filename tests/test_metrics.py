@@ -11,78 +11,62 @@ from secondprice import (MonotoneCurve, ValidationError,
                          train_test_eval, tv_distance, write_report_csv)
 
 
-def pl(knots, values):
-    return MonotoneCurve(np.asarray(knots, float), np.asarray(values, float),
-                         kind="pl")
-
-
 class TestKS:
     def test_identical_curves(self):
-        c = pl([0.0, 1.0, 2.0], [0.0, 0.4, 1.0])
+        c = MonotoneCurve([0.0, 1.0, 2.0], [0.0, 0.4, 1.0])
         assert ks_distance(c, c) == 0.0
 
     def test_known_value(self):
         # F1 rises over [0, 1]; F2 rises over [0, 2]; gap peaks at x=1
-        f1 = pl([0.0, 1.0], [0.0, 1.0])
-        f2 = pl([0.0, 2.0], [0.0, 1.0])
+        f1 = MonotoneCurve([0.0, 1.0], [0.0, 1.0])
+        f2 = MonotoneCurve([0.0, 2.0], [0.0, 1.0])
         assert ks_distance(f1, f2) == pytest.approx(0.5)
-
-    def test_step_left_limits_count(self):
-        # unit mass at 1 versus unit mass at 2: the gap just below 2 is 1
-        f1 = MonotoneCurve([1.0], [1.0], kind="step")
-        f2 = MonotoneCurve([2.0], [1.0], kind="step")
-        assert ks_distance(f1, f2) == pytest.approx(1.0)
 
     def test_terminal_gap_counts(self):
         # a defective estimate never reaching 1 versus a full CDF
-        f1 = pl([0.0, 1.0], [0.0, 0.7])
-        f2 = pl([0.0, 1.0], [0.0, 1.0])
+        f1 = MonotoneCurve([0.0, 1.0], [0.0, 0.7])
+        f2 = MonotoneCurve([0.0, 1.0], [0.0, 1.0])
         assert ks_distance(f1, f2) == pytest.approx(0.3)
 
     def test_against_analytic(self):
         dist = ValuationDistribution.uniform(0.0, 2.0)
-        est = pl([0.0, 1.0], [0.0, 1.0])
+        est = MonotoneCurve([0.0, 1.0], [0.0, 1.0])
         assert ks_distance(est, dist) == pytest.approx(0.5, abs=1e-6)
-        exact = pl([0.0, 2.0], [0.0, 1.0])
+        exact = MonotoneCurve([0.0, 2.0], [0.0, 1.0])
         assert ks_distance(exact, dist) == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetry(self):
-        f1 = pl([0.0, 1.0, 3.0], [0.0, 0.6, 1.0])
-        f2 = pl([0.0, 2.0], [0.1, 1.0])
+        f1 = MonotoneCurve([0.0, 1.0, 3.0], [0.0, 0.6, 1.0])
+        f2 = MonotoneCurve([0.0, 2.0], [0.1, 1.0])
         assert ks_distance(f1, f2) == ks_distance(f2, f1)
 
 
 class TestTV:
     def test_identical_curves(self):
-        c = pl([0.0, 1.0, 2.0], [0.0, 0.4, 1.0])
+        c = MonotoneCurve([0.0, 1.0, 2.0], [0.0, 0.4, 1.0])
         assert tv_distance(c, c) == 0.0
 
     def test_disjoint_supports(self):
-        f1 = pl([0.0, 1.0], [0.0, 1.0])
-        f2 = pl([2.0, 3.0], [0.0, 1.0])
+        f1 = MonotoneCurve([0.0, 1.0], [0.0, 1.0])
+        f2 = MonotoneCurve([2.0, 3.0], [0.0, 1.0])
         assert tv_distance(f1, f2) == pytest.approx(1.0)
 
     def test_known_value(self):
         # densities 1 vs 1/2 on [0,1], 0 vs 1/2 on [1,2]
-        f1 = pl([0.0, 1.0], [0.0, 1.0])
-        f2 = pl([0.0, 2.0], [0.0, 1.0])
+        f1 = MonotoneCurve([0.0, 1.0], [0.0, 1.0])
+        f2 = MonotoneCurve([0.0, 2.0], [0.0, 1.0])
         assert tv_distance(f1, f2) == pytest.approx(0.5)
 
     def test_against_analytic(self):
         dist = ValuationDistribution.uniform(0.0, 2.0)
-        est = pl([0.0, 1.0], [0.0, 1.0])
+        est = MonotoneCurve([0.0, 1.0], [0.0, 1.0])
         assert tv_distance(est, dist) == pytest.approx(0.5, abs=1e-4)
-        exact = pl([0.0, 2.0], [0.0, 1.0])
+        exact = MonotoneCurve([0.0, 2.0], [0.0, 1.0])
         assert tv_distance(exact, dist) == pytest.approx(0.0, abs=1e-4)
 
-    def test_rejects_step_curves(self):
-        step = MonotoneCurve([1.0], [1.0], kind="step")
-        with pytest.raises(ValidationError):
-            tv_distance(step, pl([0.0, 1.0], [0.0, 1.0]))
-
     def test_symmetry(self):
-        f1 = pl([0.0, 1.0, 3.0], [0.0, 0.6, 1.0])
-        f2 = pl([0.0, 2.0], [0.1, 1.0])
+        f1 = MonotoneCurve([0.0, 1.0, 3.0], [0.0, 0.6, 1.0])
+        f2 = MonotoneCurve([0.0, 2.0], [0.1, 1.0])
         assert tv_distance(f1, f2) == tv_distance(f2, f1)
 
     @given(st.data())
@@ -95,7 +79,7 @@ class TestTV:
             knots = np.cumsum(data.draw(st.lists(
                 st.floats(0.1, 2.0), min_size=len(values),
                 max_size=len(values))))
-            return pl(knots, values)
+            return MonotoneCurve(knots, values)
 
         f1, f2 = draw_curve(), draw_curve()
         assert ks_distance(f1, f2) <= tv_distance(f1, f2) + 1e-9
@@ -123,6 +107,12 @@ class TestReplicateTable:
         assert text.startswith("# origin=test\n")
         assert "uniform-K25" in text
 
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_replicate_count_below_one_rejected(self, replicates):
+        settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
+        with pytest.raises(ValidationError, match="replicate"):
+            replicate_table(settings_, replicates=replicates, base_seed=1)
+
 
 class TestTrainTest:
     def test_split_protocol(self, uniform_dataset):
@@ -136,3 +126,10 @@ class TestTrainTest:
         with pytest.raises(ValidationError):
             train_test_eval(uniform_dataset, ratio=1.5, replications=1,
                             rng=0)
+
+    @pytest.mark.parametrize("replications", [0, -3])
+    def test_replication_count_below_one_rejected(self, uniform_dataset,
+                                                  replications):
+        with pytest.raises(ValidationError, match="replication"):
+            train_test_eval(uniform_dataset, ratio=0.5,
+                            replications=replications, rng=0)

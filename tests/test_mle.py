@@ -15,7 +15,7 @@ from secondprice import (AuctionRecord, LikelihoodContext, NumericalError,
                          ObservedDataset, SimConfig, ThetaVector,
                          ValidationError, ValuationDistribution,
                          coordinate_ascent, log_lik, pool, projected_newton,
-                         reconstruct_cdf, run_study, theta_to_cdf)
+                         reconstruct_cdf, run_study)
 from secondprice.mle import _case1_root, _sweep
 from secondprice.pipeline import clip_theta0, fit_initial, initial_theta
 
@@ -458,8 +458,7 @@ class TestReconstruct:
         theta = ThetaVector(np.array([0.8, 0.5, 0.25]))
         z = np.array([1.0, 2.0, 3.0])
         curve = reconstruct_cdf(theta, z)
-        assert curve.kind == "pl"
         assert curve(0.0) == 0.0
-        step = theta_to_cdf(theta, z)
-        assert np.allclose(curve(z), step.values)
+        assert np.array_equal(curve(z), 1.0 - np.cumprod(theta.theta))
         assert curve(3.0) == pytest.approx(1.0 - 0.8 * 0.5 * 0.25)
+        assert curve(1.5) == pytest.approx(0.5 * (0.2 + 0.6))

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secondprice import (AuctionRecord, MonotoneCurve, NumericalError,
-                         ObservedDataset, SimConfig, TieError, ValidationError,
-                         ValuationDistribution, break_ties, cdf_to_theta,
-                         export_bid_log, export_dataset, fit, has_ties,
-                         ingest_bid_csv, interpolate, pool, read_dataset,
-                         run_auction, run_study, theta_to_cdf)
+                         ObservedDataset, SimConfig, ThetaVector, TieError,
+                         ValidationError, ValuationDistribution, break_ties,
+                         cdf_to_theta, export_bid_log, export_dataset, fit,
+                         has_ties, ingest_bid_csv, pool, read_dataset,
+                         reconstruct_cdf, run_auction, run_study)
 from secondprice.bands import _simulate_profile
 from secondprice.pipeline import fit_initial
 
@@ -303,35 +303,26 @@ class TestPooling:
 
 
 class TestMonotoneCurve:
-    def test_step_is_right_continuous_and_zero_below(self):
-        c = MonotoneCurve([1.0, 2.0], [0.3, 0.8], kind="step")
-        assert c(0.5) == 0.0
-        assert c(1.0) == 0.3
-        assert c(1.999) == 0.3
-        assert c(2.0) == 0.8
-        assert c(100.0) == 0.8
-
     def test_pl_interpolates(self):
-        c = MonotoneCurve([0.0, 2.0], [0.0, 1.0], kind="pl")
+        c = MonotoneCurve([0.0, 2.0], [0.0, 1.0])
         assert c(1.0) == pytest.approx(0.5)
         assert c(-1.0) == 0.0
         assert c(3.0) == 1.0
 
     def test_vector_call(self):
-        c = MonotoneCurve([1.0, 2.0], [0.3, 0.8], kind="step")
-        out = c(np.array([0.0, 1.5, 2.5]))
-        assert np.array_equal(out, [0.0, 0.3, 0.8])
+        c = MonotoneCurve([1.0, 2.0], [0.3, 0.8])
+        out = c(np.array([0.0, 1.0, 1.5, 2.0, 2.5]))
+        assert np.allclose(out, [0.3, 0.3, 0.55, 0.8, 0.8], rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("knots,values,kind", [
-        ([2.0, 1.0], [0.1, 0.2], "step"),
-        ([1.0, 2.0], [0.5, 0.2], "step"),
-        ([1.0, 2.0], [0.5, 1.5], "step"),
-        ([1.0], [0.5], "spline"),
-        ([], [], "step"),
+    @pytest.mark.parametrize("knots,values", [
+        ([2.0, 1.0], [0.1, 0.2]),
+        ([1.0, 2.0], [0.5, 0.2]),
+        ([1.0, 2.0], [0.5, 1.5]),
+        ([], []),
     ])
-    def test_invalid_curve_rejected(self, knots, values, kind):
+    def test_invalid_curve_rejected(self, knots, values):
         with pytest.raises(ValidationError):
-            MonotoneCurve(knots, values, kind=kind)
+            MonotoneCurve(knots, values)
 
     @pytest.mark.parametrize("knots,values", [
         ([1.0, np.nan], [0.1, 0.2]),
@@ -342,15 +333,21 @@ class TestMonotoneCurve:
     def test_non_finite_curve_rejected(self, knots, values):
         # NaN fails no ordering comparison, so it needs its own check
         with pytest.raises(ValidationError, match="finite"):
-            MonotoneCurve(knots, values, kind="pl")
+            MonotoneCurve(knots, values)
 
     def test_interpolate_anchor_zero(self):
-        step = MonotoneCurve([1.0, 2.0], [0.4, 1.0], kind="step")
-        pl = interpolate(step)
-        assert pl.kind == "pl"
-        assert pl.knots[0] == 0.0 and pl(0.0) == 0.0
-        assert pl(1.0) == pytest.approx(0.4)
-        assert pl(1.5) == pytest.approx(0.7)
+        c = MonotoneCurve.from_zero([1.0, 2.0], [0.4, 1.0])
+        assert np.array_equal(c.knots, [0.0, 1.0, 2.0])
+        assert np.array_equal(c.values, [0.0, 0.4, 1.0])
+        assert c(0.5) == pytest.approx(0.2)
+        assert c(1.5) == pytest.approx(0.7)
+        # a curve that already starts at or below 0 is kept as it is
+        for first in (0.0, -1.0):
+            c = MonotoneCurve.from_zero([first, 2.0], [0.1, 1.0])
+            assert np.array_equal(c.knots, [first, 2.0])
+            assert np.array_equal(c.values, [0.1, 1.0])
+        with pytest.raises(ValidationError):
+            MonotoneCurve.from_zero([], [])
 
 
 class TestThetaMaps:
@@ -358,8 +355,8 @@ class TestThetaMaps:
         z = np.array([1.0, 2.0, 3.0])
         theta = cdf_to_theta(np.array([0.0, 0.5, 0.75]))
         assert np.allclose(theta.theta, [1.0, 0.5, 0.5])
-        back = theta_to_cdf(theta, z)
-        assert np.allclose(back.values, [0.0, 0.5, 0.75])
+        back = reconstruct_cdf(theta, z)
+        assert np.allclose(back(z), [0.0, 0.5, 0.75])
 
     def test_zero_survival_convention(self):
         # once F reaches 1 the later ratios are 0/0 := 0
@@ -371,14 +368,15 @@ class TestThetaMaps:
     def test_round_trip(self, raw):
         values = np.sort(np.asarray(raw))
         z = np.arange(1.0, len(values) + 1.0)
-        back = theta_to_cdf(cdf_to_theta(values), z)
-        assert np.allclose(back.values, values, atol=1e-12)
+        back = reconstruct_cdf(cdf_to_theta(values), z)
+        assert np.allclose(back(z), values, atol=1e-12)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_cdf_from_theta_is_monotone(self, raw):
-        theta = np.asarray(raw)
+        theta = ThetaVector(raw)
         z = np.arange(1.0, len(theta) + 1.0)
-        curve = theta_to_cdf(theta, z)
+        curve = reconstruct_cdf(theta, z)
+        assert curve(0.0) == 0.0
         assert np.all(np.diff(curve.values) >= 0.0)
         assert curve.values[0] >= 0.0 and curve.values[-1] <= 1.0

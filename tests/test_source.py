@@ -105,3 +105,24 @@ def test_csv_dialect_stays_in_ingest():
             if "csv" in (n.split(".")[0] for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_unused_imports():
+    # every name a module imports is read in it; __init__.py imports
+    # only to re-export
+    scripts = SRC.parents[1] / "scripts"
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *scripts.glob("*.py")]):
+        if path == SRC / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert not found, found
