@@ -40,6 +40,15 @@ class MedianBiasEstimate:
             raise ValidationError("bias grid must lie strictly inside (0,1)")
 
 
+def envelope_curves(knots, lower, upper) -> tuple[MonotoneCurve, MonotoneCurve]:
+    """A band's lower and upper envelopes over ``knots`` as two curves;
+    the lower may not exceed the upper."""
+    lo, hi = MonotoneCurve(knots, lower), MonotoneCurve(knots, upper)
+    if np.any(lo.values > hi.values + 1e-12):
+        raise ValidationError("lower envelope exceeds upper envelope")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class ConfidenceBand:
     """Pointwise min/max envelope of the batch estimates."""
@@ -47,27 +56,12 @@ class ConfidenceBand:
     knots: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    alpha: float
     batches: int
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        for name, arr in (("knots", knots), ("lower", lower), ("upper", upper)):
+        lo, hi = envelope_curves(self.knots, self.lower, self.upper)
+        for name, arr in (("knots", lo.knots), ("lower", lo.values), ("upper", hi.values)):
             object.__setattr__(self, name, arr)
-        violations = []
-        if not len(knots) == len(lower) == len(upper):
-            violations.append("knots, lower, upper must have equal length")
-        else:
-            if np.any(lower > upper + 1e-12):
-                violations.append("lower envelope exceeds upper envelope")
-            if np.any(np.diff(lower) < -1e-12) or np.any(np.diff(upper) < -1e-12):
-                violations.append("band envelopes must be non-decreasing")
-            if lower.min(initial=0.0) < -1e-12 or upper.max(initial=0.0) > 1 + 1e-12:
-                violations.append("band values must lie in [0, 1]")
-        if violations:
-            raise ValidationError(violations)
 
     @property
     def average_width(self) -> float:
@@ -155,8 +149,7 @@ def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
         curves.append(_fit_kind(dataset.take(chunk), estimator_kind, q, epsilon))
     knots = np.unique(np.concatenate([c.knots for c in curves]))
     vals = np.vstack([np.asarray(c(knots)) for c in curves])
-    return ConfidenceBand(knots, vals.min(axis=0), vals.max(axis=0),
-                          alpha, B)
+    return ConfidenceBand(knots, vals.min(axis=0), vals.max(axis=0), B)
 
 
 def write_band_csv(band: ConfidenceBand, estimate: MonotoneCurve, path,

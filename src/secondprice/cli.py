@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import _fit_kind, estimate_median_bias, hulc_band, write_band_csv
+from .bands import (_fit_kind, envelope_curves, estimate_median_bias, hulc_band,
+                    write_band_csv)
 from .errors import NumericalError, SecondPriceError, ValidationError
 from .ingest import (csv_rows, export_dataset, ingest_bid_csv, open_output,
                      read_dataset, write_csv)
@@ -152,6 +153,8 @@ def _read_numeric_csv(path, width=None):
 def _read_curves_csv(path):
     """Read a curves CSV back into {column: piecewise-linear curve}."""
     names, data = _read_numeric_csv(path)
+    if len(names) < 2:
+        raise ValidationError(f"{path} has no curve column after x")
     x = data[:, 0]
     return {name: MonotoneCurve(x, np.clip(data[:, j], 0.0, 1.0))
             for j, name in enumerate(names) if j > 0}
@@ -269,18 +272,11 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def export_plot_data(curves: dict, band, path, svg_path=None) -> None:
-    """Long-format CSV (x, series, value) over the union knot grid, with
-    an optional minimal static SVG line chart."""
-    series = dict(curves)
-    knot_sets = [np.asarray(c.knots, dtype=float) for c in series.values()]
-    if band is not None:
-        knot_sets.append(np.asarray(band.knots, dtype=float))
-    xs = np.unique(np.concatenate(knot_sets))
-    columns = [(name, np.asarray(curve(xs), dtype=float)) for name, curve in series.items()]
-    if band is not None:
-        columns += [("band_lower", np.interp(xs, band.knots, band.lower)),
-                    ("band_upper", np.interp(xs, band.knots, band.upper))]
+def export_plot_data(curves: dict, path, svg_path=None) -> None:
+    """Long-format CSV (x, series, value) of every curve over their union
+    knot grid, with an optional minimal static SVG line chart."""
+    xs = np.unique(np.concatenate([c.knots for c in curves.values()]))
+    columns = [(name, curve(xs)) for name, curve in curves.items()]
     write_csv(path, ("x", "series", "value"),
               ((x, name, v) for name, vs in columns for x, v in zip(xs, vs)))
     if svg_path is not None:
@@ -321,13 +317,11 @@ def _write_svg(svg_path, xs, columns) -> None:
 
 def cmd_plot(args) -> int:
     curves = _read_curves_csv(args.curves)
-    band = None
     if args.bands:
-        from .bands import ConfidenceBand
+        # --alpha is accepted but unused: a band file holds its envelopes
         _, data = _read_numeric_csv(args.bands, width=3)
-        band = ConfidenceBand(data[:, 0], data[:, 1], data[:, 2],
-                              alpha=args.alpha, batches=1)
-    export_plot_data(curves, band, args.out_csv, svg_path=args.out_svg)
+        curves["band_lower"], curves["band_upper"] = envelope_curves(*data.T)
+    export_plot_data(curves, args.out_csv, svg_path=args.out_svg)
     print(f"wrote {args.out_csv}")
     return EXIT_OK
 

@@ -105,8 +105,10 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
     added to every retained bid; the standing-price sequence is rebuilt
     by replaying the noisy bids from the opening bid.  ``noise_scale=0``
     disables the jitter (useful for synthetic logs that are already
-    tie-free).
+    tie-free); a negative or non-finite ``noise_scale`` is rejected.
     """
+    if not 0.0 <= noise_scale < math.inf:
+        raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     path = Path(path)
     errors = []
     rows_by_auction: dict = {}
@@ -121,6 +123,10 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
             short = [c for c in _COLUMNS if rec[c] is None]
             if short:
                 errors.append(f"row {lineno}: no value for {', '.join(short)}")
+                continue
+            if None in rec:  # DictReader files fields beyond the header here
+                errors.append(f"row {lineno}: {len(rec[None])} field(s) beyond "
+                              f"the {len(reader.fieldnames)}-column header")
                 continue
             try:
                 row = BidRow(auctionid=rec["auctionid"].strip(),

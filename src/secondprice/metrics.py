@@ -18,26 +18,26 @@ _TV_REFINE_TOL = 1e-5
 _KS_REFINE_POINTS = 1000
 
 
-def _is_analytic(obj) -> bool:
-    return isinstance(obj, ValuationDistribution)
+def _grid(f1, f2) -> np.ndarray:
+    """0, every knot of each curve, and ``_KS_REFINE_POINTS`` points over
+    the combined support when either side is a distribution."""
+    dists = [f for f in (f1, f2) if isinstance(f, ValuationDistribution)]
+    curves = [f for f in (f1, f2) if not isinstance(f, ValuationDistribution)]
+    pts = [[0.0], *(c.knots for c in curves)]
+    if dists:
+        ends = [d.support() for d in dists] + [(c.knots[0], c.knots[-1]) for c in curves]
+        pts.append(np.linspace(min(a for a, _ in ends), max(b for _, b in ends),
+                               _KS_REFINE_POINTS))
+    return np.unique(np.concatenate(pts))
 
 
-def _eval_points(f1, f2):
-    knots = []
-    lo, hi = np.inf, -np.inf
-    analytic = False
-    for f in (f1, f2):
-        if _is_analytic(f):
-            a, b = f.support()
-            lo, hi = min(lo, a), max(hi, b)
-            analytic = True
-        else:
-            knots.append(np.asarray(f.knots, dtype=float))
-            lo, hi = min(lo, f.knots[0]), max(hi, f.knots[-1])
-    pts = np.concatenate(knots) if knots else np.empty(0)
-    if analytic:
-        pts = np.concatenate((pts, np.linspace(lo, hi, _KS_REFINE_POINTS)))
-    return np.unique(pts)
+def _values(f, pts):
+    """F at the ascending ``pts`` and the value F reaches beyond them: 1
+    for a distribution, the last value for a curve."""
+    if isinstance(f, ValuationDistribution):
+        return np.asarray(f.cdf(pts), dtype=float), 1.0
+    v = f(pts)
+    return v, float(v[-1])
 
 
 def ks_distance(f1, f2) -> float:
@@ -47,30 +47,19 @@ def ks_distance(f1, f2) -> float:
     the sup is attained on the union knot set; analytic inputs are
     sampled on a refinement grid over the combined support.
     """
-    pts = _eval_points(f1, f2)
-    pts = np.concatenate((pts, [0.0]))
-    pts = pts[pts >= 0.0]
-    d = float(np.max(np.abs(_cdf_at(f1, pts) - _cdf_at(f2, pts))))
-    # both functions reach their terminal value beyond the largest point;
+    pts = _grid(f1, f2)
+    (v1, end1), (v2, end2) = _values(f1, pts), _values(f2, pts)
+    # both functions reach their terminal value beyond the last point;
     # include the limiting gap (e.g. a defective estimate vs a full CDF)
-    top = float(pts.max())
-    end1 = 1.0 if _is_analytic(f1) else float(f1(top))
-    end2 = 1.0 if _is_analytic(f2) else float(f2(top))
-    return max(d, abs(end1 - end2))
-
-
-def _cdf_at(f, pts):
-    return np.asarray(f.cdf(pts) if _is_analytic(f) else f(pts), dtype=float)
+    return max(float(np.max(np.abs(v1 - v2))), abs(end1 - end2))
 
 
 def _tv_on_grid(f1, f2, pts) -> float:
-    v1, v2 = _cdf_at(f1, pts), _cdf_at(f2, pts)
+    (v1, end1), (v2, end2) = _values(f1, pts), _values(f2, pts)
     total = 0.5 * float(np.sum(np.abs(np.diff(v1) - np.diff(v2))))
     # atoms at the ends of the evaluation window: mass below the first
     # point and any deficiency above the last one
     total += 0.5 * abs(v1[0] - v2[0])
-    end1 = 1.0 if _is_analytic(f1) else float(f1(pts[-1]))
-    end2 = 1.0 if _is_analytic(f2) else float(f2(pts[-1]))
     total += 0.5 * abs((1.0 - end1) - (1.0 - end2))
     return total
 
@@ -84,11 +73,9 @@ def tv_distance(f1, f2) -> float:
     less than 1e-5.  Mass an estimate never accumulates is treated as an
     atom at the right end of the evaluation window.
     """
-    pts = _eval_points(f1, f2)
-    if pts[0] > 0.0:
-        pts = np.concatenate(([0.0], pts))
+    pts = _grid(f1, f2)
     val = _tv_on_grid(f1, f2, pts)
-    if _is_analytic(f1) or _is_analytic(f2):
+    if isinstance(f1, ValuationDistribution) or isinstance(f2, ValuationDistribution):
         for _ in range(20):
             pts = np.unique(np.concatenate((pts, 0.5 * (pts[:-1] + pts[1:]))))
             new = _tv_on_grid(f1, f2, pts)

@@ -157,6 +157,9 @@ class SimConfig:
         if not rates_ok or self.K < 1:
             raise ValidationError(
                 "SimConfig requires finite lam > 0, finite tau > 0, K >= 1")
+        policy = self.reserve_policy
+        if not callable(policy) and not 0.0 <= policy < math.inf:
+            raise ValidationError(f"a constant reserve must be finite and >= 0, got {policy}")
 
 
 def _replay_rows(reserve, times, bids):

@@ -37,19 +37,25 @@ class TestBatchCount:
 
 class TestConfidenceBand:
     def test_width(self):
-        band = ConfidenceBand([1.0, 2.0], [0.1, 0.2], [0.3, 0.6],
-                              alpha=0.1, batches=5)
+        band = ConfidenceBand([1.0, 2.0], [0.1, 0.2], [0.3, 0.6], batches=5)
         assert band.average_width == pytest.approx(0.3)
 
     def test_crossed_envelopes_rejected(self):
         with pytest.raises(ValidationError):
-            ConfidenceBand([1.0, 2.0], [0.5, 0.6], [0.3, 0.7],
-                           alpha=0.1, batches=5)
+            ConfidenceBand([1.0, 2.0], [0.5, 0.6], [0.3, 0.7], batches=5)
 
     def test_non_monotone_envelope_rejected(self):
         with pytest.raises(ValidationError):
-            ConfidenceBand([1.0, 2.0], [0.3, 0.2], [0.5, 0.6],
-                           alpha=0.1, batches=5)
+            ConfidenceBand([1.0, 2.0], [0.3, 0.2], [0.5, 0.6], batches=5)
+
+    @pytest.mark.parametrize("knots", [[2.0, 1.0], [1.0, 1.0], [1.0, np.nan],
+                                       [-np.inf, 1.0], []],
+                             ids=["descending", "repeated", "nan", "inf", "empty"])
+    def test_bad_knots_rejected(self, knots):
+        # the envelopes are curves, held to the curve rules
+        n = len(knots)
+        with pytest.raises(ValidationError):
+            ConfidenceBand(knots, [0.1] * n, [0.3] * n, batches=5)
 
 
 class TestHulcBand:

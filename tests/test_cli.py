@@ -78,6 +78,18 @@ class TestSimulate:
         assert "finite lam > 0, finite tau > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reserve", ["-1", "nan"])
+    def test_bad_constant_reserve_is_one_validation_error(self, tmp_path,
+                                                          capsys, reserve):
+        out = tmp_path / "data.csv"
+        code = main(["simulate", "--dist", "uniform:1,8", "--K", "500",
+                     "--reserve", reserve, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("reserve") == 1 and err.count("\n") == 1
+        assert "constant reserve must be finite and >= 0" in err
+        assert not out.exists()
+
     def test_seed_changes_output(self, tmp_path):
         p1 = simulate(tmp_path, "a.csv", seed=5)
         p2 = simulate(tmp_path, "b.csv", seed=6)
@@ -443,6 +455,30 @@ class TestPlotCommand:
                      "--out-csv", str(tmp_path / "plot.csv")]) == 3
         assert f"{bands} line 4" in capsys.readouterr().err
 
+    def test_unordered_band_x_is_validation_error(self, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("x,f_init,f_mle\n1.0,0.1,0.2\n2.0,0.5,0.6\n")
+        bands = tmp_path / "band.csv"
+        # each envelope rises row by row, but x does not
+        bands.write_text("x,lower,upper,estimate\n3.0,0.0,0.3,0.2\n"
+                         "1.0,0.1,0.4,0.3\n2.0,0.2,0.5,0.4\n")
+        out = tmp_path / "plot.csv"
+        assert main(["plot", "--curves", str(curves), "--bands", str(bands),
+                     "--out-csv", str(out)]) == 3
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plot", "metrics"])
+    def test_curves_file_without_series_is_validation_error(self, tmp_path,
+                                                            capsys, command):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("x\n1\n2\n")
+        argv = [command, "--curves", str(curves)]
+        if command == "plot":
+            argv += ["--out-csv", str(tmp_path / "plot.csv")]
+        assert main(argv) == 3
+        assert f"{curves} has no curve column" in capsys.readouterr().err
+
 
 class TestCsvDialect:
     def test_outputs_end_every_line_in_newline_alone(self, tmp_path):
@@ -544,4 +580,27 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert all(f"row {n}" in err for n in (3, 4, 5))
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_row_with_extra_fields_is_validation_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+            "1,5.0,1.0,alice,0,0.5,8.0,junk,more\n")
+        out = tmp_path / "dataset.csv"
+        assert main(["ingest", "--data", str(log), "--duration", "7",
+                     "--out", str(out)]) == 3
+        assert "row 2: 2 field(s) beyond" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+    def test_bad_noise_scale_is_validation_error(self, tmp_path, capsys, scale):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+            "1,5.0,1.0,alice,0,0.5,8.0\n")
+        out = tmp_path / "dataset.csv"
+        assert main(["ingest", "--data", str(log), "--duration", "7",
+                     "--noise-scale", scale, "--out", str(out)]) == 3
+        assert "noise_scale" in capsys.readouterr().err
         assert not out.exists()

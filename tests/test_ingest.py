@@ -129,12 +129,22 @@ class TestIngest:
             ["1", 6.0],
             ["1", 5.0, 2.0, "carol", "inf", 1.0, 7.0],
             ["1", 5.0, 3.0, "dave", "1e400", 1.0, 7.0],
+            ["1", 5.0, 1.0, "erin", 0, 0.5, 8.0, "junk", "more"],
         ])
         with pytest.raises(ValidationError) as err:
             ingest_bid_csv(path, duration_days=7.0, noise_seed=0)
         msg = str(err.value)
-        assert all(f"row {n}" in msg for n in (2, 3, 4, 5, 6))
+        assert all(f"row {n}" in msg for n in (2, 3, 4, 5, 6, 7))
         assert "row 4: no value for bidtime, bidder, bidderrate, openbid, price" in msg
+        assert "row 7: 2 field(s) beyond the 7-column header" in msg
+
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    def test_bad_noise_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "log.csv"
+        write_log(path, [["1", 5.0, 1.0, "alice", 0, 0.5, 8.0]])
+        with pytest.raises(ValidationError, match="noise_scale"):
+            ingest_bid_csv(path, duration_days=7.0, noise_seed=0,
+                           noise_scale=scale)
 
     def test_non_finite_rows_reported(self, tmp_path):
         path = tmp_path / "log.csv"

@@ -41,6 +41,14 @@ class TestKS:
         assert ks_distance(f1, f2) == ks_distance(f2, f1)
 
 
+    def test_negative_knots_count(self):
+        # the curves differ by 1 at x = -1, below the origin
+        f1 = MonotoneCurve([-2.0, -1.0, 0.0], [0.0, 1.0, 1.0])
+        f2 = MonotoneCurve([-2.0, -1.0, 0.0], [0.0, 0.0, 1.0])
+        assert ks_distance(f1, f2) == 1.0
+        assert ks_distance(f1, f2) <= tv_distance(f1, f2)
+
+
 class TestTV:
     def test_identical_curves(self):
         c = MonotoneCurve([0.0, 1.0, 2.0], [0.0, 0.4, 1.0])

@@ -304,3 +304,9 @@ class TestRunStudy:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
             SimConfig(lam=0.0, tau=10.0, K=5, seed=0)
+
+    @pytest.mark.parametrize("reserve", [-1.0, float("nan"), float("inf")])
+    def test_bad_constant_reserve_rejected(self, reserve):
+        with pytest.raises(ValidationError) as err:
+            SimConfig(lam=1.0, tau=10.0, K=5, seed=0, reserve_policy=reserve)
+        assert len(err.value.violations) == 1

@@ -107,6 +107,23 @@ def test_csv_dialect_stays_in_ingest():
     assert not found, found
 
 
+def test_curves_evaluate_in_model():
+    # MonotoneCurve.__call__ in model.py is the one evaluation of a curve;
+    # every other module builds a curve and calls it
+    scripts = SRC.parents[1] / "scripts"
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *scripts.glob("*.py")]):
+        if path == SRC / "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "interp"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_no_unused_imports():
     # every name a module imports is read in it; __init__.py imports
     # only to re-export
