@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError, ValidationError
 from .model import ObservedDataset
@@ -53,6 +52,7 @@ def g_eval(x: float) -> float:
         raise ValidationError("Poisson mean must be non-negative")
     if x < _SERIES_BELOW:
         return float(np.exp(-x) * (x ** _SERIES_N @ _SERIES_W))
+    from scipy import special   # here, not at start-up: most commands never fit
     return float(2.0 * (np.euler_gamma + np.log(x) + special.exp1(x) + np.expm1(-x)))
 
 

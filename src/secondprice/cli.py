@@ -129,8 +129,9 @@ def _header_lines(config: dict) -> list:
 def _read_numeric_csv(path, width=None):
     """Header names and the float rows of a CSV whose '#' lines are
     comments.  The first ``width`` fields of every row (default: one per
-    header name) are read and must be finite numbers; a short or
-    malformed row raises ValidationError naming its line."""
+    header name) are read and must be finite numbers; a row that is
+    short, longer than the header or malformed raises ValidationError
+    naming its line."""
     lines = list(csv_rows(path))
     if len(lines) < 2:
         raise ValidationError(f"{path} needs a header row and at least one data row")
@@ -139,6 +140,9 @@ def _read_numeric_csv(path, width=None):
     data = []
     for lineno, fields in lines[1:]:
         try:
+            if len(fields) > len(names):
+                raise ValueError(f"{len(fields)} fields, more than the "
+                                 f"{len(names)}-column header")
             if len(fields) < width:
                 raise ValueError(f"expected {width} fields, got {len(fields)}")
             row = [float(v) for v in fields[:width]]

@@ -119,7 +119,8 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
         missing = [c for c in _COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ValidationError([f"missing column {c!r}" for c in missing])
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
+            lineno = reader.line_num   # DictReader skips blank lines
             short = [c for c in _COLUMNS if rec[c] is None]
             if short:
                 errors.append(f"row {lineno}: no value for {', '.join(short)}")

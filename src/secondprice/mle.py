@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import NumericalError, ValidationError
 from .model import MonotoneCurve, PooledData, ThetaVector
@@ -374,6 +373,7 @@ def _reduced_newton(d, w, c, jump, starts):
     bands[0, 1:] = -bend[1:-1]
     bands[1] = diag
     bands[2, :-1] = -bend[1:-1]
+    from scipy.linalg import solve_banded   # here, not at start-up, as in arrival.py
     dpsi = solve_banded((1, 1), bands, grad, check_finite=False)
     return np.diff(dpsi, prepend=0.0), float(grad @ dpsi)
 

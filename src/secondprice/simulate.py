@@ -8,9 +8,10 @@ export all share.
 Gamma and beta valuations are drawn with the generator's own
 ``standard_gamma`` and ``beta``.  Their CDFs and quantiles are the
 regularized incomplete gamma and beta functions of ``scipy.special``
-and their inverses, and Pareto's are power laws.  These are the
-formulas ``scipy.stats`` evaluates, with the same argument scaling, so
-the draws and the CDFs equal its ``rvs`` and ``cdf`` bit for bit."""
+and their inverses, imported where they are called, and Pareto's are
+power laws.  These are the formulas ``scipy.stats`` evaluates, with the
+same argument scaling, so the draws and the CDFs equal its ``rvs`` and
+``cdf`` bit for bit."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .model import AuctionRecord, ObservedDataset, break_ties, has_ties
@@ -115,6 +115,7 @@ class ValuationDistribution:
         if self.kind == "pareto":
             scale, shape = self.params
             return 1.0 - np.maximum(x / scale, 1.0) ** -shape
+        from scipy import special
         if self.kind == "gamma":
             shape, rate = self.params
             return special.gammainc(shape, np.maximum(x, 0.0) / (1.0 / rate))
@@ -132,6 +133,7 @@ class ValuationDistribution:
         if self.kind == "pareto":
             scale, shape = self.params
             return (scale, (1.0 - q) ** (-1.0 / shape) * scale)
+        from scipy import special
         if self.kind == "gamma":
             shape, rate = self.params
             return (0.0, float(special.gammaincinv(shape, q) * (1.0 / rate)))
@@ -227,24 +229,26 @@ def replay_bids(reserve: float, duration: float, times, bids) -> AuctionRecord:
                          bool(sold[0]))
 
 
-def _draw(lam: float, tau: float, dist: ValuationDistribution,
-          rng: np.random.Generator):
-    """One auction's bidders: Exponential(lam) inter-arrival times
-    accumulated until tau, then their bids."""
-    times = np.empty(0)
+def _draws(lam: float, tau: float, dist: ValuationDistribution, draws):
+    """Each ``(reserve, rng)`` of ``draws`` as one auction's ``(reserve,
+    times, bids)``, all drawn from its ``rng``: Exponential(lam)
+    inter-arrival times accumulated a block at a time until one passes
+    tau, then a bid for each arrival at or before tau."""
+    scale = 1.0 / lam
     block = max(16, int(lam * tau + 6 * np.sqrt(lam * tau) + 10))
-    while not times.size or times[-1] <= tau:
-        total = times[-1] if times.size else 0.0
-        times = np.concatenate((times, total + np.cumsum(rng.exponential(1.0 / lam, block))))
-    times = times[times <= tau]
-    return times, dist.sample(rng, len(times))
+    for reserve, rng in draws:
+        times = rng.exponential(scale, block).cumsum()
+        while times[-1] <= tau:
+            times = np.concatenate((times, times[-1] + rng.exponential(scale, block).cumsum()))
+        n = times.searchsorted(tau, "right")
+        yield reserve, times[:n], dist.sample(rng, n)
 
 
 def run_auction(lam: float, tau: float, reserve: float,
                 dist: ValuationDistribution, rng: np.random.Generator,
                 return_trace: bool = False):
     """Simulate a single auction; optionally return the full bid trace."""
-    times, bids = _draw(lam, tau, dist, rng)
+    _, times, bids = next(_draws(lam, tau, dist, [(reserve, rng)]))
     record = replay_bids(reserve, tau, times, bids)
     return (record, (times, bids)) if return_trace else record
 
@@ -255,8 +259,7 @@ def simulate_auctions(lam: float, tau: float, dist: ValuationDistribution,
     """One auction per ``(reserve, rng)`` of ``draws``, in order, its
     bidders drawn from its ``rng``; prices that tie are then broken with
     Uniform(0, ``scale``) reserve jitter drawn from ``tie_rng``."""
-    dataset = replay_streams(((reserve, *_draw(lam, tau, dist, rng))
-                              for reserve, rng in draws), tau)
+    dataset = replay_streams(_draws(lam, tau, dist, draws), tau)
     return break_ties(dataset, tie_rng, scale) if has_ties(dataset) else dataset
 
 

@@ -1,14 +1,27 @@
 """Independent reference implementations used to verify the library:
-a per-bid standing-price state machine, per-auction reserve jitter, the
-initial estimate and the pooled order structures built record by record,
-a direct-definition log-likelihood, a brute-force coordinate curvature
-weight, and an exhaustive grid search over the survival-ratio box."""
+arrival times summed one gap at a time, a per-bid standing-price state
+machine, per-auction reserve jitter, the initial estimate and the pooled
+order structures built record by record, a direct-definition
+log-likelihood, a brute-force coordinate curvature weight, and an
+exhaustive grid search over the survival-ratio box."""
 
 import math
 
 import numpy as np
 
 from secondprice import AuctionRecord
+
+
+def naive_arrival_times(gaps, tau):
+    """Arrival times from inter-arrival gaps added one at a time: every
+    arrival at or before tau, in order."""
+    times, t = [], 0.0
+    for gap in gaps:
+        t += gap
+        if t > tau:
+            break
+        times.append(t)
+    return times
 
 
 def naive_replay(reserve, duration, times, bids):

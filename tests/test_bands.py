@@ -3,10 +3,13 @@ construction, and the median-bias Monte Carlo approximation."""
 
 import numpy as np
 import pytest
+from helpers import naive_jittered_reserves
 
-from secondprice import (ConfidenceBand, ValidationError,
+from secondprice import (AuctionRecord, ConfidenceBand, ObservedDataset,
+                         ValidationError, ValuationDistribution,
                          estimate_median_bias, hulc_band, hulc_batches,
-                         write_band_csv)
+                         run_auction, write_band_csv)
+from secondprice.bands import _simulate_profile
 
 
 class TestBatchCount:
@@ -99,6 +102,21 @@ class TestHulcBand:
 
 
 class TestMedianBias:
+    @pytest.mark.parametrize("lam, tau", [(0.5, 6.98), (1.0, 105.0)])
+    def test_replicate_equals_single_auction_runs(self, lam, tau):
+        # one generator draws every auction's bidders in turn, then the
+        # reserve jitter; half the reserves are 0, so the jitter runs
+        reserves = np.where(np.arange(200) % 2, np.linspace(0.0, 0.9, 200), 0.0)
+        dist = ValuationDistribution.uniform(0.0, 1.0)
+        rng = np.random.default_rng(17)
+        records = [run_auction(lam, tau, float(r), dist, rng) for r in reserves]
+        jittered = naive_jittered_reserves(records, rng, scale=1e-6)
+        want = ObservedDataset(tuple(AuctionRecord(r, tau, a.jumps, a.sold)
+                                     for r, a in zip(jittered, records)), tau)
+        shared = np.random.default_rng(17)
+        assert _simulate_profile(lam, tau, reserves, shared) == want
+        assert shared.bit_generator.state == rng.bit_generator.state
+
     def test_small_run(self):
         K = 30
         bias = estimate_median_bias("init", K=K, lambda_hat=1.0, tau=30.0,

@@ -360,11 +360,12 @@ class TestMetricsCommand:
         ("# only a comment\n", None),
         ("x,f_init,f_mle\n", None),
         ("x,f_init,f_mle\n1.0,0.1,0.2\n2.0,0.5\n", "line 3"),
+        ("x,f_init,f_mle\n0,0,0,9\n1,1,0.5,9\n", "line 2"),
         ("# c\nx,f_init,f_mle\n1.0,0.1,0.2\n2.0,0.5,abc\n", "line 4"),
         ("x,f_init,f_mle\n1.0,0.1,0.2\n2.0,nan,0.4\n", "line 3"),
         ("x,f_init,f_mle\n1.0,0.1,0.2\ninf,0.5,0.4\n", "line 3"),
-    ], ids=["comment-only", "header-only", "short-row", "non-numeric", "nan",
-            "inf"])
+    ], ids=["comment-only", "header-only", "short-row", "long-row", "non-numeric",
+            "nan", "inf"])
     def test_malformed_curves_file(self, tmp_path, capsys, text, line):
         curves = tmp_path / "curves.csv"
         curves.write_text(text)

@@ -138,6 +138,15 @@ class TestIngest:
         assert "row 4: no value for bidtime, bidder, bidderrate, openbid, price" in msg
         assert "row 7: 2 field(s) beyond the 7-column header" in msg
 
+    def test_rows_after_a_blank_line_keep_their_line_numbers(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(",".join(COLUMNS) + "\n1,5.0,1.0,alice,0,0.5,8.0\n\n"
+                        "1,-6.0,2.0,bob,0,0.5,8.0\n\n\n1,7.0,99.0,carol,0,0.5,8.0\n")
+        with pytest.raises(ValidationError) as err:
+            ingest_bid_csv(path, duration_days=7.0, noise_seed=0)
+        assert err.value.violations == ["row 4: bid -6.0 must be positive",
+                                        "row 7: bidtime 99.0 exceeds duration 7.0"]
+
     @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
     def test_bad_noise_scale_rejected(self, tmp_path, scale):
         path = tmp_path / "log.csv"

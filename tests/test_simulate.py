@@ -1,8 +1,10 @@
 """Standing-price mechanics, bid replay, and the synthetic study driver."""
 
+import itertools
+
 import numpy as np
 import pytest
-from helpers import naive_jittered_reserves, naive_replay
+from helpers import naive_arrival_times, naive_jittered_reserves, naive_replay
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -194,7 +196,38 @@ class TestBatchedReplay:
         assert np.array_equal(got.tail, want.tail)
 
 
+class _DyadicGaps:
+    """Stands in for a generator: its exponentials are ``gaps`` in turn,
+    whatever the scale, and its uniforms a fixed sawtooth.  The gaps are
+    multiples of 1/16, so every sum of them is exact."""
+
+    def __init__(self, gaps):
+        self._gaps = itertools.cycle(gaps)
+        self.drawn, self.sizes = [], []
+
+    def exponential(self, scale, size):
+        self.sizes.append(size)
+        self.drawn += [next(self._gaps) for _ in range(size)]
+        return np.array(self.drawn[-size:])
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * (np.arange(size) * 0.375 % 1.0)
+
+
 class TestRunAuction:
+    def test_arrivals_past_the_first_block(self):
+        # at lam * tau = 4 a block holds 26 gaps, which sum to 2.1875 here,
+        # so the arrivals take a second block; the 48th lands on tau itself
+        rng = _DyadicGaps([0.125, 0.0625, 0.0625])
+        dist = ValuationDistribution.uniform(0.0, 1.0)
+        rec, (times, bids) = run_auction(1.0, 4.0, 0.1, dist, rng, return_trace=True)
+        assert rng.sizes == [26, 26]
+        want = naive_arrival_times(rng.drawn, 4.0)
+        assert len(want) == 48 and want[-1] == 4.0
+        assert times.tolist() == want
+        assert np.array_equal(bids, rng.uniform(0.0, 1.0, 48))
+        assert rec == naive_replay(0.1, 4.0, want, bids)
+
     def test_matches_scalar_replay_of_its_own_trace(self):
         dist = ValuationDistribution.uniform(1.0, 20.0)
         for seed in range(20):

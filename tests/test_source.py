@@ -63,6 +63,26 @@ def test_cli_import_and_a_fit_leave_scipy_stats_and_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_ingest_and_metrics_commands_load_no_scipy(tmp_path):
+    # neither command computes anything from scipy, and importing it was
+    # most of each process's start-up
+    log, curves = tmp_path / "log.csv", tmp_path / "curves.csv"
+    log.write_text("auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+                   "1,5.0,1.0,alice,0,0.5,6.0\n1,6.0,2.0,bob,0,0.5,6.0\n")
+    curves.write_text("x,f_init,f_mle\n0,0,0\n1,1,0.5\n")
+    commands = [["ingest", "--data", str(log), "--duration", "7",
+                 "--out", str(tmp_path / "ds.csv")],
+                ["metrics", "--curves", str(curves)]]
+    code = (
+        "import sys\n"
+        "from secondprice.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_on_path(),
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_bid_log_analysis_script_starts():
     # the script imports the library at start-up, so a renamed or removed
     # name fails here before any data is needed
