@@ -8,10 +8,13 @@ the retained bids to remove ties, and replays the stream through the
 standing-price mechanics.  The canonical format is a lossless dump of an
 ObservedDataset that round-trips exactly.
 
-Every CSV file the package makes is written by `write_csv` and read back
-by `csv_rows`: ``#`` comment lines, a header row, unquoted fields and a
-newline after every line.  Only the bid-log reader uses the csv module,
-since an external log may quote its fields.
+Every CSV file the package makes is written by `write_csv`: ``#``
+comment lines, a header row, unquoted fields and a newline after every
+line.  `csv_rows` reads them back, except the canonical dataset file:
+`read_dataset` parses it in batches with numpy's C reader, under the
+same rules for comments, blank lines and line endings, and walks a batch
+row by row only to name a bad line.  Only the bid-log reader uses the
+csv module, since an external log may quote its fields.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,19 @@ from .simulate import replay_streams
 
 _COLUMNS = ("auctionid", "bid", "bidtime", "bidder", "bidderrate",
             "openbid", "price")
+_DATASET_COLUMNS = ("kind", "auction", "reserve_or_price", "duration_or_wait", "sold")
+# a canonical row as numpy's reader parses it: a kind or a sold flag one
+# character longer than the longest legal one is kept whole, so it cannot
+# be cut down to a legal one
+_ROW = np.dtype([("kind", "U8"), ("k", np.int64), ("a", float), ("b", float),
+                 ("sold", "U2")])
+# lines of a canonical file parsed at once, which bounds the reader's memory
+_LINE_BUDGET = 1 << 12
+# the characters numpy's reader and Python read alike: numpy drops a
+# string's trailing NULs, reads \x1c-\x1f as blanks around a number, and
+# misreads or crashes on some non-ASCII characters in an integer field,
+# so a batch holding any other character is walked row by row instead
+_PLAIN = bytes(range(32, 127)) + b"\n"
 
 
 @dataclass(frozen=True)
@@ -267,24 +283,98 @@ def export_dataset(dataset: ObservedDataset, path,
     rows = ([("auction", k, reserve[k], tau, int(sold[k]))]
             + [("jump", k, x, t, "") for x, t in zip(price[lo:hi], wait[lo:hi])]
             for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])))
-    write_csv(path, ("kind", "auction", "reserve_or_price", "duration_or_wait", "sold"),
-              chain.from_iterable(rows), header_lines)
+    write_csv(path, _DATASET_COLUMNS, chain.from_iterable(rows), header_lines)
 
 
 def read_dataset(path) -> ObservedDataset:
     """Read a canonical dump back into an ObservedDataset.
 
-    Each jump row must follow the row of its own auction, and every
-    auction must have the first one's duration.  A malformed row or an
-    invalid auction raises :class:`ValidationError` naming its line.
+    The first row must be `export_dataset`'s header.  Each jump row must
+    follow the row of its own auction, and every auction must have the
+    first one's duration.  Lines are taken ``_LINE_BUDGET`` at a time;
+    numpy's reader parses the rows of each batch and the row rules are
+    checked over the whole batch at once.  Only a batch that fails a
+    check is walked again row by row, so a malformed row raises
+    :class:`ValidationError` naming the first bad line, and an invalid
+    auction one naming its auction's line, as `csv_rows` would number
+    them.
     """
     path = Path(path)
-    headers, m = [], []  # (line, reserve, duration, sold); jump counts
-    price, wait = array("d"), array("d")
-    rows = csv_rows(path)
-    if next(rows, (0, [""]))[1][0] != "kind":
-        raise ValidationError(f"{path} is not a canonical dataset file")
-    for lineno, r in rows:
+    reserve, duration, price, wait = (array("d") for _ in range(4))
+    sold = array("b")
+    starts, lines = array("q"), array("q")  # each auction row's index among the rows, its line
+    n_rows = 0
+    with path.open() as fh:
+        numbered = ((i, line) for i, line in enumerate(fh, 1) if line[0] not in "#\n")
+        lineno, header = next(numbered, (0, None))
+        if header is None:
+            raise ValidationError(f"{path} is not a canonical dataset file")
+        if header.rstrip("\n").split(",") != list(_DATASET_COLUMNS):
+            raise ValidationError(f"{path} line {lineno}: not a canonical dataset file; "
+                                  f"expected the header {','.join(_DATASET_COLUMNS)}")
+        while chunk := list(islice(fh, _LINE_BUDGET)):
+            keep = [line[0] not in "#\n" for line in chunk]
+            rows = list(compress(chunk, keep))
+            numbers = np.flatnonzero(keep) + lineno + 1
+            lineno += len(chunk)
+            if not rows:
+                continue
+            table = _parse_rows(rows, len(reserve))
+            if table is None:
+                table = _walk_rows(path, zip(numbers.tolist(), rows), len(reserve))
+            auction = table["kind"] == "auction"
+            for buffer, values in ((reserve, table["a"][auction]), (duration, table["b"][auction]),
+                                   (sold, table["sold"][auction] == "1"),
+                                   (price, table["a"][~auction]), (wait, table["b"][~auction]),
+                                   (starts, n_rows + np.flatnonzero(auction)),
+                                   (lines, numbers[auction])):
+                buffer.frombytes(values.astype(buffer.typecode).tobytes())
+            n_rows += len(rows)
+    if not reserve:
+        raise ValidationError(f"{path} contains no auctions")
+    tau = duration[0]
+    violations = [(k, f"duration {duration[k]} != common tau {tau}")
+                  for k in np.flatnonzero(np.frombuffer(duration) != tau).tolist()]
+    m = np.diff(np.frombuffer(starts, dtype=np.int64), append=n_rows) - 1
+    reserve, sold, price, wait = (np.frombuffer(a, dtype=t) for a, t in
+                                  ((reserve, float), (sold, bool), (price, float), (wait, float)))
+    if not violations:
+        try:
+            return ObservedDataset.from_arrays(reserve, sold, m, price, wait, tau)
+        except ValidationError:
+            violations, _ = audit_auctions(reserve, tau, sold, m, price, wait)
+    raise ValidationError([f"{path} line {lines[k]}: {text}" for k, text in violations])
+
+
+def _parse_rows(rows, n_auctions):
+    """The rows as numpy's reader parses them, after ``n_auctions``
+    auction rows, or None if a row holds a character outside `_PLAIN`,
+    numpy refuses a row, or a row breaks a rule of `_walk_rows`."""
+    if "".join(rows).encode().translate(None, _PLAIN):
+        return None
+    try:
+        table = np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None,
+                           quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    auction = table["kind"] == "auction"
+    count = n_auctions + np.cumsum(auction)     # auctions so far, this row's included
+    flag = table["sold"][auction]
+    ok = (len(table) == len(rows) and count[0] > 0
+          and np.all(auction | (table["kind"] == "jump"))
+          and np.all(table["k"] == count - 1)
+          and np.all(np.isfinite(table["a"]) & np.isfinite(table["b"]))
+          and np.all((flag == "0") | (flag == "1")))
+    return table if ok else None
+
+
+def _walk_rows(path, numbered_rows, n_auctions):
+    """The ``(line number, row)`` pairs, after ``n_auctions`` auction
+    rows, checked one at a time: the table `_parse_rows` would give, or
+    a ValidationError naming the first line that breaks a rule."""
+    table = []
+    for lineno, line in numbered_rows:
+        r = line.rstrip("\n").split(",")
         try:
             if len(r) != 5:
                 raise ValueError(f"expected 5 fields, got {len(r)}")
@@ -292,32 +382,18 @@ def read_dataset(path) -> ObservedDataset:
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError(f"non-finite value in {r[2:4]}")
             if kind == "auction":
-                if k != len(headers):
+                if k != n_auctions:
                     raise ValueError(f"auction rows out of order at index {k}")
                 if r[4] not in ("0", "1"):
                     raise ValueError(f"sold must be 0 or 1, got {r[4]!r}")
-                headers.append((lineno, a, b, r[4] == "1"))
-                m.append(0)
+                n_auctions += 1
             elif kind == "jump":
-                if not headers or k != len(headers) - 1:
+                if not n_auctions or k != n_auctions - 1:
                     raise ValueError(f"jump row for auction {k} does not "
                                      f"follow that auction's row")
-                price.append(a)
-                wait.append(b)
-                m[k] += 1
             else:
                 raise ValueError(f"unknown row kind {kind!r}")
         except ValueError as exc:
             raise ValidationError(f"{path} line {lineno}: {exc}") from None
-    if not headers:
-        raise ValidationError(f"{path} contains no auctions")
-    lines, reserve, duration, sold = zip(*headers)
-    tau = duration[0]
-    violations = [(k, f"duration {d} != common tau {tau}")
-                  for k, d in enumerate(duration) if d != tau]
-    if not violations:
-        try:
-            return ObservedDataset.from_arrays(reserve, sold, m, price, wait, tau)
-        except ValidationError:
-            violations, _ = audit_auctions(reserve, tau, sold, m, price, wait)
-    raise ValidationError([f"{path} line {lines[k]}: {text}" for k, text in violations])
+        table.append((kind, k, a, b, r[4]))
+    return np.array(table, dtype=_ROW)

@@ -13,8 +13,8 @@ update is checked; it is the reference the solver is tested against.
 
 :func:`projected_newton` maximizes the same objective in the log-ratios
 ln(theta_i), where it is concave with a tridiagonal Hessian: each
-iteration is vectorised numpy plus one banded solve, with no Python loop
-over coordinates.
+iteration is vectorised numpy plus one tridiagonal solve, with no Python
+loop over coordinates.
 """
 
 from __future__ import annotations
@@ -69,16 +69,15 @@ class LikelihoodContext:
 
 
 def _log_lik_arr(theta: np.ndarray, ctx: LikelihoodContext) -> float:
-    t = theta
-    p = ctx.pooled
-    val = -ctx.lambda_hat * float(np.sum(p.ttilde * np.cumprod(t)))
+    val = -ctx.lambda_hat * float(np.sum(ctx.pooled.ttilde * np.cumprod(theta)))
     pos = ctx.coef > 0
-    if np.any(t[pos] == 0.0) or np.any(t[ctx.is_jump] >= 1.0):
+    logged, jumps = theta[pos], theta[ctx.is_jump]
+    if np.any(logged == 0.0) or np.any(jumps >= 1.0):
         return -np.inf
-    if np.any(pos):
-        val += float(np.sum(ctx.coef[pos] * np.log(t[pos])))
-    if p.ell > 0:
-        val += float(np.sum(np.log1p(-t[ctx.is_jump])))
+    if logged.size:
+        val += float(np.sum(ctx.coef[pos] * np.log(logged)))
+    if jumps.size:
+        val += float(np.sum(np.log1p(-jumps)))
     return val
 
 
@@ -237,8 +236,8 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     positive and whose own one-coordinate maximizer is 1 (the ascent's
     test A <= b, which holds within ln(b / (A theta)) of the bound) is
     tied to its free predecessor (d_i = 0), and the free coordinates
-    take the reduced Newton step, one banded solve.  An Armijo search
-    runs along the projection arc.  The first iteration instead moves
+    take the reduced Newton step, one tridiagonal solve.  An Armijo
+    search runs along the projection arc.  The first iteration instead moves
     towards every coordinate's exact one-coordinate maximizer at once
     (the rule of :func:`_sweep`, vectorised), which repairs a start far
     below the optimum where the objective is nearly linear; the same
@@ -272,13 +271,14 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     while not converged:
         w = lam_t * np.exp(base + np.cumsum(d))
         suffix = np.cumsum(w[::-1])[::-1]
+        odds = _odds(d[jump])
         grad = c - suffix
-        grad[jump] -= _odds(d[jump])
+        grad[jump] -= odds
         with np.errstate(divide="ignore"):      # suffix 0 means A = 0
             log_a = np.log(suffix) - d          # ln A_i, as in _sweep
         active = bounded & (log_a <= np.log(c)) & (grad > 0.0)
         starts = np.flatnonzero(~active)
-        step, decrement = _reduced_newton(d, w, c, jump, starts)
+        step, decrement = _reduced_newton(w, c, jump, odds, starts)
         if decrement <= tol and not np.any(d[active]):
             converged = True
             break
@@ -345,15 +345,16 @@ def _coordinate_maximizers(log_a, c, jump):
                     np.minimum(np.log(c) - log_a, 0.0))
 
 
-def _reduced_newton(d, w, c, jump, starts):
+def _reduced_newton(w, c, jump, odds, starts):
     """Newton step for the free log-ratios ``d[starts]``, each active one
     tied to its free predecessor, plus the Newton decrement.
 
     Free coordinate k starts a group whose psi is shared by the active
-    coordinates after it.  In the group values the Hessian is
-    tridiagonal, coupled only through the jump terms; a relative ridge
-    keeps it solvable when a group's weights underflow to 0 with no jump
-    next to it.
+    coordinates after it.  Every jump is free, and ``odds`` holds
+    theta / (1 - theta) at each jump in order.  In the group values the
+    Hessian is tridiagonal, coupled only through the jump terms, and
+    LAPACK's ``dgtsv`` solves it; a relative ridge keeps it solvable when
+    a group's weights underflow to 0 with no jump next to it.
     """
     if starts.size == 0:
         return np.empty(0), 0.0
@@ -361,7 +362,6 @@ def _reduced_newton(d, w, c, jump, starts):
     curv = np.add.reduceat(w[first:], starts - first)
     cs = c[starts]
     js = jump[starts]
-    odds = _odds(d[starts[js]])
     pull = np.zeros(len(starts) + 1)    # -d/dd of ln(1 - e^d), by group
     bend = np.zeros(len(starts) + 1)    # -d2/dd2 of ln(1 - e^d), by group
     pull[:-1][js] = odds
@@ -369,12 +369,14 @@ def _reduced_newton(d, w, c, jump, starts):
     grad = cs - np.append(cs[1:], 0.0) - curv - pull[:-1] + pull[1:]
     diag = curv + bend[:-1] + bend[1:]
     diag += _RIDGE * (float(diag.max()) or 1.0)
-    bands = np.zeros((3, len(starts)))
-    bands[0, 1:] = -bend[1:-1]
-    bands[1] = diag
-    bands[2, :-1] = -bend[1:-1]
-    from scipy.linalg import solve_banded   # here, not at start-up, as in arrival.py
-    dpsi = solve_banded((1, 1), bands, grad, check_finite=False)
+    if len(starts) == 1:    # dgtsv's wrapper takes no empty off-diagonal
+        dpsi = grad / diag
+    else:
+        off = -bend[1:-1]
+        from scipy.linalg.lapack import dgtsv   # here, not at start-up, as in arrival.py
+        *_, dpsi, info = dgtsv(off, diag, off, grad)
+        if info:
+            raise NumericalError(f"the Newton system is singular (dgtsv info {info})")
     return np.diff(dpsi, prepend=0.0), float(grad @ dpsi)
 
 

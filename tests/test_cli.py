@@ -325,6 +325,18 @@ class TestEstimate:
         assert code == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_foreign_header_is_validation_error(self, tmp_path, capsys):
+        # a header of just "kind" used to pass, and the rows below it read
+        # as a dataset
+        data = tmp_path / "data.csv"
+        data.write_text("# made by hand\nkind\nauction,0,1.0,10.0,1\njump,0,2.0,1.0,\n")
+        code = main(["estimate", "--data", str(data), "--out-curves",
+                     str(tmp_path / "c.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "not a canonical dataset file" in err
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--tol", "--epsilon"])
     def test_nan_tolerance_or_window_is_validation_error(self, tmp_path,
                                                          capsys, flag):

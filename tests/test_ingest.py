@@ -6,6 +6,7 @@ import csv
 import numpy as np
 import pytest
 
+from secondprice import ingest
 from secondprice import (AuctionRecord, BidRow, ObservedDataset,
                          ValidationError, ValuationDistribution,
                          export_bid_log, export_dataset, ingest_bid_csv,
@@ -298,6 +299,95 @@ class TestCanonicalFormat:
             read_dataset(path)
         msg = str(err.value)
         assert str(path) in msg and "line 4" in msg and "12.0" in msg
+
+    @pytest.mark.parametrize("header", [
+        "kind",
+        "kind,auction,reserve_or_price,duration_or_wait",
+        "kind,auction,reserve_or_price,duration_or_wait,sold,",
+        "kind ,auction,reserve_or_price,duration_or_wait,sold",
+        "auction,0,1.0,10.0,1",
+    ])
+    def test_header_must_be_the_export_header(self, tmp_path, header):
+        path = tmp_path / "dataset.csv"
+        path.write_text("# note\n\n" + header + "\n" + self.GOOD.split("\n", 1)[1])
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        msg = str(err.value)
+        assert "line 3" in msg and "not a canonical dataset file" in msg
+
+    def test_comments_blank_lines_and_crlf_after_the_header(self, tmp_path):
+        text = ("# source=test\n"
+                "kind,auction,reserve_or_price,duration_or_wait,sold\n"
+                "# a note\n\n"
+                "auction,0,1.0,10.0,1\n"
+                "\n# between a header and its jumps\n"
+                "jump,0,2.0,1.0,\n"
+                "jump,0,3.0,0.5,\n"
+                "#\n"
+                "auction,1,1.5,10.0,0\n"
+                "\n")
+        want = ObservedDataset((AuctionRecord(1.0, 10.0, ((2.0, 1.0), (3.0, 0.5)), True),
+                                AuctionRecord(1.5, 10.0, (), False)), 10.0)
+        path = tmp_path / "dataset.csv"
+        for ending in ("\n", "\r\n"):
+            path.write_bytes(text.replace("\n", ending).encode())
+            assert read_dataset(path) == want
+
+    @pytest.mark.parametrize("row, text", [
+        ("auctions,2,2.0,10.0,1", "unknown row kind 'auctions'"),
+        ("auction1,2,2.0,10.0,1", "unknown row kind 'auction1'"),
+        ("auction,2,2.0,10.0,10", "sold must be 0 or 1, got '10'"),
+        ("auction,2,2.0,10.0,1#", "sold must be 0 or 1, got '1#'"),
+        ("auction,2,2.0,10.0,1\0", "sold must be 0 or 1, got '1\\x00'"),
+        ("jump\0,1,3.0,1.0,", "unknown row kind 'jump\\x00'"),
+        ("jump,1\x1c,3.0,1.0,", "invalid literal for int() with base 10: '1\\x1c'"),
+    ])
+    def test_near_miss_rows_are_rejected(self, tmp_path, row, text):
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.GOOD + row + "\n")
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path} line 5: {text}"
+
+    def test_numbers_read_as_python_reads_them(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.GOOD.replace("jump,0,2.0,1.0,", "jump, +0 ,\uff12.0, 1_0e-1\t,"))
+        (tmp_path / "want.csv").write_text(self.GOOD)
+        assert read_dataset(path) == read_dataset(tmp_path / "want.csv")
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        bad_sold = self.GOOD.replace("auction,1,1.5,10.0,0", "auction,1,1.5,10.0,2")
+        path.write_text(bad_sold + "jump,1,3.0,1.0,\n" * 3 + "auction,2,2.0,10.0,1\n"
+                        + "jump,2,x,1.0,\n")     # lines 4 and 9 are bad
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path} line 4: sold must be 0 or 1, got '2'"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 7, 14, 15])
+    def test_any_line_budget_reads_back_alike(self, tmp_path, monkeypatch,
+                                              budget):
+        # 14 rows: later batches start on auction rows (budgets 2, 3 and
+        # 5) and on jump rows (2, 3, 5 and 7), and 1, 2, 7 and 14 divide
+        # the row count, so the last batch is full
+        jumps = {0: 2, 2: 1, 3: 3, 5: 2}
+        ds = ObservedDataset(tuple(
+            AuctionRecord(0.5 + k, 10.0,
+                          tuple((1.0 + k + j, 1.0) for j in range(jumps.get(k, 0))),
+                          k in jumps)
+            for k in range(6)), 10.0)
+        path = tmp_path / "dataset.csv"
+        export_dataset(ds, path, header_lines=["source=test"])
+        assert len(path.read_text().splitlines()) == 2 + 14
+        monkeypatch.setattr(ingest, "_LINE_BUDGET", budget)
+        assert read_dataset(path) == ds
+        # a batch of comments alone, and a bad line in a later batch
+        path.write_text(path.read_text().replace("auction,3,", "#\n#\n#\nauction,3,")
+                        + "jump,4,9.0,1.0,\n")
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        assert str(err.value).startswith(f"{path} line 20: jump row for auction 4")
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"

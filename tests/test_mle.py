@@ -16,7 +16,7 @@ from secondprice import (AuctionRecord, LikelihoodContext, NumericalError,
                          ValidationError, ValuationDistribution,
                          coordinate_ascent, log_lik, pool, projected_newton,
                          reconstruct_cdf, run_study)
-from secondprice.mle import _case1_root, _sweep
+from secondprice.mle import _RIDGE, _case1_root, _reduced_newton, _sweep
 from secondprice.pipeline import clip_theta0, fit_initial, initial_theta
 
 
@@ -437,6 +437,44 @@ class TestProjectedNewton:
             projected_newton(ctx, ok, max_sweeps=0)
         with pytest.raises(ValidationError):
             projected_newton(ctx, ThetaVector(np.full(ctx.n + 1, 0.5)))
+
+
+class TestReducedNewton:
+    @pytest.mark.parametrize("seed, n", [(0, 60), (1, 60), (2, 60), (3, 60),
+                                         (4, 2), (5, 1)])
+    def test_matches_dense_solve(self, seed, n):
+        # the Newton system built from the objective in the log-ratios d:
+        # gradient c_k - S_k - [jump] odds_k and negated Hessian
+        # S_max(k, l) + [k = l, jump] odds_k (1 + odds_k) over the free
+        # coordinates, with S_k the sum of w from k on, taken to the
+        # group values psi by x = D psi and solved densely
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 2.0, 2 * n)
+        c = rng.uniform(0.5, 5.0, 2 * n)
+        d = -rng.uniform(0.05, 3.0, 2 * n)
+        jump = rng.uniform(size=2 * n) < 0.3
+        # n free coordinates, every jump among them, the first of them
+        # after an active one
+        starts = 1 + np.sort(rng.choice(2 * n - 1, n, replace=False))
+        jump[np.setdiff1d(np.arange(2 * n), starts)] = False
+        odds = np.exp(d[jump]) / (1.0 - np.exp(d[jump]))
+        step, decrement = _reduced_newton(w, c, jump, odds, starts)
+
+        S = np.cumsum(w[::-1])[::-1][starts]
+        js = jump[starts]
+        o = np.exp(d[starts]) / (1.0 - np.exp(d[starts]))
+        grad_x = c[starts] - S - np.where(js, o, 0.0)
+        hess_x = S[np.maximum.outer(np.arange(len(starts)), np.arange(len(starts)))]
+        hess_x += np.diag(np.where(js, o * (1.0 + o), 0.0))
+        D = np.eye(len(starts)) - np.eye(len(starts), k=-1)
+        grad = D.T @ grad_x
+        hess = D.T @ hess_x @ D
+        assert np.allclose(np.triu(hess, 2), 0.0, atol=1e-9)
+        hess += _RIDGE * hess.diagonal().max() * np.eye(len(starts))
+        dpsi = np.linalg.solve(hess, grad)
+        ref = D @ dpsi
+        assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert decrement == pytest.approx(float(grad @ dpsi), rel=1e-12)
 
 
 class TestEnvelopeOracle:
