@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -349,14 +350,20 @@ def read_dataset(path) -> ObservedDataset:
 def _parse_rows(rows, n_auctions):
     """The rows as numpy's reader parses them, after ``n_auctions``
     auction rows, or None if a row holds a character outside `_PLAIN`,
-    numpy refuses a row, or a row breaks a rule of `_walk_rows`."""
+    numpy refuses or warns about a row, or a row breaks a rule of
+    `_walk_rows`."""
     if "".join(rows).encode().translate(None, _PLAIN):
         return None
-    try:
-        table = np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None,
-                           quotechar=None, ndmin=1)
-    except ValueError:
-        return None
+    # numpy releases that still read an integer field written as a float
+    # (``0.7``, ``1e0``) only warn before casting it, where Python's
+    # `int` refuses it, so a warning counts as a refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            table = np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
     auction = table["kind"] == "auction"
     count = n_auctions + np.cumsum(auction)     # auctions so far, this row's included
     flag = table["sold"][auction]

@@ -2,6 +2,7 @@
 dataset file format."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -341,8 +342,35 @@ class TestCanonicalFormat:
         ("auction,2,2.0,10.0,1\0", "sold must be 0 or 1, got '1\\x00'"),
         ("jump\0,1,3.0,1.0,", "unknown row kind 'jump\\x00'"),
         ("jump,1\x1c,3.0,1.0,", "invalid literal for int() with base 10: '1\\x1c'"),
+        ("auction,2.0,2.0,10.0,1", "invalid literal for int() with base 10: '2.0'"),
+        ("jump,1.5,3.0,1.0,", "invalid literal for int() with base 10: '1.5'"),
+        ("jump,1e0,3.0,1.0,", "invalid literal for int() with base 10: '1e0'"),
     ])
     def test_near_miss_rows_are_rejected(self, tmp_path, row, text):
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.GOOD + row + "\n")
+        with pytest.raises(ValidationError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path} line 5: {text}"
+
+    @pytest.mark.parametrize("row, text", [
+        ("auction,2.0,2.0,10.0,1", "invalid literal for int() with base 10: '2.0'"),
+        ("jump,1e0,3.0,1.0,", "invalid literal for int() with base 10: '1e0'"),
+    ])
+    def test_index_read_through_a_float_is_refused(self, tmp_path, monkeypatch,
+                                                   row, text):
+        # numpy releases before the float fallback was removed read an
+        # integer field written as a float, with only a DeprecationWarning
+        loadtxt = np.loadtxt
+
+        def lenient_loadtxt(rows, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            loose = np.dtype([(name, float if name == "k" else dtype[name])
+                              for name in dtype.names])
+            return loadtxt(rows, dtype=loose, **kwargs).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
         path = tmp_path / "dataset.csv"
         path.write_text(self.GOOD + row + "\n")
         with pytest.raises(ValidationError) as err:
