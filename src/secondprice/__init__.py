@@ -3,8 +3,8 @@ second-price auction standing-price sequences."""
 
 from .arrival import (conditional_mean_jumps, estimate_lambda, g_eval,
                       g_inverse)
-from .bands import (ConfidenceBand, MedianBiasEstimate, envelope_curves,
-                    estimate_median_bias, hulc_band, hulc_batches, write_band_csv)
+from .bands import (ConfidenceBand, envelope_curves, estimate_median_bias,
+                    hulc_band, hulc_batches, write_band_csv)
 from .errors import (NumericalError, SecondPriceError, TieError,
                      ValidationError)
 from .ingest import (BidRow, CleaningReport, export_bid_log, export_dataset,

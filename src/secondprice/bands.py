@@ -1,8 +1,9 @@
 """Confidence bands by batch splitting: the data are partitioned into B
 batches, the estimator is fit per batch, and the band is the pointwise
 min/max envelope.  B is chosen from the level and the estimator's median
-bias, which is itself approximated by Monte Carlo on the probability
-scale (Uniform(0,1) valuations, transformed reserves)."""
+bias, which `estimate_median_bias` approximates from the dataset alone by
+Monte Carlo on the probability scale (Uniform(0,1) valuations,
+transformed reserves)."""
 
 from __future__ import annotations
 
@@ -19,25 +20,6 @@ from .simulate import ValuationDistribution, simulate_auctions
 _BIAS_GRID = np.arange(1, 100) / 100.0
 
 _KINDS = ("init", "mle")
-
-
-@dataclass(frozen=True)
-class MedianBiasEstimate:
-    """Sup-norm distance between the replicate-wise (lower) median of the
-    estimator and the identity, on the probability scale."""
-
-    delta: float
-    estimator_kind: str
-    mc_reps: int
-    grid: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        if self.delta < 0:
-            raise ValidationError("median bias cannot be negative")
-        if np.any(grid <= 0) or np.any(grid >= 1):
-            raise ValidationError("bias grid must lie strictly inside (0,1)")
 
 
 def envelope_curves(knots, lower, upper) -> tuple[MonotoneCurve, MonotoneCurve]:
@@ -94,42 +76,39 @@ def _simulate_profile(lam, tau, reserves, rng) -> ObservedDataset:
                              ((float(r), rng) for r in reserves), rng, 1e-6)
 
 
-def estimate_median_bias(kind: str, K: int, lambda_hat: float, tau: float,
-                         reserve_profile, mc_reps: int, rng,
-                         q: float = DEFAULT_Q) -> MedianBiasEstimate:
-    """Monte Carlo median-bias approximation on the probability scale.
+def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
+                         rng, q: float = DEFAULT_Q, epsilon: float = None) -> float:
+    """Monte Carlo median bias delta of the ``kind`` estimator on
+    ``dataset``, on the probability scale.
 
-    Each replicate simulates K auctions with Uniform(0,1) valuations at
-    rate ``lambda_hat`` over ``tau``, with reserves given by
-    ``reserve_profile`` (low-reserve auctions mapped to 0, the rest to
-    the fitted CDF value at their reserve).  delta is the sup over the
-    grid of |lower-median of the estimate - identity|.
+    `fit_initial` gives lambda_hat and the initial CDF.  Each replicate
+    simulates ``dataset.K`` auctions with Uniform(0,1) valuations at rate
+    lambda_hat over ``dataset.tau``: an auction of the low-reserve set
+    keeps reserve 0, any other the initial CDF at its reserve (capped
+    below 1).  delta is the sup over a grid of (0,1) of |lower median of
+    the replicate estimates - identity|, capped below 1/2.
     """
+    lambda_hat, selection, _, f_init = fit_initial(dataset, q=q, epsilon=epsilon)
     if kind not in _KINDS:
         raise ValidationError(f"unknown estimator kind {kind!r}")
     if mc_reps < 100:
         raise ValidationError("median-bias approximation needs mc_reps >= 100")
-    reserves = np.asarray(reserve_profile, dtype=float)
-    if len(reserves) != K or np.any(reserves < 0) or np.any(reserves >= 1):
-        raise ValidationError("reserve_profile must hold K values in [0, 1)")
+    reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
+    reserves[selection.V] = 0.0
     rng = np.random.default_rng(rng)
     rows = []
-    failures = 0
     for _ in range(mc_reps):
-        dataset = _simulate_profile(lambda_hat, tau, reserves, rng)
+        sample = _simulate_profile(lambda_hat, dataset.tau, reserves, rng)
         try:
-            curve = _fit_kind(dataset, kind, q, 0.01)
+            curve = _fit_kind(sample, kind, q, 0.01)
         except (NumericalError, ValidationError):
-            failures += 1
             continue
         rows.append(np.asarray(curve(_BIAS_GRID)))
     if len(rows) < 2:
-        raise NumericalError(
-            f"median-bias simulation failed in {failures} of {mc_reps} replicates")
-    mat = np.vstack(rows)
-    med = np.sort(mat, axis=0)[(len(rows) - 1) // 2]  # lower median
-    delta = float(np.max(np.abs(med - _BIAS_GRID)))
-    return MedianBiasEstimate(min(delta, 0.5 - 1e-9), kind, mc_reps, _BIAS_GRID)
+        raise NumericalError(f"median-bias simulation failed in "
+                             f"{mc_reps - len(rows)} of {mc_reps} replicates")
+    med = np.sort(np.vstack(rows), axis=0)[(len(rows) - 1) // 2]  # lower median
+    return min(float(np.max(np.abs(med - _BIAS_GRID))), 0.5 - 1e-9)
 
 
 def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,

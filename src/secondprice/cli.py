@@ -22,18 +22,17 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .bands import (_fit_kind, envelope_curves, estimate_median_bias, hulc_band,
                     write_band_csv)
-from .errors import NumericalError, SecondPriceError, ValidationError
-from .ingest import (csv_rows, export_dataset, ingest_bid_csv, open_output,
-                     read_dataset, write_csv)
+from .errors import NumericalError, ValidationError
+from .ingest import (csv_rows, export_dataset, ingest_bid_csv, open_input,
+                     open_output, read_dataset, write_csv)
 from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
 from .model import MonotoneCurve
-from .pipeline import DEFAULT_Q, fit, fit_initial
+from .pipeline import DEFAULT_Q, fit
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 EXIT_OK = 0
@@ -91,7 +90,9 @@ def load_config(path, options) -> dict:
         by_key[action.option_strings[0][2:].replace("-", "_")] = action
         by_key[action.dest] = action
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    with open_input(path) as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -210,14 +211,9 @@ def cmd_bands(args) -> int:
     dataset = read_dataset(args.data)
     delta = args.delta
     if args.auto_delta:
-        lam_hat, selection, _, f_init = fit_initial(dataset, q=args.q,
-                                                    epsilon=args.epsilon)
-        reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
-        reserves[selection.V] = 0.0
-        delta = estimate_median_bias(args.kind, dataset.K, lam_hat, dataset.tau,
-                                     reserves, args.bias_reps,
+        delta = estimate_median_bias(dataset, args.kind, args.bias_reps,
                                      np.random.default_rng(args.seed),
-                                     q=args.q).delta
+                                     q=args.q, epsilon=args.epsilon)
     band = hulc_band(dataset, args.kind, args.alpha, delta,
                      np.random.default_rng(args.seed), q=args.q,
                      epsilon=args.epsilon)
@@ -434,9 +430,6 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SecondPriceError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -131,44 +131,48 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
     rows_by_auction: dict = {}
     seen = set()
     n_rows = 0
-    with path.open(newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in _COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValidationError([f"missing column {c!r}" for c in missing])
-        for rec in reader:
-            lineno = reader.line_num   # DictReader skips blank lines
-            short = [c for c in _COLUMNS if rec[c] is None]
-            if short:
-                errors.append(f"row {lineno}: no value for {', '.join(short)}")
-                continue
-            if None in rec:  # DictReader files fields beyond the header here
-                errors.append(f"row {lineno}: {len(rec[None])} field(s) beyond "
-                              f"the {len(reader.fieldnames)}-column header")
-                continue
-            try:
-                row = BidRow(auctionid=rec["auctionid"].strip(),
-                             bid=float(rec["bid"]),
-                             bidtime=float(rec["bidtime"]),
-                             bidder=rec["bidder"].strip(),
-                             bidderrate=int(float(rec["bidderrate"])),
-                             openbid=float(rec["openbid"]),
-                             price=float(rec["price"]))
-            except (ValueError, OverflowError, ValidationError) as exc:
-                errors.append(f"row {lineno}: {exc}")
-                continue
-            if row.bidtime > duration_days:
-                errors.append(f"row {lineno}: bidtime {row.bidtime} exceeds "
-                              f"duration {duration_days}")
-                continue
-            key = (row.auctionid, row.bidder, row.bidtime)
-            if key in seen:
-                errors.append(f"row {lineno}: duplicate (auctionid, bidder, "
-                              f"bidtime) {key}")
-                continue
-            seen.add(key)
-            rows_by_auction.setdefault(row.auctionid, []).append(row)
-            n_rows += 1
+        try:
+            missing = [c for c in _COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValidationError([f"missing column {c!r}" for c in missing])
+            for rec in reader:
+                lineno = reader.line_num   # DictReader skips blank lines
+                short = [c for c in _COLUMNS if rec[c] is None]
+                if short:
+                    errors.append(f"row {lineno}: no value for {', '.join(short)}")
+                    continue
+                if None in rec:  # DictReader files fields beyond the header here
+                    errors.append(f"row {lineno}: {len(rec[None])} field(s) beyond "
+                                  f"the {len(reader.fieldnames)}-column header")
+                    continue
+                try:
+                    row = BidRow(auctionid=rec["auctionid"].strip(),
+                                 bid=float(rec["bid"]),
+                                 bidtime=float(rec["bidtime"]),
+                                 bidder=rec["bidder"].strip(),
+                                 bidderrate=int(float(rec["bidderrate"])),
+                                 openbid=float(rec["openbid"]),
+                                 price=float(rec["price"]))
+                except (ValueError, OverflowError, ValidationError) as exc:
+                    errors.append(f"row {lineno}: {exc}")
+                    continue
+                if row.bidtime > duration_days:
+                    errors.append(f"row {lineno}: bidtime {row.bidtime} exceeds "
+                                  f"duration {duration_days}")
+                    continue
+                key = (row.auctionid, row.bidder, row.bidtime)
+                if key in seen:
+                    errors.append(f"row {lineno}: duplicate (auctionid, bidder, "
+                                  f"bidtime) {key}")
+                    continue
+                seen.add(key)
+                rows_by_auction.setdefault(row.auctionid, []).append(row)
+                n_rows += 1
+        except csv.Error as exc:   # e.g. a field beyond the csv module's size limit
+            # DictReader counts a line once it parses, the csv reader on reading it
+            raise ValidationError(f"{path} line {reader.reader.line_num}: {exc}") from None
     if errors:
         raise ValidationError(errors)
     if not rows_by_auction:
@@ -218,14 +222,33 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
 
 
 @contextmanager
+def open_input(path, newline=None):
+    """Open a text file for reading as UTF-8.  A byte that does not
+    decode, met while the file is read, raises ValidationError naming the
+    file and its line."""
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:      # find the line, on this path only
+        for lineno, line in enumerate(path.read_bytes().splitlines(), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path} line {lineno}: not UTF-8 text "
+                                      f"({exc.reason})") from None
+        raise
+
+
+@contextmanager
 def open_output(path, header_lines=()):
-    """Open an output file for writing text as given (``newline=""``),
+    """Open an output file for writing UTF-8 text as given (``newline=""``),
     making its parent directory first, and write each line of each of
     ``header_lines`` as a ``# line`` comment before the caller's own
     content, so a value holding a line break stays a comment."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         for line in header_lines:
             fh.writelines(f"# {part}\n" for part in line.splitlines())
         yield fh
@@ -250,7 +273,7 @@ def csv_rows(path):
     """Yield ``(line number, fields)`` for each non-blank line of a file
     that `write_csv` wrote.  A ``#`` line is a comment, dropped before any
     field is split; CRLF and LF line endings read alike."""
-    with Path(path).open() as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line and not line.startswith("#"):
@@ -305,7 +328,7 @@ def read_dataset(path) -> ObservedDataset:
     sold = array("b")
     starts, lines = array("q"), array("q")  # each auction row's index among the rows, its line
     n_rows = 0
-    with path.open() as fh:
+    with open_input(path) as fh:
         numbered = ((i, line) for i, line in enumerate(fh, 1) if line[0] not in "#\n")
         lineno, header = next(numbered, (0, None))
         if header is None:

@@ -69,15 +69,16 @@ class LikelihoodContext:
 
 
 def _log_lik_arr(theta: np.ndarray, ctx: LikelihoodContext) -> float:
-    val = -ctx.lambda_hat * float(np.sum(ctx.pooled.ttilde * np.cumprod(theta)))
+    # array methods: the np.sum/np.any wrappers cost more than a small grid's sums
+    val = -ctx.lambda_hat * float((ctx.pooled.ttilde * theta.cumprod()).sum())
     pos = ctx.coef > 0
     logged, jumps = theta[pos], theta[ctx.is_jump]
-    if np.any(logged == 0.0) or np.any(jumps >= 1.0):
+    if (logged == 0.0).any() or (jumps >= 1.0).any():
         return -np.inf
     if logged.size:
-        val += float(np.sum(ctx.coef[pos] * np.log(logged)))
+        val += float((ctx.coef[pos] * np.log(logged)).sum())
     if jumps.size:
-        val += float(np.sum(np.log1p(-jumps)))
+        val += float(np.log1p(-jumps).sum())
     return val
 
 
@@ -106,28 +107,31 @@ def _sweep(theta, ttilde, coef, is_jump, lam, lo, hi):
     W[i] = ttilde[i] + theta[i+1] * W[i+1] depends only on the later
     (not yet updated) coordinates and prefix is the running product of
     the earlier (already updated) ones.  Jump coordinates take the
-    quadratic's smaller root, the others b/A clamped to [0, 1].
+    quadratic's smaller root, the others b/A clamped to [0, 1].  The
+    loops run on Python floats, faster than numpy scalars and rounding alike.
     """
-    n = theta.shape[0]
-    W = np.empty(n)
+    t, ttilde, coef, is_jump = (a.tolist() for a in (theta, ttilde, coef, is_jump))
+    n = len(t)
+    W = [0.0] * n
     W[n - 1] = ttilde[n - 1]
     for i in range(n - 2, lo - 1, -1):
-        W[i] = ttilde[i] + theta[i + 1] * W[i + 1]
+        W[i] = ttilde[i] + t[i + 1] * W[i + 1]
     prefix = 1.0
     for i in range(lo):
-        prefix *= theta[i]
+        prefix *= t[i]
     for i in range(lo, hi):
         A = lam * prefix * W[i]
         b = coef[i]
         if is_jump[i]:
-            theta[i] = _case1_root(A, b)
+            t[i] = _case1_root(A, b)
         elif b <= 0.0:
-            theta[i] = 0.0
+            t[i] = 0.0
         elif A <= b:
-            theta[i] = 1.0
+            t[i] = 1.0
         else:
-            theta[i] = b / A
-        prefix *= theta[i]
+            t[i] = b / A
+        prefix *= t[i]
+    theta[lo:hi] = t[lo:hi]
 
 
 def _check_ascent(before: float, after: float, what: str) -> None:

@@ -1,15 +1,17 @@
 """Batch-split confidence bands: batch-count arithmetic, envelope
 construction, and the median-bias Monte Carlo approximation."""
 
+from itertools import count
+
 import numpy as np
 import pytest
 from helpers import naive_jittered_reserves
 
-from secondprice import (AuctionRecord, ConfidenceBand, ObservedDataset,
-                         ValidationError, ValuationDistribution,
-                         estimate_median_bias, hulc_band, hulc_batches,
+from secondprice import (AuctionRecord, ConfidenceBand, NumericalError,
+                         ObservedDataset, ValidationError, ValuationDistribution,
+                         bands, estimate_median_bias, hulc_band, hulc_batches,
                          run_auction, write_band_csv)
-from secondprice.bands import _simulate_profile
+from secondprice.bands import _fit_kind, _simulate_profile
 
 
 class TestBatchCount:
@@ -117,24 +119,46 @@ class TestMedianBias:
         assert _simulate_profile(lam, tau, reserves, shared) == want
         assert shared.bit_generator.state == rng.bit_generator.state
 
-    def test_small_run(self):
-        K = 30
-        bias = estimate_median_bias("init", K=K, lambda_hat=1.0, tau=30.0,
-                                    reserve_profile=np.zeros(K), mc_reps=100,
-                                    rng=0)
-        assert 0.0 <= bias.delta < 0.5
-        assert bias.estimator_kind == "init"
+    def test_small_run(self, uniform_dataset):
+        delta = estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)
+        assert isinstance(delta, float)
+        assert 0.0 <= delta < 0.5
 
-    def test_validation(self):
+    def test_validation(self, uniform_dataset):
         with pytest.raises(ValidationError):
-            estimate_median_bias("init", K=10, lambda_hat=1.0, tau=10.0,
-                                 reserve_profile=np.zeros(10), mc_reps=50,
-                                 rng=0)
+            estimate_median_bias(uniform_dataset, "init", mc_reps=50, rng=0)
         with pytest.raises(ValidationError):
-            estimate_median_bias("init", K=10, lambda_hat=1.0, tau=10.0,
-                                 reserve_profile=np.ones(10), mc_reps=100,
-                                 rng=0)
-        with pytest.raises(ValidationError):
-            estimate_median_bias("quantile", K=10, lambda_hat=1.0, tau=10.0,
-                                 reserve_profile=np.zeros(10), mc_reps=100,
-                                 rng=0)
+            estimate_median_bias(uniform_dataset, "quantile", mc_reps=100, rng=0)
+
+    def test_failed_replicates_are_left_out(self, uniform_dataset, monkeypatch):
+        # every other replicate fails; the median runs over the other 50
+        calls, kept = count(1), []
+
+        def every_other(sample, kind, q, epsilon):
+            if next(calls) % 2 == 0:
+                raise NumericalError("injected")
+            curve = _fit_kind(sample, kind, q, epsilon)
+            kept.append(curve(bands._BIAS_GRID))
+            return curve
+
+        monkeypatch.setattr(bands, "_fit_kind", every_other)
+        delta = estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)
+        assert len(kept) == 50
+        median = np.sort(kept, axis=0)[24]
+        assert delta == float(np.max(np.abs(median - bands._BIAS_GRID)))
+
+    @pytest.mark.parametrize("successes", [0, 1])
+    def test_fewer_than_two_replicates_is_numerical_error(self, uniform_dataset,
+                                                          monkeypatch, successes):
+        calls = count(1)
+
+        def failing(sample, kind, q, epsilon):
+            call = next(calls)
+            if call > successes:
+                raise (NumericalError if call % 2 else ValidationError)("injected")
+            return _fit_kind(sample, kind, q, epsilon)
+
+        monkeypatch.setattr(bands, "_fit_kind", failing)
+        with pytest.raises(NumericalError,
+                           match=f"failed in {100 - successes} of 100 replicates"):
+            estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)

@@ -52,6 +52,44 @@ class TestExitCodes:
         assert main(["estimate", "--data", str(tmp_path / "nope.csv"),
                      "--out-curves", str(tmp_path / "c.csv")]) == 3
 
+    def test_zero_rate_estimate_is_numerical_error(self, tmp_path, capsys):
+        # the low-reserve auctions (reserves 0 and 0.001) never jump
+        data = tmp_path / "data.csv"
+        data.write_text("kind,auction,reserve_or_price,duration_or_wait,sold\n"
+                        "auction,0,0.0,10.0,0\nauction,1,0.001,10.0,0\n"
+                        "auction,2,5.0,10.0,1\njump,2,6.0,1.0,\n"
+                        "auction,3,5.5,10.0,1\njump,3,7.0,2.0,\n")
+        out = tmp_path / "c.csv"
+        assert main(["estimate", "--data", str(data), "--out-curves", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: arrival-rate estimate is zero")
+        assert not out.exists()
+
+
+class TestNotUtf8:
+    # each reader, given a byte that is not UTF-8 on its third line
+    @pytest.mark.parametrize("reader", ["dataset", "curves", "bid-log", "config"])
+    def test_names_the_file_and_line(self, tmp_path, capsys, reader):
+        bad = tmp_path / "bad.txt"
+        lines = {
+            "dataset": [b"kind,auction,reserve_or_price,duration_or_wait,sold",
+                        b"auction,0,1.0,20.0,1", b"jump,0,2.0,1.0,\xff"],
+            "curves": [b"x,f_init,f_mle", b"0.0,0.0,0.0", b"1.0,0.5,0.5\xff"],
+            "bid-log": [b"auctionid,bid,bidtime,bidder,bidderrate,openbid,price",
+                        b"1,5.0,1.0,alice,0,0.5,5.0", b"1,7.0,2.0,b\xffb,0,0.5,5.0"],
+            "config": [b"# seed", b"K=3", b"dist=uniform:1,2 # \xe9t\xe9"],
+        }[reader]
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        out = str(tmp_path / "out.csv")
+        argv = {"dataset": ["estimate", "--data", str(bad), "--out-curves", out],
+                "curves": ["metrics", "--curves", str(bad)],
+                "bid-log": ["ingest", "--data", str(bad), "--duration", "7",
+                            "--out", out],
+                "config": ["simulate", "--config", str(bad), "--out", out]}[reader]
+        assert main(argv) == 3
+        assert f"{bad} line 3: not UTF-8 text (invalid" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSimulate:
     def test_deterministic_output(self, tmp_path):
@@ -401,6 +439,15 @@ class TestBandsCommand:
                 if not r.startswith("#")]
         assert rows[0] == "x,lower,upper,estimate"
 
+    def test_auto_delta_echo(self, tmp_path):
+        # the seeded median-bias replicates give this delta, echoed into
+        # the band file
+        data = simulate(tmp_path, K=40)
+        out = tmp_path / "band.csv"
+        assert main(["bands", "--data", str(data), "--auto-delta", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert "# delta=0.01782527989524718" in out.read_text().splitlines()
+
 
 class TestReplicateCommand:
     def test_small_run(self, tmp_path, capsys):
@@ -523,6 +570,14 @@ class TestCsvDialect:
                      str(curves)]) == 0
         assert main(["metrics", "--curves", str(curves)]) == 0
 
+    def test_output_path_holding_non_ascii_text(self, tmp_path, capsys):
+        # the echoed "# out=..." line is written as UTF-8, which the
+        # readers expect
+        data = simulate(tmp_path, name="données.csv")
+        assert f"# out={data}\n".encode() in data.read_bytes()
+        assert main(["estimate", "--data", str(data), "--out-curves",
+                     str(tmp_path / "c.csv")]) == 0
+
     @pytest.mark.parametrize("name", ["a\nb.csv", "c\rd.csv"])
     def test_output_path_holding_a_line_break(self, tmp_path, capsys, name):
         # each line of the echoed "# out=..." entry is a comment of its own
@@ -593,6 +648,19 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert all(f"row {n}" in err for n in (3, 4, 5))
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_field_beyond_the_csv_limit_is_validation_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+            "1,5.0,1.0,alice,0,0.5,8.0\n"
+            f"1,6.0,2.0,{'b' * 200_000},0,0.5,8.0\n")
+        out = tmp_path / "dataset.csv"
+        assert main(["ingest", "--data", str(log), "--duration", "7",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{log} line 3: field larger than field limit" in err
         assert not out.exists()
 
     def test_row_with_extra_fields_is_validation_error(self, tmp_path, capsys):

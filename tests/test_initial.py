@@ -243,6 +243,13 @@ class TestInitialEstimate:
         assert np.array_equal(f_init2.knots, f_init.knots)
         assert np.array_equal(f_init2.values, f_init.values)
 
+    def test_zero_rate_estimate_is_numerical_error(self):
+        # the low-reserve auctions (reserves 0 and 0.001) never jump
+        ds = reserves_dataset([0.0, 0.001, 5.0, 5.5],
+                              [None, None, [(6.0, 1.0)], [(7.0, 2.0)]])
+        with pytest.raises(NumericalError, match="arrival-rate estimate is zero"):
+            fit_initial(ds)
+
     def test_fit_never_evaluates_the_selling_price_map(self, uniform_dataset,
                                                        monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,14 +1,29 @@
 """Distance computations between CDF estimates and the replication
 harnesses built on them."""
 
+from itertools import count
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondprice import (MonotoneCurve, ValidationError,
-                         ValuationDistribution, ks_distance, replicate_table,
-                         train_test_eval, tv_distance, write_report_csv)
+from secondprice import (MonotoneCurve, NumericalError, ValidationError,
+                         ValuationDistribution, fit, ks_distance, metrics,
+                         replicate_table, train_test_eval, tv_distance,
+                         write_report_csv)
+
+
+def failing_fit(fails):
+    """`fit`, except that the calls (counted from 1) for which
+    ``fails(call)`` holds raise NumericalError."""
+    calls = count(1)
+
+    def wrapped(*args, **kwargs):
+        if fails(next(calls)):
+            raise NumericalError("injected")
+        return fit(*args, **kwargs)
+    return wrapped
 
 
 class TestKS:
@@ -115,6 +130,26 @@ class TestReplicateTable:
         assert text.startswith("# origin=test\n")
         assert "uniform-K25" in text
 
+    def test_failed_replicates_are_counted_and_left_out(self, tmp_path,
+                                                       monkeypatch):
+        settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
+        [full] = replicate_table(settings_, replicates=4, base_seed=3,
+                                 lam=0.5, tau=20.0)
+        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: call % 2 == 0))
+        [report] = replicate_table(settings_, replicates=4, base_seed=3,
+                                   lam=0.5, tau=20.0)
+        assert (report.replicates, report.failures) == (2, 2)
+        assert report.raw == (full.raw[0], full.raw[2])
+        path = tmp_path / "report.csv"
+        write_report_csv([report], path)
+        assert path.read_text().splitlines()[1].startswith("uniform-K25,2,2,")
+
+    def test_every_replicate_failing_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True))
+        settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
+        with pytest.raises(NumericalError, match="every replicate failed"):
+            replicate_table(settings_, replicates=3, base_seed=1)
+
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_replicate_count_below_one_rejected(self, replicates):
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
@@ -129,6 +164,17 @@ class TestTrainTest:
         assert report.replications == 2
         assert 0.0 <= report.avg_tv_mle <= 1.0
         assert 0.0 <= report.avg_tv_init <= 1.0
+
+    def test_failed_splits_are_skipped(self, uniform_dataset, monkeypatch):
+        # two fits per split: the third and sixth calls fail the second and
+        # fourth splits
+        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: call % 3 == 0))
+        report = train_test_eval(uniform_dataset, ratio=0.5, replications=4,
+                                 rng=0)
+        assert (report.replications, report.skipped) == (2, 2)
+        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True))
+        with pytest.raises(NumericalError, match="every split replication failed"):
+            train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0)
 
     def test_bad_ratio_rejected(self, uniform_dataset):
         with pytest.raises(ValidationError):

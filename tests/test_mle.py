@@ -4,6 +4,7 @@ the projected Newton solver, checked against the ascent."""
 
 import logging
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from secondprice import (AuctionRecord, LikelihoodContext, NumericalError,
                          ValidationError, ValuationDistribution,
                          coordinate_ascent, log_lik, pool, projected_newton,
                          reconstruct_cdf, run_study)
+from secondprice import mle
 from secondprice.mle import _RIDGE, _case1_root, _reduced_newton, _sweep
 from secondprice.pipeline import clip_theta0, fit_initial, initial_theta
 
@@ -428,6 +430,19 @@ class TestProjectedNewton:
             assert projected_newton(ctx, theta0).converged
         assert not caplog.records
 
+    def test_objective_that_never_increases_is_numerical_error(self,
+                                                                monkeypatch):
+        # each evaluation is below the last, so every point of the first
+        # iteration's arc, even one that rounds back to the start, fails
+        # the Armijo test
+        ctx = small_context(seed=5)
+        theta0 = feasible_theta(ctx, np.random.default_rng(0))
+        values = count(0.0, -1.0)
+        monkeypatch.setattr(mle, "_log_lik_arr", lambda theta, ctx: next(values))
+        with pytest.raises(NumericalError,
+                           match="found no ascent step at iteration 1"):
+            projected_newton(ctx, theta0, max_sweeps=5)
+
     def test_invalid_arguments(self):
         ctx = small_context(seed=12)
         ok = ThetaVector(np.full(ctx.n, 0.5))
@@ -475,6 +490,14 @@ class TestReducedNewton:
         ref = D @ dpsi
         assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert decrement == pytest.approx(float(grad @ dpsi), rel=1e-12)
+
+    def test_zero_pivot_is_numerical_error(self):
+        # the first group's curvature cancels the ridge and no jump couples
+        # it to the second, so the system is singular
+        w = np.array([-_RIDGE, 1.0])
+        with pytest.raises(NumericalError, match="singular"):
+            _reduced_newton(w, np.ones(2), np.zeros(2, dtype=bool), np.empty(0),
+                            np.array([0, 1]))
 
 
 class TestEnvelopeOracle:
