@@ -88,11 +88,11 @@ def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
     below 1).  delta is the sup over a grid of (0,1) of |lower median of
     the replicate estimates - identity|, capped below 1/2.
     """
-    lambda_hat, selection, _, f_init = fit_initial(dataset, q=q, epsilon=epsilon)
     if kind not in _KINDS:
         raise ValidationError(f"unknown estimator kind {kind!r}")
     if mc_reps < 100:
         raise ValidationError("median-bias approximation needs mc_reps >= 100")
+    lambda_hat, selection, _, f_init = fit_initial(dataset, q=q, epsilon=epsilon)
     reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
     reserves[selection.V] = 0.0
     rng = np.random.default_rng(rng)

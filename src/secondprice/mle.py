@@ -13,8 +13,8 @@ update is checked; it is the reference the solver is tested against.
 
 :func:`projected_newton` maximizes the same objective in the log-ratios
 ln(theta_i), where it is concave with a tridiagonal Hessian: each
-iteration is vectorised numpy plus one tridiagonal solve, with no Python
-loop over coordinates.
+iteration builds its tridiagonal system with ``_newton_system``, in
+vectorised numpy with no Python loop over coordinates, and solves it once.
 """
 
 from __future__ import annotations
@@ -239,13 +239,13 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     1982) with a per-coordinate width: a non-jump whose gradient is
     positive and whose own one-coordinate maximizer is 1 (the ascent's
     test A <= b, which holds within ln(b / (A theta)) of the bound) is
-    tied to its free predecessor (d_i = 0), and the free coordinates
-    take the reduced Newton step, one tridiagonal solve.  An Armijo
-    search runs along the projection arc.  The first iteration instead moves
-    towards every coordinate's exact one-coordinate maximizer at once
-    (the rule of :func:`_sweep`, vectorised), which repairs a start far
-    below the optimum where the objective is nearly linear; the same
-    move backs up a Newton arc that finds no ascent.
+    tied to its free predecessor (d_i = 0), and the free coordinates take
+    the reduced Newton step of :func:`_newton_system`, one tridiagonal
+    solve.  An Armijo search runs along the projection arc.  The first
+    iteration instead moves towards every coordinate's exact one-coordinate
+    maximizer at once (the rule of :func:`_sweep`, vectorised), which
+    repairs a start far below the optimum where the objective is nearly
+    linear; the same move backs up a Newton arc that finds no ascent.
 
     Stops when the Newton decrement is at most ``tol`` and every active
     d_i is 0; reaching ``max_sweeps`` iterations first logs a warning.
@@ -273,16 +273,16 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     history = [current]
     converged = m == lo
     while not converged:
-        w = lam_t * np.exp(base + np.cumsum(d))
-        suffix = np.cumsum(w[::-1])[::-1]
-        odds = _odds(d[jump])
-        grad = c - suffix
-        grad[jump] -= odds
-        with np.errstate(divide="ignore"):      # suffix 0 means A = 0
-            log_a = np.log(suffix) - d          # ln A_i, as in _sweep
-        active = bounded & (log_a <= np.log(c)) & (grad > 0.0)
-        starts = np.flatnonzero(~active)
-        step, decrement = _reduced_newton(w, c, jump, odds, starts)
+        grad, log_a, active, starts, rhs, diag, off = _newton_system(
+            d, base, lam_t, c, jump, bounded)
+        if len(starts) == 1:    # dgtsv's wrapper takes no empty off-diagonal
+            dpsi = rhs / diag
+        else:
+            from scipy.linalg.lapack import dgtsv   # here, not at start-up, as in arrival.py
+            *_, dpsi, info = dgtsv(off, diag, off, rhs)
+            if info:
+                raise NumericalError(f"the Newton system is singular (dgtsv info {info})")
+        step, decrement = np.diff(dpsi, prepend=0.0), float(rhs @ dpsi)
         if decrement <= tol and not np.any(d[active]):
             converged = True
             break
@@ -329,12 +329,6 @@ def _armijo(arc, d, grad, current, objective):
     return None
 
 
-def _odds(d):
-    """theta / (1 - theta) at theta = e^d < 1, the negated derivative of
-    ln(1 - e^d)."""
-    return np.exp(d) / -np.expm1(d)
-
-
 def _coordinate_maximizers(log_a, c, jump):
     """ln of each coordinate's exact maximizer with the others held at
     the current point, from the log curvature weights ln A_i.
@@ -349,39 +343,40 @@ def _coordinate_maximizers(log_a, c, jump):
                     np.minimum(np.log(c) - log_a, 0.0))
 
 
-def _reduced_newton(w, c, jump, odds, starts):
-    """Newton step for the free log-ratios ``d[starts]``, each active one
-    tied to its free predecessor, plus the Newton decrement.
+def _newton_system(d, base, lam_t, c, jump, bounded):
+    """The Newton system at the log-ratios ``d``, ``base`` being ln of the
+    frozen prefix: ``(grad, log_a, active, starts, rhs, diag, off)``.
 
-    Free coordinate k starts a group whose psi is shared by the active
-    coordinates after it.  Every jump is free, and ``odds`` holds
-    theta / (1 - theta) at each jump in order.  In the group values the
-    Hessian is tridiagonal, coupled only through the jump terms, and
-    LAPACK's ``dgtsv`` solves it; a relative ridge keeps it solvable when
-    a group's weights underflow to 0 with no jump next to it.
+    ``grad`` is the gradient, ``log_a`` ln A_i, ``active`` the tied bound
+    coordinates and ``starts`` the free ones.  Free coordinate k starts a
+    group whose psi is shared by the active coordinates after it.  In the
+    group values the negated Hessian is tridiagonal (``diag``, ``off``),
+    coupled only through the jump terms, with right-hand side ``rhs``; a
+    relative ridge keeps it solvable when a group's weights underflow to 0
+    with no jump next to it.  A jump is never active, and the last
+    coordinate (the top final price) is a jump, so ``starts`` is never empty.
     """
-    if starts.size == 0:
-        return np.empty(0), 0.0
+    w = lam_t * np.exp(base + np.cumsum(d))
+    suffix = np.cumsum(w[::-1])[::-1]
+    dj = d[jump]
+    odds = np.exp(dj) / -np.expm1(dj)       # theta / (1 - theta) at each jump
+    grad = c - suffix
+    grad[jump] -= odds
+    with np.errstate(divide="ignore"):      # suffix 0 means A = 0
+        log_a = np.log(suffix) - d          # ln A_i, as in _sweep
+    active = bounded & (log_a <= np.log(c)) & (grad > 0.0)
+    starts = np.flatnonzero(~active)
     first = int(starts[0])
     curv = np.add.reduceat(w[first:], starts - first)
-    cs = c[starts]
-    js = jump[starts]
+    cs, js = c[starts], jump[starts]
     pull = np.zeros(len(starts) + 1)    # -d/dd of ln(1 - e^d), by group
     bend = np.zeros(len(starts) + 1)    # -d2/dd2 of ln(1 - e^d), by group
     pull[:-1][js] = odds
     bend[:-1][js] = odds * (1.0 + odds)
-    grad = cs - np.append(cs[1:], 0.0) - curv - pull[:-1] + pull[1:]
+    rhs = cs - np.append(cs[1:], 0.0) - curv - pull[:-1] + pull[1:]
     diag = curv + bend[:-1] + bend[1:]
     diag += _RIDGE * (float(diag.max()) or 1.0)
-    if len(starts) == 1:    # dgtsv's wrapper takes no empty off-diagonal
-        dpsi = grad / diag
-    else:
-        off = -bend[1:-1]
-        from scipy.linalg.lapack import dgtsv   # here, not at start-up, as in arrival.py
-        *_, dpsi, info = dgtsv(off, diag, off, grad)
-        if info:
-            raise NumericalError(f"the Newton system is singular (dgtsv info {info})")
-    return np.diff(dpsi, prepend=0.0), float(grad @ dpsi)
+    return grad, log_a, active, starts, rhs, diag, -bend[1:-1]
 
 
 def reconstruct_cdf(theta_hat: ThetaVector, z: np.ndarray) -> MonotoneCurve:

@@ -45,11 +45,7 @@ def audit_auctions(reserve, duration, sold, m, price, wait):
     sold, m = np.asarray(sold, dtype=bool), np.asarray(m, dtype=np.intp)
     K, start = len(m), m.cumsum() - m
     owner = np.arange(K).repeat(m)
-    spent, rows = np.zeros(K), m.nonzero()[0]
-    with np.errstate(invalid="ignore"):     # inf - inf among non-finite waits
-        for j in range(m.max(initial=0)):
-            rows = rows[m[rows] > j]
-            spent[rows] += wait[start[rows] + j]
+    spent = np.bincount(owner, wait, K).astype(float)   # int64 when there is no jump
     jumped, low = m > 0, np.zeros(K, dtype=bool)
     low[jumped] = price[start[jumped]] <= reserve[jumped]
     down = np.flatnonzero((price[1:] <= price[:-1]) & (owner[1:] == owner[:-1]))

@@ -44,6 +44,8 @@ class ValuationDistribution:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}; "
                                   f"expected one of {', '.join(_KINDS)}")
+        if not np.isfinite(np.asarray(self.params, dtype=float)).all():
+            raise ValidationError(f"{self.kind} parameters must be finite, got {self.params}")
 
     # -- constructors -------------------------------------------------
     @staticmethod

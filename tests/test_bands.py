@@ -130,6 +130,21 @@ class TestMedianBias:
         with pytest.raises(ValidationError):
             estimate_median_bias(uniform_dataset, "quantile", mc_reps=100, rng=0)
 
+    def test_arguments_are_checked_before_the_initial_fit(self):
+        # the low-reserve auctions (reserves 0 and 0.001) never jump, so
+        # the initial fit of this dataset fails with NumericalError
+        tau = 10.0
+        ds = ObservedDataset((AuctionRecord(0.0, tau, (), False),
+                              AuctionRecord(0.001, tau, (), False),
+                              AuctionRecord(5.0, tau, ((6.0, 1.0),), True),
+                              AuctionRecord(5.5, tau, ((7.0, 2.0),), True)), tau)
+        with pytest.raises(ValidationError, match="unknown estimator kind"):
+            estimate_median_bias(ds, "quantile", mc_reps=100, rng=0)
+        with pytest.raises(ValidationError, match="mc_reps >= 100"):
+            estimate_median_bias(ds, "init", mc_reps=5, rng=0)
+        with pytest.raises(NumericalError, match="arrival-rate estimate is zero"):
+            estimate_median_bias(ds, "init", mc_reps=100, rng=0)
+
     def test_failed_replicates_are_left_out(self, uniform_dataset, monkeypatch):
         # every other replicate fails; the median runs over the other 50
         calls, kept = count(1), []

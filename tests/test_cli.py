@@ -65,6 +65,41 @@ class TestExitCodes:
         assert err.startswith("numerical error: arrival-rate estimate is zero")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("ingest", "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n",
+         "bid log contains no usable rows"),
+        ("estimate", "", "is not a canonical dataset file"),
+        ("estimate", "# a comment\n\n# another\n", "is not a canonical dataset file"),
+        ("estimate", "kind,auction,reserve_or_price,duration_or_wait,sold\n# none\n",
+         "contains no auctions"),
+    ], ids=["bid-log-header-only", "dataset-empty", "dataset-comments-only",
+            "dataset-header-only"])
+    def test_input_without_rows_is_validation_error(self, tmp_path, capsys,
+                                                    command, text, message):
+        data, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        data.write_text(text)
+        argv = {"ingest": ["ingest", "--data", str(data), "--duration", "7",
+                           "--out", str(out)],
+                "estimate": ["estimate", "--data", str(data),
+                             "--out-curves", str(out)]}[command]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bias_reps_are_checked_before_the_initial_fit(self, tmp_path, capsys):
+        # the initial fit fails on this file (exit 4), but the replicate
+        # count is refused first
+        data = tmp_path / "data.csv"
+        data.write_text("kind,auction,reserve_or_price,duration_or_wait,sold\n"
+                        "auction,0,0.0,10.0,0\nauction,1,0.001,10.0,0\n"
+                        "auction,2,5.0,10.0,1\njump,2,6.0,1.0,\n"
+                        "auction,3,5.5,10.0,1\njump,3,7.0,2.0,\n")
+        out = tmp_path / "b.csv"
+        assert main(["bands", "--data", str(data), "--auto-delta", "--bias-reps", "5",
+                     "--out", str(out)]) == 3
+        assert "mc_reps >= 100" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNotUtf8:
     # each reader, given a byte that is not UTF-8 on its third line
@@ -128,6 +163,19 @@ class TestSimulate:
         assert "constant reserve must be finite and >= 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, spec", [
+        ("simulate", "uniform:0,inf"), ("simulate", "piecewise:1,2,nan"),
+        ("simulate", "gamma:nan,2"), ("simulate", "pareto:1,nan"),
+        ("simulate", "beta:inf,2"), ("replicate", "uniform:0,inf:10")])
+    def test_non_finite_distribution_parameter_is_validation_error(
+            self, tmp_path, capsys, command, spec):
+        out = tmp_path / "out.csv"
+        argv = {"simulate": ["simulate", "--dist", spec, "--K", "5", "--tau", "10"],
+                "replicate": ["replicate", "--setting", spec, "--reps", "1"]}[command]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "parameters must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_changes_output(self, tmp_path):
         p1 = simulate(tmp_path, "a.csv", seed=5)
         p2 = simulate(tmp_path, "b.csv", seed=6)
@@ -154,6 +202,17 @@ class TestConfigPrecedence:
         config = tmp_path / "run.cfg"
         config.write_text("this is not a key value pair\n")
         assert main(["simulate", "--config", str(config)]) == 3
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# a study\n\ndist=uniform:1,8\n   \nK=5\n"
+                          "  # indented comment\ntau=20.0\n\n")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        by_config = out.read_text()
+        assert main(["simulate", "--dist", "uniform:1,8", "--K", "5", "--tau", "20.0",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == by_config
 
     @pytest.mark.parametrize("key", ["lambda", "lam"])
     def test_config_key_is_flag_name_or_dest(self, tmp_path, key):

@@ -91,6 +91,17 @@ class TestIngest:
         assert a.final_price == 7.0
         assert a.sold
 
+    def test_numeric_auction_ids_sort_first_by_value(self, tmp_path):
+        # each auction's opening bid tells its id; "10" sorts after "9.5"
+        # as a number, and text ids follow in text order
+        path = tmp_path / "log.csv"
+        write_log(path, [[aid, 5.0, 1.0, "alice", 0, openbid, openbid]
+                         for aid, openbid in (("b", 0.6), ("10", 0.4), ("a", 0.5),
+                                              ("9.5", 0.3), ("2", 0.2))])
+        dataset, _ = ingest_bid_csv(path, duration_days=7.0, noise_seed=0,
+                                    noise_scale=0.0)
+        assert dataset.reserve.tolist() == [0.2, 0.3, 0.4, 0.5, 0.6]
+
     def test_single_bid_auction_sells_at_reserve(self, tmp_path):
         path = tmp_path / "log.csv"
         write_log(path, [["1", 5.0, 1.0, "alice", 0, 1.0, 1.0]])

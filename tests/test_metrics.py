@@ -181,6 +181,11 @@ class TestTrainTest:
             train_test_eval(uniform_dataset, ratio=1.5, replications=1,
                             rng=0)
 
+    @pytest.mark.parametrize("ratio", [0.001, 0.999])
+    def test_split_leaving_a_side_empty_rejected(self, uniform_dataset, ratio):
+        with pytest.raises(ValidationError, match="empty train or test set"):
+            train_test_eval(uniform_dataset, ratio=ratio, replications=1, rng=0)
+
     @pytest.mark.parametrize("replications", [0, -3])
     def test_replication_count_below_one_rejected(self, uniform_dataset,
                                                   replications):

@@ -18,7 +18,7 @@ from secondprice import (AuctionRecord, LikelihoodContext, NumericalError,
                          coordinate_ascent, log_lik, pool, projected_newton,
                          reconstruct_cdf, run_study)
 from secondprice import mle
-from secondprice.mle import _RIDGE, _case1_root, _reduced_newton, _sweep
+from secondprice.mle import _RIDGE, _case1_root, _newton_system, _sweep
 from secondprice.pipeline import clip_theta0, fit_initial, initial_theta
 
 
@@ -104,6 +104,12 @@ class TestLogLik:
             ctx = small_context(seed=seed)
             assert np.all(ctx.coef >= 0)
             assert np.all(ctx.is_jump[ctx.pooled.u - 1])
+
+
+    @pytest.mark.parametrize("lam_hat", [0.0, -1.0])
+    def test_rate_must_be_positive(self, lam_hat):
+        with pytest.raises(ValidationError, match="lambda_hat must be positive"):
+            small_context(lam_hat=lam_hat)
 
 
 class TestCurvatureWeight:
@@ -454,50 +460,87 @@ class TestProjectedNewton:
             projected_newton(ctx, ThetaVector(np.full(ctx.n + 1, 0.5)))
 
 
-class TestReducedNewton:
-    @pytest.mark.parametrize("seed, n", [(0, 60), (1, 60), (2, 60), (3, 60),
-                                         (4, 2), (5, 1)])
-    def test_matches_dense_solve(self, seed, n):
-        # the Newton system built from the objective in the log-ratios d:
-        # gradient c_k - S_k - [jump] odds_k and negated Hessian
-        # S_max(k, l) + [k = l, jump] odds_k (1 + odds_k) over the free
-        # coordinates, with S_k the sum of w from k on, taken to the
-        # group values psi by x = D psi and solved densely
-        rng = np.random.default_rng(seed)
-        w = rng.uniform(0.1, 2.0, 2 * n)
-        c = rng.uniform(0.5, 5.0, 2 * n)
-        d = -rng.uniform(0.05, 3.0, 2 * n)
-        jump = rng.uniform(size=2 * n) < 0.3
-        # n free coordinates, every jump among them, the first of them
-        # after an active one
-        starts = 1 + np.sort(rng.choice(2 * n - 1, n, replace=False))
-        jump[np.setdiff1d(np.arange(2 * n), starts)] = False
-        odds = np.exp(d[jump]) / (1.0 - np.exp(d[jump]))
-        step, decrement = _reduced_newton(w, c, jump, odds, starts)
+def newton_inputs(seed, n, first_free):
+    """Random arguments of ``_newton_system`` over n coordinates, the last
+    a jump and about half the non-jumps at the bound d = 0, so that some
+    non-jumps are active and some free.  The first coordinate is a jump
+    when ``first_free``, else a non-jump at the bound with a ``c`` above
+    every curvature weight, so it is active."""
+    rng = np.random.default_rng(seed)
+    jump = rng.uniform(size=n) < 0.3
+    jump[-1], jump[0] = True, first_free
+    d = -rng.uniform(0.001, 0.2, n)
+    d[~jump & (rng.uniform(size=n) < 0.5)] = 0.0
+    c = rng.uniform(0.5, 5.0, n)
+    if not first_free:
+        d[0], c[0] = 0.0, 1e3
+    lam_t = rng.uniform(0.0, 2.0, n)
+    return d, -rng.uniform(0.0, 1.0), lam_t, c, jump, ~jump
 
-        S = np.cumsum(w[::-1])[::-1][starts]
-        js = jump[starts]
-        o = np.exp(d[starts]) / (1.0 - np.exp(d[starts]))
-        grad_x = c[starts] - S - np.where(js, o, 0.0)
-        hess_x = S[np.maximum.outer(np.arange(len(starts)), np.arange(len(starts)))]
-        hess_x += np.diag(np.where(js, o * (1.0 + o), 0.0))
-        D = np.eye(len(starts)) - np.eye(len(starts), k=-1)
-        grad = D.T @ grad_x
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("seed, n, first_free, groups", [
+        (0, 60, True, None), (1, 60, False, None), (2, 60, True, None),
+        (3, 60, False, None), (4, 3, False, 1), (5, 4, True, 2)])
+    def test_matches_dense_oracle(self, seed, n, first_free, groups):
+        # the objective in the log-ratios d is
+        # -sum_i w_i + sum_i c_i d_i + sum_jump ln(1 - e^d_i), with
+        # w_i = lam_t_i e^(base + d_1 + ... + d_i): gradient
+        # c_k - S_k - [jump] odds_k and negated Hessian
+        # S_max(k, l) + [k = l, jump] odds_k (1 + odds_k), S_k the sum of
+        # w from k on; over the free coordinates it is taken to the group
+        # values psi by x = D psi and built densely
+        d, base, lam_t, c, jump, bounded = newton_inputs(seed, n, first_free)
+        if groups == 1:         # every coordinate but the last is active
+            d[:-1], c[:-1] = 0.0, 1e3
+        grad, log_a, active, starts, rhs, diag, off = _newton_system(
+            d, base, lam_t, c, jump, bounded)
+
+        w = np.array([lam_t[i] * math.exp(base + math.fsum(d[:i + 1]))
+                      for i in range(n)])
+        S = np.array([math.fsum(w[k:]) for k in range(n)])
+        o = np.zeros(n)
+        o[jump] = np.exp(d[jump]) / (1.0 - np.exp(d[jump]))
+        grad_ref = c - S - o
+        A = S / np.exp(d)       # lam * prefix * W_k of _sweep
+        active_ref = bounded & (A <= c) & (grad_ref > 0.0)
+        assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
+        assert np.allclose(log_a, np.log(A), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(active, active_ref)
+        assert np.array_equal(starts, np.flatnonzero(~active_ref))
+        assert set(np.flatnonzero(jump)) <= set(starts.tolist())
+        assert active[0] != first_free
+        if groups is None:
+            assert np.any(active) and np.any(bounded[starts]) and len(starts) > 2
+        else:
+            assert len(starts) == groups
+
+        g = len(starts)
+        grad_x = grad_ref[starts]
+        hess_x = S[starts][np.maximum.outer(np.arange(g), np.arange(g))]
+        hess_x += np.diag(o[starts] * (1.0 + o[starts]))
+        D = np.eye(g) - np.eye(g, k=-1)
         hess = D.T @ hess_x @ D
         assert np.allclose(np.triu(hess, 2), 0.0, atol=1e-9)
-        hess += _RIDGE * hess.diagonal().max() * np.eye(len(starts))
-        dpsi = np.linalg.solve(hess, grad)
-        ref = D @ dpsi
-        assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert decrement == pytest.approx(float(grad @ dpsi), rel=1e-12)
+        hess += _RIDGE * hess.diagonal().max() * np.eye(g)
+        scale = np.max(np.abs(hess))
+        assert np.max(np.abs(rhs - D.T @ grad_x)) <= 1e-12 * np.max(np.abs(D.T @ grad_x))
+        assert np.max(np.abs(diag - hess.diagonal())) <= 1e-12 * scale
+        assert len(off) == g - 1
+        for side in (-1, 1):
+            assert np.max(np.abs(off - hess.diagonal(side)), initial=0.0) <= 1e-12 * scale
 
-    def test_zero_pivot_is_numerical_error(self):
-        # the first group's curvature cancels the ridge and no jump couples
-        # it to the second, so the system is singular
-        w = np.array([-_RIDGE, 1.0])
+    def test_zero_pivot_is_numerical_error(self, monkeypatch):
+        # a zero first column makes the group system singular
+        def singular(*args):
+            *head, rhs, diag, off = _newton_system(*args)
+            diag[0] = off[0] = 0.0
+            return (*head, rhs, diag, off)
+
+        monkeypatch.setattr(mle, "_newton_system", singular)
+        ctx = small_context(seed=5)
         with pytest.raises(NumericalError, match="singular"):
-            _reduced_newton(w, np.ones(2), np.zeros(2, dtype=bool), np.empty(0),
-                            np.array([0, 1]))
+            projected_newton(ctx, feasible_theta(ctx, np.random.default_rng(0)))
 
 
 class TestEnvelopeOracle:

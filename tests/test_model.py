@@ -14,6 +14,7 @@ from secondprice import (AuctionRecord, MonotoneCurve, NumericalError,
                          has_ties, ingest_bid_csv, pool, read_dataset,
                          reconstruct_cdf, run_auction, run_study)
 from secondprice.bands import _simulate_profile
+from secondprice.model import audit_auctions
 from secondprice.pipeline import fit_initial
 
 from helpers import naive_jittered_reserves, naive_pooled
@@ -184,6 +185,25 @@ class TestObservedDataset:
             ObservedDataset.from_arrays(ds.reserve, ds.sold, [3, 4, 0], ds.price,
                                         ds.wait, TAU)
 
+    def test_from_arrays_needs_an_auction(self):
+        for make in (lambda: ObservedDataset.from_arrays([], [], [], [], [], TAU),
+                     lambda: ObservedDataset((), TAU)):
+            with pytest.raises(ValidationError, match="at least one auction"):
+                make()
+
+
+class TestAuditAuctions:
+    def test_wait_sums_add_left_to_right(self):
+        # waits over 16 orders of magnitude, so the order of the additions
+        # shows in the sums
+        rng = np.random.default_rng(2)
+        m = rng.integers(0, 30, 40)
+        wait = rng.uniform(0.5, 1.0, m.sum()) * 10.0 ** rng.integers(-8, 8, m.sum())
+        price = np.arange(1.0, m.sum() + 1.0)
+        _, spent = audit_auctions(np.zeros(40), 1.0, np.ones(40, dtype=bool), m, price, wait)
+        start = m.cumsum() - m
+        assert spent.tolist() == [sum(wait[a:a + k].tolist()) for a, k in zip(start, m)]
+
 
 def no_jump_dataset(reserves=(3.0, 1.0, 2.0), sold=(True, False, True)):
     return ObservedDataset(tuple(AuctionRecord(r, TAU, (), s)
@@ -200,6 +220,13 @@ class TestNoJumps:
         assert np.array_equal(ds.m, [0, 0, 0])
         assert np.array_equal(ds.tail, [TAU] * 3)
         assert np.array_equal(ds.final_price, ds.reserve)
+
+    def test_wait_sums_are_float(self):
+        ds = no_jump_dataset()
+        assert ds.tail.dtype == np.float64
+        violations, spent = audit_auctions(ds.reserve, TAU, ds.sold, ds.m, ds.price, ds.wait)
+        assert violations == [] and spent.dtype == np.float64
+        assert np.array_equal(spent, [0.0] * 3)
 
     def test_pool(self):
         p = pool(no_jump_dataset())
@@ -222,6 +249,11 @@ class TestNoJumps:
         assert not has_ties(out) and out.price.shape == (0,)
         expected = naive_jittered_reserves(ds.auctions, np.random.default_rng(4))
         assert out.reserve.tolist() == expected
+
+    def test_zero_scale_jitter_leaves_tied_reserves_tied(self):
+        ds = no_jump_dataset(reserves=(1.0, 1.0, 2.0))
+        with pytest.raises(TieError, match="ties persist"):
+            break_ties(ds, np.random.default_rng(4), scale=0.0)
 
 
 class TestPooling:
@@ -380,3 +412,9 @@ class TestThetaMaps:
         assert curve(0.0) == 0.0
         assert np.all(np.diff(curve.values) >= 0.0)
         assert curve.values[0] >= 0.0 and curve.values[-1] <= 1.0
+
+    @pytest.mark.parametrize("theta", [[0.5, 1.0 + 1e-9], [-1e-9, 0.5]])
+    def test_theta_outside_the_unit_interval_rejected(self, theta):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            ThetaVector(np.array(theta))
+        ThetaVector(np.clip(theta, -1e-13, 1.0 + 1e-13))    # within rounding slack

@@ -310,6 +310,19 @@ class TestValuationDistribution:
         with pytest.raises(ValidationError):
             bad()
 
+    @pytest.mark.parametrize("pieces", [[(2.0, 1.0, 1.0)], [(1.0, 1.0, 1.0)],
+                                        [(1.0, 2.0, 0.5), (3.0, 3.0, 0.5)]])
+    def test_piece_with_a_not_below_b_rejected(self, pieces):
+        with pytest.raises(ValidationError, match="0 <= a < b"):
+            ValuationDistribution.piecewise_uniform(pieces)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform", (0.0, np.inf)), ("gamma", (np.nan, 2.0)), ("pareto", (1.0, -np.inf)),
+        ("beta", (np.inf, 2.0)), ("piecewise_uniform", ((1.0, 2.0, np.nan),))])
+    def test_non_finite_parameters_rejected_at_construction(self, kind, params):
+        with pytest.raises(ValidationError, match=f"{kind} parameters must be finite"):
+            ValuationDistribution(kind, params)
+
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(ValidationError) as err:
             ValuationDistribution("lognormal", (0.0, 1.0))
