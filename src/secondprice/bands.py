@@ -7,6 +7,8 @@ transformed reserves)."""
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +16,14 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
 from .model import MonotoneCurve, ObservedDataset
-from .pipeline import DEFAULT_Q, fit, fit_initial
+from .pipeline import DEFAULT_Q, failure_reasons, fit, fit_initial, surviving_fits
 from .simulate import ValuationDistribution, simulate_auctions
 
 _BIAS_GRID = np.arange(1, 100) / 100.0
 
 _KINDS = ("init", "mle")
+
+_log = logging.getLogger(__name__)
 
 
 def envelope_curves(knots, lower, upper) -> tuple[MonotoneCurve, MonotoneCurve]:
@@ -86,7 +90,8 @@ def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
     lambda_hat over ``dataset.tau``: an auction of the low-reserve set
     keeps reserve 0, any other the initial CDF at its reserve (capped
     below 1).  delta is the sup over a grid of (0,1) of |lower median of
-    the replicate estimates - identity|, capped below 1/2.
+    the replicate estimates - identity|, capped below 1/2.  Replicates
+    whose fit fails are left out, with one warning that gives the reasons.
     """
     if kind not in _KINDS:
         raise ValidationError(f"unknown estimator kind {kind!r}")
@@ -96,17 +101,17 @@ def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
     reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
     reserves[selection.V] = 0.0
     rng = np.random.default_rng(rng)
-    rows = []
-    for _ in range(mc_reps):
-        sample = _simulate_profile(lambda_hat, dataset.tau, reserves, rng)
-        try:
-            curve = _fit_kind(sample, kind, q, 0.01)
-        except (NumericalError, ValidationError):
-            continue
-        rows.append(np.asarray(curve(_BIAS_GRID)))
+    samples = (_simulate_profile(lambda_hat, dataset.tau, reserves, rng)
+               for _ in range(mc_reps))
+    failed = Counter()
+    rows = [np.asarray(curve(_BIAS_GRID)) for curve in surviving_fits(
+        samples, lambda sample: _fit_kind(sample, kind, q, 0.01), failed)]
+    if failed:
+        _log.warning("median-bias simulation left out %d of %d replicates: %s",
+                     failed.total(), mc_reps, failure_reasons(failed))
     if len(rows) < 2:
-        raise NumericalError(f"median-bias simulation failed in "
-                             f"{mc_reps - len(rows)} of {mc_reps} replicates")
+        raise NumericalError(f"median-bias simulation failed in {failed.total()} of "
+                             f"{mc_reps} replicates; most often {failure_reasons(failed, 1)}")
     med = np.sort(np.vstack(rows), axis=0)[(len(rows) - 1) // 2]  # lower median
     return min(float(np.max(np.abs(med - _BIAS_GRID))), 0.5 - 1e-9)
 

@@ -32,7 +32,7 @@ from .ingest import (csv_rows, export_dataset, ingest_bid_csv, open_input,
                      open_output, read_dataset, write_csv)
 from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
 from .model import MonotoneCurve
-from .pipeline import DEFAULT_Q, fit
+from .pipeline import DEFAULT_Q, failure_reasons, fit
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 EXIT_OK = 0
@@ -254,6 +254,8 @@ def cmd_replicate(args) -> int:
         print(f"{r.label}: ks_mle={r.mean_ks_mle:.4f} ks_init={r.mean_ks_init:.4f} "
               f"tv_mle={r.mean_tv_mle:.4f} tv_init={r.mean_tv_init:.4f} "
               f"({r.replicates} replicates, {r.failures} failed)")
+        if r.reasons:
+            print(f"  failed: {failure_reasons(r.reasons)}")
     return EXIT_OK
 
 

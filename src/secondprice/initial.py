@@ -48,8 +48,8 @@ def select_low_reserve(dataset: ObservedDataset, q: float,
                        epsilon: float) -> LowReserveSelection:
     """Smallest non-negative r_min whose (r_min - eps, r_min + eps)
     window captures at least a q-fraction of the reserve prices."""
-    if not 0.0 < q < 1.0 or not epsilon > 0:
-        raise ValidationError("need 0 < q < 1 and epsilon > 0")
+    if not 0.0 < q < 1.0 or not 0.0 < epsilon < math.inf:
+        raise ValidationError("need 0 < q < 1 and a finite epsilon > 0")
     rs = np.sort(dataset.reserve)
     K = len(rs)
     m = max(1, math.ceil(q * K))

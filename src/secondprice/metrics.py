@@ -4,14 +4,15 @@ datasets, and the train/test split protocol for observed data."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
 from .model import ObservedDataset
-from .pipeline import DEFAULT_Q, fit
+from .pipeline import DEFAULT_Q, failure_reasons, fit, surviving_fits
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 _TV_REFINE_TOL = 1e-5
@@ -97,6 +98,7 @@ class StudyReport:
     mean_tv_init: float
     raw: tuple  # per-replicate (ks_mle, ks_init, tv_mle, tv_init)
     failures: int = 0
+    reasons: Counter = field(default_factory=Counter)  # (class, message line): count
 
     def __post_init__(self):
         for v in (self.mean_ks_mle, self.mean_ks_init,
@@ -112,39 +114,28 @@ def replicate_table(settings, replicates: int, base_seed: int,
 
     Reserves are 0 throughout (with automatic tie jitter), matching the
     negligible-reserve regime the arrival-rate estimator assumes.
-    Replicates whose pipeline errors out are excluded and counted.
+    Replicates whose fit fails are left out; ``failures`` counts them and
+    ``reasons`` says why.
     Needs ``replicates >= 1``.
     """
     if replicates < 1:
         raise ValidationError(f"need at least 1 replicate, got {replicates}")
     reports = []
     for s, (dist, K) in enumerate(settings):
-        raw = []
-        failures = 0
-        for rep in range(replicates):
-            seed = int(np.random.SeedSequence(
-                (int(base_seed), s, rep)).generate_state(1)[0])
-            dataset = run_study(SimConfig(lam, tau, K, seed), dist)
-            try:
-                res = fit(dataset, q=q)
-            except (NumericalError, ValidationError):
-                failures += 1
-                continue
-            raw.append((ks_distance(res.cdf, dist),
-                        ks_distance(res.f_init, dist),
-                        tv_distance(res.cdf, dist),
-                        tv_distance(res.f_init, dist)))
+        seeds = (int(np.random.SeedSequence((int(base_seed), s, rep)).generate_state(1)[0])
+                 for rep in range(replicates))
+        datasets = (run_study(SimConfig(lam, tau, K, seed), dist) for seed in seeds)
+        failed = Counter()
+        raw = [(ks_distance(res.cdf, dist), ks_distance(res.f_init, dist),
+                tv_distance(res.cdf, dist), tv_distance(res.f_init, dist))
+               for res in surviving_fits(datasets, lambda ds: fit(ds, q=q), failed)]
         if not raw:
-            raise NumericalError(
-                f"every replicate failed for setting {dist.kind}, K={K}")
-        means = np.mean(np.asarray(raw), axis=0)
-        reports.append(StudyReport(label=f"{dist.kind}-K{K}",
-                                   replicates=len(raw),
-                                   mean_ks_mle=float(means[0]),
-                                   mean_ks_init=float(means[1]),
-                                   mean_tv_mle=float(means[2]),
-                                   mean_tv_init=float(means[3]),
-                                   raw=tuple(raw), failures=failures))
+            raise NumericalError(f"every replicate failed for setting {dist.kind}, "
+                                 f"K={K}; most often {failure_reasons(failed, 1)}")
+        means = map(float, np.mean(np.asarray(raw), axis=0))
+        reports.append(StudyReport(f"{dist.kind}-K{K}", len(raw), *means,
+                                   raw=tuple(raw), failures=failed.total(),
+                                   reasons=failed))
     return reports
 
 
@@ -157,6 +148,7 @@ class TrainTestReport:
     avg_tv_init: float   # initial estimate on train vs MLE on test
     avg_tv_mle: float    # MLE on train vs MLE on test
     skipped: int
+    reasons: Counter = field(default_factory=Counter)  # (class, message line): count
 
 
 def train_test_eval(dataset: ObservedDataset, ratio: float,
@@ -164,7 +156,8 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
                     epsilon: float = None) -> TrainTestReport:
     """Random train/test splits at the given train fraction; the test-set
     MLE serves as the reference each train-set estimate is scored
-    against.  Needs ``replications >= 1``."""
+    against; a split whose fit fails is left out, counted in ``skipped``
+    and ``reasons``.  Needs ``replications >= 1``."""
     if not 0 < ratio < 1:
         raise ValidationError("train fraction must be in (0, 1)")
     if replications < 1:
@@ -173,23 +166,19 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
     if n_train < 1 or n_train >= dataset.K:
         raise ValidationError("split leaves an empty train or test set")
     rng = np.random.default_rng(rng)
-    tv_init, tv_mle = [], []
-    skipped = 0
-    for _ in range(replications):
-        perm = rng.permutation(dataset.K)
-        tr, te = dataset.take(perm[:n_train]), dataset.take(perm[n_train:])
-        try:
-            fit_tr = fit(tr, q=q, epsilon=epsilon)
-            fit_te = fit(te, q=q, epsilon=epsilon)
-        except (NumericalError, ValidationError):
-            skipped += 1
-            continue
-        tv_init.append(tv_distance(fit_tr.f_init, fit_te.cdf))
-        tv_mle.append(tv_distance(fit_tr.cdf, fit_te.cdf))
-    if not tv_mle:
-        raise NumericalError("every split replication failed")
-    return TrainTestReport(ratio, len(tv_mle), float(np.mean(tv_init)),
-                           float(np.mean(tv_mle)), skipped)
+    perms = (rng.permutation(dataset.K) for _ in range(replications))
+    splits = ((dataset.take(p[:n_train]), dataset.take(p[n_train:])) for p in perms)
+    failed = Counter()
+    tv = [(tv_distance(fit_tr.f_init, fit_te.cdf), tv_distance(fit_tr.cdf, fit_te.cdf))
+          for fit_tr, fit_te in surviving_fits(
+              splits, lambda split: [fit(part, q=q, epsilon=epsilon) for part in split],
+              failed)]
+    if not tv:
+        raise NumericalError("every split replication failed; most often "
+                             + failure_reasons(failed, 1))
+    tv_init, tv_mle = map(np.mean, zip(*tv))
+    return TrainTestReport(ratio, len(tv), float(tv_init), float(tv_mle),
+                           failed.total(), failed)
 
 
 def write_report_csv(reports, path, header_lines=()) -> None:

@@ -161,8 +161,8 @@ class AscentResult:
 def _start(ctx: LikelihoodContext, theta0: ThetaVector, tol: float,
            max_sweeps: int, constrained: bool):
     """Checked copy of theta0, the first free index, and the objective."""
-    if not tol > 0 or max_sweeps < 1:
-        raise ValidationError("need tol > 0 and max_sweeps >= 1")
+    if not 0.0 < tol < math.inf or max_sweeps < 1:
+        raise ValidationError("need a finite tol > 0 and max_sweeps >= 1")
     theta = np.asarray(theta0.theta, dtype=float).copy()
     if len(theta) != ctx.n:
         raise ValidationError("theta0 length does not match the pooled grid")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrival import estimate_lambda
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .initial import (LowReserveSelection, SpliceAnchors, combine_initial,
                       compute_splice_anchors, estimate_f_fp, initial_theta,
                       select_low_reserve)
@@ -104,3 +104,23 @@ def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
                      anchors=anchors, f_init=f_init, theta0=theta0,
                      pooled=pooled, ascent=ascent, cdf=cdf,
                      constrained=constrain)
+
+
+def surviving_fits(items, fit_one, failed):
+    """``fit_one(item)`` for each of ``items``, lazily; an item whose fit
+    raises NumericalError or ValidationError is left out and counted in
+    the Counter ``failed`` under (exception class, first message line)."""
+    for item in items:
+        try:
+            result = fit_one(item)
+        except (NumericalError, ValidationError) as exc:
+            failed[type(exc).__name__, str(exc).partition("\n")[0]] += 1
+        else:
+            yield result
+
+
+def failure_reasons(failed, top=None) -> str:
+    """The ``top`` most frequent reasons of the Counter ``failed`` (all by
+    default), most frequent first, as 'Class: message (n times)'."""
+    return "; ".join(f"{name}: {line} ({n} times)"
+                     for (name, line), n in failed.most_common(top))

@@ -236,8 +236,10 @@ def _draws(lam: float, tau: float, dist: ValuationDistribution, draws):
     times, bids)``, all drawn from its ``rng``: Exponential(lam)
     inter-arrival times accumulated a block at a time until one passes
     tau, then a bid for each arrival at or before tau."""
-    scale = 1.0 / lam
-    block = max(16, int(lam * tau + 6 * np.sqrt(lam * tau) + 10))
+    scale, mean = 1.0 / lam, lam * tau
+    if not math.isfinite(mean):
+        raise ValidationError(f"lam * tau must be finite, got {lam!r} * {tau!r}")
+    block = max(16, int(mean + 6 * np.sqrt(mean) + 10))
     for reserve, rng in draws:
         times = rng.exponential(scale, block).cumsum()
         while times[-1] <= tau:

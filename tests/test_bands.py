@@ -1,6 +1,7 @@
 """Batch-split confidence bands: batch-count arithmetic, envelope
 construction, and the median-bias Monte Carlo approximation."""
 
+import logging
 from itertools import count
 
 import numpy as np
@@ -177,3 +178,63 @@ class TestMedianBias:
         with pytest.raises(NumericalError,
                            match=f"failed in {100 - successes} of 100 replicates"):
             estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)
+
+    def test_failure_reasons_are_logged_once(self, uniform_dataset, monkeypatch,
+                                             caplog):
+        # a third of the fits fail with a two-line message, the rest of the
+        # failures with a ValidationError; only the first line is a reason
+        calls = count(1)
+
+        def failing(sample, kind, q, epsilon):
+            call = next(calls)
+            if call % 3 == 0:
+                raise NumericalError("solver stalled\nat iteration 7")
+            if call % 10 == 0:
+                raise ValidationError("bad sample")
+            return _fit_kind(sample, kind, q, epsilon)
+
+        monkeypatch.setattr(bands, "_fit_kind", failing)
+        with caplog.at_level(logging.WARNING, logger="secondprice"):
+            estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)
+        [record] = caplog.records
+        assert record.name.startswith("secondprice")
+        assert record.getMessage() == (
+            "median-bias simulation left out 40 of 100 replicates: "
+            "NumericalError: solver stalled (33 times); "
+            "ValidationError: bad sample (7 times)")
+
+    def test_all_failed_error_names_the_most_frequent_reason(self, uniform_dataset,
+                                                             monkeypatch):
+        calls = count(1)
+
+        def failing(sample, kind, q, epsilon):
+            raise (ValidationError("bad sample") if next(calls) == 1
+                   else NumericalError("solver stalled\nat iteration 7"))
+
+        monkeypatch.setattr(bands, "_fit_kind", failing)
+        with pytest.raises(NumericalError) as err:
+            estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)
+        assert str(err.value) == (
+            "median-bias simulation failed in 100 of 100 replicates; "
+            "most often NumericalError: solver stalled (99 times)")
+
+    def test_no_warning_without_failures(self, uniform_dataset, caplog):
+        with caplog.at_level(logging.WARNING, logger="secondprice"):
+            estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)
+        assert not caplog.records
+
+    def test_simulation_error_propagates_uncounted(self, uniform_dataset,
+                                                   monkeypatch, caplog):
+        # an error outside the fit is not a failed replicate
+        calls = count(1)
+
+        def simulate(*args):
+            if next(calls) == 3:
+                raise NumericalError("simulation broke")
+            return _simulate_profile(*args)
+
+        monkeypatch.setattr(bands, "_simulate_profile", simulate)
+        with caplog.at_level(logging.WARNING, logger="secondprice"):
+            with pytest.raises(NumericalError, match="^simulation broke$"):
+                estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)
+        assert not caplog.records

@@ -3,11 +3,12 @@ the file outputs of each subcommand."""
 
 import csv
 import json
+from itertools import count
 
 import numpy as np
 import pytest
 
-from secondprice import export_bid_log, read_dataset
+from secondprice import NumericalError, export_bid_log, fit, metrics, read_dataset
 from secondprice.cli import main, parse_dist
 
 
@@ -149,6 +150,15 @@ class TestSimulate:
                      "--lambda", lam, "--tau", tau, "--out", str(out)])
         assert code == 3
         assert "finite lam > 0, finite tau > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_arrival_product_is_validation_error(self, tmp_path, capsys):
+        # lam and tau are each finite, but lam * tau overflows to inf
+        out = tmp_path / "data.csv"
+        code = main(["simulate", "--dist", "uniform:1,8", "--K", "5",
+                     "--lambda", "1e308", "--tau", "1e308", "--out", str(out)])
+        assert code == 3
+        assert "lam * tau must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("reserve", ["-1", "nan"])
@@ -445,6 +455,20 @@ class TestEstimate:
         assert "> 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, message", [("--tol", "finite tol"),
+                                               ("--epsilon", "finite epsilon")])
+    def test_infinite_tolerance_or_window_is_validation_error(self, tmp_path, capsys,
+                                                              flag, message):
+        data = simulate(tmp_path)
+        capsys.readouterr()
+        blob = tmp_path / "diag.json"
+        code = main(["estimate", "--data", str(data), "--out-curves",
+                     str(tmp_path / "c.csv"), "--out-json", str(blob), flag, "inf"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not blob.exists()
+
+
 class TestMetricsCommand:
     def test_distances_between_series(self, tmp_path, capsys):
         data = simulate(tmp_path)
@@ -508,6 +532,16 @@ class TestBandsCommand:
         assert "# delta=0.01782527989524718" in out.read_text().splitlines()
 
 
+    def test_infinite_window_is_validation_error(self, tmp_path, capsys):
+        data = simulate(tmp_path, K=40)
+        capsys.readouterr()
+        out = tmp_path / "band.csv"
+        assert main(["bands", "--data", str(data), "--epsilon", "inf",
+                     "--out", str(out)]) == 3
+        assert "finite epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReplicateCommand:
     def test_small_run(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -541,6 +575,36 @@ class TestReplicateCommand:
             assert repr(spec) in capsys.readouterr().err
             assert main(["replicate", "--setting", spec]) == 3
             assert repr(spec) in capsys.readouterr().err
+
+    def test_reasons_line_only_for_a_setting_with_failures(self, capsys, monkeypatch):
+        # the fits of the calls (counted from 1) in ``failing`` raise a
+        # two-line message; only its first line is printed
+        failing, calls = set(), count(1)
+
+        def fit_or_fail(*args, **kwargs):
+            if next(calls) in failing:
+                raise NumericalError("solver stalled\nat iteration 7")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "fit", fit_or_fail)
+        argv = ["replicate", "--setting", "uniform:1,8:25", "--setting",
+                "uniform:1,8:30", "--reps", "3", "--lambda", "0.5", "--tau", "20.0"]
+        failing.update({5})
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "uniform-K25", "uniform-K30", "  failed"]
+        assert lines[1].endswith("(2 replicates, 1 failed)")
+        assert lines[2] == "  failed: NumericalError: solver stalled (1 times)"
+        failing.update({10, 11, 12})   # the second run's second setting
+        assert main(argv) == 4
+        assert "K=30; most often NumericalError: solver stalled (3 times)" in \
+            capsys.readouterr().err
+
+    def test_overflowing_arrival_product_is_validation_error(self, capsys):
+        assert main(["replicate", "--setting", "uniform:1,8:10", "--lambda", "1e308",
+                     "--tau", "1e308"]) == 3
+        assert "lam * tau must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_replicate_count_below_one_is_validation_error(self, capsys, reps):

@@ -105,6 +105,12 @@ class TestSelectLowReserve:
         with pytest.raises(ValidationError):
             select_low_reserve(ds, q=0.5, epsilon=0.0)
 
+    def test_infinite_window_rejected(self):
+        # an infinite window would put every auction in the low-reserve set
+        ds = reserves_dataset([0.0, 0.1, 5.0])
+        with pytest.raises(ValidationError, match="finite epsilon"):
+            select_low_reserve(ds, q=0.5, epsilon=math.inf)
+
 
 class TestPartialEstimators:
     def make(self):

@@ -1,6 +1,7 @@
 """Distance computations between CDF estimates and the replication
 harnesses built on them."""
 
+from collections import Counter
 from itertools import count
 
 import numpy as np
@@ -14,16 +15,20 @@ from secondprice import (MonotoneCurve, NumericalError, ValidationError,
                          write_report_csv)
 
 
-def failing_fit(fails):
+def failing_fit(fails, message="injected"):
     """`fit`, except that the calls (counted from 1) for which
-    ``fails(call)`` holds raise NumericalError."""
+    ``fails(call)`` holds raise NumericalError(``message``)."""
     calls = count(1)
 
     def wrapped(*args, **kwargs):
         if fails(next(calls)):
-            raise NumericalError("injected")
+            raise NumericalError(message)
         return fit(*args, **kwargs)
     return wrapped
+
+
+TWO_LINES = "solver stalled\nat iteration 7"
+STALLED = Counter({("NumericalError", "solver stalled"): 2})
 
 
 class TestKS:
@@ -150,6 +155,40 @@ class TestReplicateTable:
         with pytest.raises(NumericalError, match="every replicate failed"):
             replicate_table(settings_, replicates=3, base_seed=1)
 
+    def test_failure_reasons(self, monkeypatch):
+        settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
+        [clean] = replicate_table(settings_, replicates=1, base_seed=3,
+                                  lam=0.5, tau=20.0)
+        assert clean.reasons == Counter()
+        monkeypatch.setattr(metrics, "fit",
+                            failing_fit(lambda call: call % 2 == 0, TWO_LINES))
+        [report] = replicate_table(settings_, replicates=4, base_seed=3,
+                                   lam=0.5, tau=20.0)
+        assert (report.failures, report.reasons) == (2, STALLED)
+
+    def test_all_failed_error_names_the_most_frequent_reason(self, monkeypatch):
+        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True, TWO_LINES))
+        settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
+        with pytest.raises(NumericalError) as err:
+            replicate_table(settings_, replicates=3, base_seed=1)
+        assert str(err.value) == ("every replicate failed for setting uniform, K=25; "
+                                  "most often NumericalError: solver stalled (3 times)")
+
+    @pytest.mark.parametrize("stage", ["run_study", "ks_distance"])
+    def test_simulation_or_scoring_error_propagates(self, monkeypatch, stage):
+        # only the fit's own errors are failed replicates
+        real, calls = getattr(metrics, stage), count(1)
+
+        def breaking(*args):
+            if next(calls) == 2:
+                raise NumericalError(f"{stage} broke")
+            return real(*args)
+
+        monkeypatch.setattr(metrics, stage, breaking)
+        settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
+        with pytest.raises(NumericalError, match=f"^{stage} broke$"):
+            replicate_table(settings_, replicates=3, base_seed=1, lam=0.5, tau=20.0)
+
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_replicate_count_below_one_rejected(self, replicates):
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
@@ -174,6 +213,30 @@ class TestTrainTest:
         assert (report.replications, report.skipped) == (2, 2)
         monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True))
         with pytest.raises(NumericalError, match="every split replication failed"):
+            train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0)
+
+    def test_failure_reasons(self, uniform_dataset, monkeypatch):
+        # the third and sixth fits fail the second and fourth splits
+        monkeypatch.setattr(metrics, "fit",
+                            failing_fit(lambda call: call % 3 == 0, TWO_LINES))
+        report = train_test_eval(uniform_dataset, ratio=0.5, replications=4, rng=0)
+        assert (report.skipped, report.reasons) == (2, STALLED)
+        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True, TWO_LINES))
+        with pytest.raises(NumericalError) as err:
+            train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0)
+        assert str(err.value) == ("every split replication failed; "
+                                  "most often NumericalError: solver stalled (2 times)")
+
+    def test_clean_splits_have_no_reasons(self, uniform_dataset):
+        report = train_test_eval(uniform_dataset, ratio=0.5, replications=1, rng=0)
+        assert (report.skipped, report.reasons) == (0, Counter())
+
+    def test_scoring_error_propagates(self, uniform_dataset, monkeypatch):
+        def breaking(*args):
+            raise ValidationError("scoring broke")
+
+        monkeypatch.setattr(metrics, "tv_distance", breaking)
+        with pytest.raises(ValidationError, match="^scoring broke$"):
             train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0)
 
     def test_bad_ratio_rejected(self, uniform_dataset):

@@ -456,6 +456,14 @@ class TestProjectedNewton:
             projected_newton(ctx, ok, tol=0.0)
         with pytest.raises(ValidationError):
             projected_newton(ctx, ok, max_sweeps=0)
+
+    def test_infinite_tolerance_rejected(self):
+        # an infinite tol would report convergence after one iteration
+        ctx = small_context(seed=12)
+        ok = ThetaVector(np.full(ctx.n, 0.5))
+        for solve in (projected_newton, coordinate_ascent):
+            with pytest.raises(ValidationError, match="finite tol"):
+                solve(ctx, ok, tol=math.inf)
         with pytest.raises(ValidationError):
             projected_newton(ctx, ThetaVector(np.full(ctx.n + 1, 0.5)))
 

@@ -351,6 +351,15 @@ class TestRunStudy:
         with pytest.raises(ValidationError):
             SimConfig(lam=0.0, tau=10.0, K=5, seed=0)
 
+    def test_overflowing_arrival_product_rejected(self):
+        # lam and tau are each finite, but lam * tau overflows to inf
+        config = SimConfig(lam=1e308, tau=1e308, K=2, seed=0)
+        dist = ValuationDistribution.uniform(1.0, 5.0)
+        with pytest.raises(ValidationError, match="lam \\* tau must be finite"):
+            run_study(config, dist)
+        with pytest.raises(ValidationError, match="lam \\* tau must be finite"):
+            run_auction(1e308, 1e308, 0.0, dist, np.random.default_rng(0))
+
     @pytest.mark.parametrize("reserve", [-1.0, float("nan"), float("inf")])
     def test_bad_constant_reserve_rejected(self, reserve):
         with pytest.raises(ValidationError) as err:
