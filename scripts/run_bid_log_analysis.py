@@ -14,6 +14,7 @@ import numpy as np
 from secondprice import (fit, ingest_bid_csv, ks_distance, train_test_eval,
                          tv_distance, write_band_csv)
 from secondprice.bands import hulc_band
+from secondprice.pipeline import failure_reasons
 
 
 def main() -> None:
@@ -48,6 +49,8 @@ def main() -> None:
         print(f"{name} split ({tt.replications} replications): avg TV "
               f"init-vs-test {tt.avg_tv_init:.4f}, "
               f"mle-vs-test {tt.avg_tv_mle:.4f}")
+        if tt.reasons:
+            print(f"  failed: {failure_reasons(tt.reasons)}")
 
     if args.band_out:
         band = hulc_band(subset, "mle", alpha=0.10, delta=0.0, rng=0)

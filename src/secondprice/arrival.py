@@ -5,8 +5,11 @@ strictly increasing function ``g`` of the thinned-arrival Poisson mean
 x.  With N ~ Poisson(x) bidders, E[H_N] = Ein(x) = gamma + ln x + E1(x)
 (DLMF 6.2), so g(x) = E[2(H_N - 1); N >= 2] has the closed form
 2(gamma + ln x + E1(x) - 1 + e^{-x}), the exact limit of a Monte Carlo
-table of the jump count.  ``g`` is inverted by bisection inside a
-doubling bracket, down to adjacent floating-point numbers.
+table of the jump count.  E1 is the continued fraction of routine E1XB
+in Zhang and Jin, *Computation of Special Functions* (Wiley, 1996), the
+branch ``scipy.special.exp1`` takes for x > 1, so no scipy is imported.
+``g`` is inverted by bisection inside a doubling bracket, down to
+adjacent floating-point numbers.
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ _SERIES_W = np.array([conditional_mean_jumps(n) / math.factorial(n)
                       for n in _SERIES_N])
 
 
+def _e1(x: float) -> float:
+    """E1(x) for x >= 1 by E1XB's continued fraction, 20 + int(80 / x)
+    terms summed from the tail in its order, which for x > 1 equals
+    ``scipy.special.exp1`` bit for bit."""
+    t0 = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        t0 = k / (1.0 + k / (x + t0))
+    return math.exp(-x) * (1.0 / (x + t0))
+
+
 def g_eval(x: float) -> float:
     """Expected standing-price changes per auction, E[2(H_N - 1); N >= 2]
     for N ~ Poisson(x)."""
@@ -52,8 +65,7 @@ def g_eval(x: float) -> float:
         raise ValidationError("Poisson mean must be non-negative")
     if x < _SERIES_BELOW:
         return float(np.exp(-x) * (x ** _SERIES_N @ _SERIES_W))
-    from scipy import special   # here, not at start-up: most commands never fit
-    return float(2.0 * (np.euler_gamma + np.log(x) + special.exp1(x) + np.expm1(-x)))
+    return float(2.0 * (np.euler_gamma + np.log(x) + _e1(x) + np.expm1(-x)))
 
 
 def g_inverse(y: float) -> float:

@@ -418,6 +418,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     missing = [d for d in args.required if getattr(args, d) in (None, [])]
     if missing:
         raise ValidationError(f"missing required parameter {missing[0]!r}")
+    for dest in ("seed", "noise_seed"):     # numpy's seeding takes no negative
+        if getattr(args, dest, 0) < 0:
+            raise ValidationError(f"--{dest.replace('_', '-')} must be non-negative, "
+                                  f"got {getattr(args, dest)}")
     return args
 
 

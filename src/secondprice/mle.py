@@ -19,9 +19,14 @@ vectorised numpy with no Python loop over coordinates, and solves it once.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -278,8 +283,7 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
         if len(starts) == 1:    # dgtsv's wrapper takes no empty off-diagonal
             dpsi = rhs / diag
         else:
-            from scipy.linalg.lapack import dgtsv   # here, not at start-up, as in arrival.py
-            *_, dpsi, info = dgtsv(off, diag, off, rhs)
+            *_, dpsi, info = _dgtsv()(off, diag, off, rhs)
             if info:
                 raise NumericalError(f"the Newton system is singular (dgtsv info {info})")
         step, decrement = np.diff(dpsi, prepend=0.0), float(rhs @ dpsi)
@@ -314,6 +318,42 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
         history.append(current)
     theta[lo:m] = np.exp(d)
     return AscentResult(ThetaVector(theta), tuple(history), converged)
+
+
+@functools.cache
+def _dgtsv():
+    """LAPACK's tridiagonal solver dgtsv, found at the first solve in a
+    process rather than at start-up, since most commands never fit.
+
+    ``scipy.linalg.lapack`` re-exports it from the extension module
+    ``scipy.linalg._flapack``, but the package import behind it costs a
+    fresh process about 0.3 s (it pulls in ``scipy._lib._array_api``,
+    numpy.testing, numpy.ma and numpy.random), a dozen times the
+    extension alone.  So the extension is loaded by its file path after
+    a plain ``import scipy``, which runs scipy's platform and library
+    set-up; ``scipy.linalg.lapack`` serves when it is loaded already or
+    when the extension cannot be loaded that way.
+    """
+    lapack = sys.modules.get("scipy.linalg.lapack")
+    if lapack is None:
+        try:
+            return _flapack().dgtsv
+        except (ImportError, OSError):
+            from scipy.linalg import lapack
+    return lapack.dgtsv
+
+
+def _flapack():
+    """The extension module ``scipy.linalg._flapack``, loaded from its file."""
+    import scipy
+    finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError("no scipy.linalg._flapack extension beside scipy")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _armijo(arc, d, grad, current, objective):

@@ -8,10 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from scipy import optimize
+from scipy import optimize, special
 
 from secondprice import (AuctionRecord, NumericalError, ObservedDataset,
-                         ValidationError, conditional_mean_jumps,
+                         ValidationError, arrival, conditional_mean_jumps,
                          estimate_lambda, g_eval, g_inverse)
 from secondprice.simulate import replay_streams
 
@@ -123,6 +123,34 @@ class TestMomentFunction:
     def test_unreachable_mean_rejected(self):
         with pytest.raises(NumericalError):
             g_inverse(1e4)
+
+
+class TestExponentialIntegral:
+    """E1 in g's closed form is E1XB's continued fraction, the branch
+    scipy.special.exp1 takes above 1; scipy stays the oracle here."""
+
+    def test_matches_scipy_bit_for_bit_above_one(self):
+        rng = np.random.default_rng(25)
+        xs = np.concatenate([
+            np.geomspace(np.nextafter(1.0, 2.0), 2.0 ** 32, 50_000),
+            rng.uniform(np.nextafter(1.0, 2.0), 200.0, 50_000),
+            np.linspace(744.0, 800.0, 2_001),   # e^{-x} underflows to 0 here
+            [np.inf]])
+        got = np.array([arrival._e1(x) for x in xs.tolist()])
+        assert np.array_equal(got, special.exp1(xs))
+
+    def test_inverse_matches_g_on_scipy_exp1(self, monkeypatch):
+        # scipy sums E1's series at x = 1 exactly, where g moves by about
+        # 4e-16; the doubling bracket compares g(1) with y, so test the
+        # rationals j/|V| on either side of g(1) besides a log grid
+        g1 = g_eval(1.0)
+        sizes = np.arange(1, 2476)
+        ys = np.unique(np.concatenate([
+            np.floor(g1 * sizes) / sizes, np.ceil(g1 * sizes) / sizes,
+            np.geomspace(1e-8, 40.0, 1_000)]))
+        got = [g_inverse(y) for y in ys.tolist()]
+        monkeypatch.setattr(arrival, "_e1", lambda x: float(special.exp1(x)))
+        assert got == [g_inverse(y) for y in ys.tolist()]
 
 
 class TestEstimateLambda:

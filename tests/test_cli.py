@@ -186,6 +186,13 @@ class TestSimulate:
         assert "parameters must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--dist", "uniform:1,8", "--K", "5",
+                     "--seed", "-1", "--out", str(out)]) == 3
+        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_changes_output(self, tmp_path):
         p1 = simulate(tmp_path, "a.csv", seed=5)
         p2 = simulate(tmp_path, "b.csv", seed=6)
@@ -541,6 +548,15 @@ class TestBandsCommand:
         assert "finite epsilon" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        data = simulate(tmp_path, K=40)
+        capsys.readouterr()
+        out = tmp_path / "band.csv"
+        assert main(["bands", "--data", str(data), "--auto-delta", "--seed", "-1",
+                     "--out", str(out)]) == 3
+        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReplicateCommand:
     def test_small_run(self, tmp_path, capsys):
@@ -610,6 +626,11 @@ class TestReplicateCommand:
     def test_replicate_count_below_one_is_validation_error(self, capsys, reps):
         assert main(["replicate", "--setting", "uniform:1,8:10", "--reps", reps]) == 3
         assert "at least 1 replicate" in capsys.readouterr().err
+
+    def test_negative_seed_is_validation_error(self, capsys):
+        assert main(["replicate", "--setting", "uniform:1,8:10", "--reps", "2",
+                     "--seed", "-1"]) == 3
+        assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 class TestPlotCommand:
@@ -807,4 +828,15 @@ class TestIngestCommand:
         assert main(["ingest", "--data", str(log), "--duration", "7",
                      "--noise-scale", scale, "--out", str(out)]) == 3
         assert "noise_scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_noise_seed_is_validation_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+            "1,5.0,1.0,alice,0,0.5,8.0\n")
+        out = tmp_path / "dataset.csv"
+        assert main(["ingest", "--data", str(log), "--duration", "7",
+                     "--noise-seed", "-1", "--out", str(out)]) == 3
+        assert "--noise-seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()

@@ -1,8 +1,11 @@
 """Distance computations between CDF estimates and the replication
 harnesses built on them."""
 
+import runpy
+import sys
 from collections import Counter
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secondprice import (MonotoneCurve, NumericalError, ValidationError,
-                         ValuationDistribution, fit, ks_distance, metrics,
-                         replicate_table, train_test_eval, tv_distance,
+                         ValuationDistribution, export_bid_log, fit, ks_distance,
+                         metrics, replicate_table, train_test_eval, tv_distance,
                          write_report_csv)
+from secondprice.simulate import run_auction
 
 
 def failing_fit(fails, message="injected"):
@@ -226,6 +230,32 @@ class TestTrainTest:
             train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0)
         assert str(err.value) == ("every split replication failed; "
                                   "most often NumericalError: solver stalled (2 times)")
+
+    def test_bid_log_analysis_script_prints_the_reasons(self, tmp_path, monkeypatch,
+                                                       capsys):
+        rng = np.random.default_rng(11)
+        traces = []
+        for k in range(40):
+            reserve = 0.01 * k
+            _, (times, bids) = run_auction(1.0, 7.0, reserve,
+                                           ValuationDistribution.uniform(1.0, 8.0),
+                                           rng, return_trace=True)
+            traces.append((reserve, times, bids))
+        log = tmp_path / "log.csv"
+        export_bid_log(log, traces, duration_days=7.0)
+        script = Path(__file__).parents[1] / "scripts" / "run_bid_log_analysis.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--data", str(log), "--splits", "4"])
+        # up to two fits per split: every third fit fails, which skips the
+        # second and fourth split at each ratio
+        monkeypatch.setattr(metrics, "fit",
+                            failing_fit(lambda call: call % 3 == 0, TWO_LINES))
+        runpy.run_path(str(script), run_name="__main__")
+        lines = capsys.readouterr().out.splitlines()
+        at = [i for i, line in enumerate(lines) if " split (" in line]
+        assert [lines[i].split(": avg")[0] for i in at] == [
+            "1:1 split (2 replications)", "2:1 split (2 replications)"]
+        assert [lines[i + 1:i + 2] for i in at] == [
+            ["  failed: NumericalError: solver stalled (2 times)"]] * 2
 
     def test_clean_splits_have_no_reasons(self, uniform_dataset):
         report = train_test_eval(uniform_dataset, ratio=0.5, replications=1, rng=0)

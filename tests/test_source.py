@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import secondprice
 
 SRC = Path(secondprice.__file__).parent
@@ -81,6 +83,80 @@ def test_ingest_and_metrics_commands_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_src_on_path(),
                          check=True, capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def _fresh(code: str) -> str:
+    """Last line that ``code`` prints in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", code], env=_src_on_path(),
+                         check=True, capture_output=True, text=True, timeout=120)
+    return out.stdout.splitlines()[-1]
+
+
+_SMALL_DATASET = (
+    "from secondprice import SimConfig, ValuationDistribution, run_study\n"
+    "ds = run_study(SimConfig(lam=1.0, tau=30.0, K=60, seed=3),\n"
+    "               ValuationDistribution.uniform(1.0, 8.0))\n")
+
+
+def test_estimate_and_bands_skip_scipy_linalg_and_special_imports(tmp_path):
+    # a fit needs LAPACK's dgtsv and E1, not the packages around them,
+    # whose imports were about half of each of these processes
+    data = tmp_path / "ds.csv"
+    commands = [["estimate", "--data", str(data), "--out-curves", str(tmp_path / "c.csv")],
+                ["bands", "--data", str(data), "--auto-delta", "--out", str(tmp_path / "b.csv")]]
+    code = (
+        "import sys\n"
+        "from secondprice.cli import main\n"
+        "from secondprice.ingest import export_dataset\n"
+        + _SMALL_DATASET +
+        f"export_dataset(ds, {str(data)!r})\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, [m for m in ('scipy.linalg', 'scipy.special', 'scipy._lib._array_api')\n"
+        "              if m in sys.modules])\n")
+    assert _fresh(code) == "[0, 0] []"
+
+
+@pytest.mark.parametrize("error", ["ImportError", "OSError"])
+def test_dgtsv_fallback_fits_bit_for_bit(error):
+    # when scipy's LAPACK extension cannot be loaded from its file, the
+    # solver takes dgtsv from scipy.linalg.lapack and fits the same
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from secondprice import fit, mle\n"
+        + _SMALL_DATASET +
+        "def run():\n"
+        "    r = fit(ds)\n"
+        "    return [np.asarray(a).tobytes() for a in (r.lambda_hat, r.ascent.theta.theta,\n"
+        "                                             r.ascent.history, r.cdf.values)]\n"
+        "direct = run()\n"
+        "loaded = 'scipy.linalg.lapack' in sys.modules\n"
+        "def fail():\n"
+        f"    raise {error}('no extension')\n"
+        "mle._flapack = fail\n"
+        "mle._dgtsv.cache_clear()\n"
+        "same = run() == direct\n"
+        "print(loaded, 'scipy.linalg.lapack' in sys.modules, same)\n")
+    assert _fresh(code) == "False True True"
+
+
+def test_scipy_linalg_imports_after_a_fit_with_the_same_dgtsv():
+    code = (
+        "import numpy as np\n"
+        "from secondprice import fit, mle\n"
+        + _SMALL_DATASET +
+        "fit(ds)\n"
+        "import scipy.linalg\n"
+        "rng = np.random.default_rng(0)\n"
+        "same = []\n"
+        "for n in (2, 3, 17, 500):\n"
+        "    dl, d, du, b = (rng.standard_normal(k) for k in (n - 1, n, n - 1, n))\n"
+        "    d += 4.0\n"
+        "    ours = mle._dgtsv()(dl, d, du, b)\n"
+        "    theirs = scipy.linalg.lapack.dgtsv(dl, d, du, b)\n"
+        "    same.append(all(np.array_equal(a, c) for a, c in zip(ours, theirs)))\n"
+        "print(same)\n")
+    assert _fresh(code) == "[True, True, True, True]"
 
 
 def test_bid_log_analysis_script_starts():
