@@ -61,7 +61,7 @@ def _e1(x: float) -> float:
 def g_eval(x: float) -> float:
     """Expected standing-price changes per auction, E[2(H_N - 1); N >= 2]
     for N ~ Poisson(x)."""
-    if x < 0:
+    if not x >= 0:
         raise ValidationError("Poisson mean must be non-negative")
     if x < _SERIES_BELOW:
         return float(np.exp(-x) * (x ** _SERIES_N @ _SERIES_W))

@@ -24,7 +24,6 @@ import importlib.util
 import logging
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -331,16 +330,15 @@ def _dgtsv():
     numpy.testing, numpy.ma and numpy.random), a dozen times the
     extension alone.  So the extension is loaded by its file path after
     a plain ``import scipy``, which runs scipy's platform and library
-    set-up; ``scipy.linalg.lapack`` serves when it is loaded already or
-    when the extension cannot be loaded that way.
+    set-up; when scipy.linalg is imported already this returns the
+    loaded module.  ``scipy.linalg.lapack`` serves when the extension
+    cannot be loaded that way.
     """
-    lapack = sys.modules.get("scipy.linalg.lapack")
-    if lapack is None:
-        try:
-            return _flapack().dgtsv
-        except (ImportError, OSError):
-            from scipy.linalg import lapack
-    return lapack.dgtsv
+    try:
+        return _flapack().dgtsv
+    except (ImportError, OSError):
+        from scipy.linalg.lapack import dgtsv
+        return dgtsv
 
 
 def _flapack():

@@ -120,6 +120,10 @@ class TestMomentFunction:
         with pytest.raises(ValidationError):
             g_eval(-0.1)
 
+    def test_nan_mean_rejected(self):
+        with pytest.raises(ValidationError):
+            g_eval(float("nan"))
+
     def test_unreachable_mean_rejected(self):
         with pytest.raises(NumericalError):
             g_inverse(1e4)
