@@ -11,9 +11,9 @@ ObservedDataset that round-trips exactly.
 Every CSV file the package makes is written by `write_csv`: ``#``
 comment lines, a header row, unquoted fields and a newline after every
 line.  `csv_rows` reads them back, except the canonical dataset file:
-`read_dataset` parses it in batches with numpy's C reader, under the
-same rules for comments, blank lines and line endings, and walks a batch
-row by row only to name a bad line.  Only the bid-log reader uses the
+`read_dataset` parses all of its rows at once with numpy's C reader,
+after the same rule drops comments and blank lines, and walks the rows
+one by one only to name a bad line.  Only the bid-log reader uses the
 csv module, since an external log may quote its fields.
 """
 
@@ -22,11 +22,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +42,10 @@ _DATASET_COLUMNS = ("kind", "auction", "reserve_or_price", "duration_or_wait", "
 # be cut down to a legal one
 _ROW = np.dtype([("kind", "U8"), ("k", np.int64), ("a", float), ("b", float),
                  ("sold", "U2")])
-# lines of a canonical file parsed at once, which bounds the reader's memory
-_LINE_BUDGET = 1 << 12
 # the characters numpy's reader and Python read alike: numpy drops a
 # string's trailing NULs, reads \x1c-\x1f as blanks around a number, and
 # misreads or crashes on some non-ASCII characters in an integer field,
-# so a batch holding any other character is walked row by row instead
+# so rows holding any other character are walked one by one instead
 _PLAIN = bytes(range(32, 127)) + b"\n"
 
 
@@ -269,15 +266,22 @@ def write_csv(path, names, rows, header_lines=()) -> None:
         fh.writelines(",".join(map(_field, row)) + "\n" for row in rows)
 
 
+def _data_lines(fh):
+    """The numbers and the text of the lines of a text file that are
+    neither blank nor a ``#`` comment, as two lists."""
+    lines = fh.readlines()
+    keep = [line[0] not in "#\n" for line in lines]
+    return list(compress(range(1, len(lines) + 1), keep)), list(compress(lines, keep))
+
+
 def csv_rows(path):
     """Yield ``(line number, fields)`` for each non-blank line of a file
     that `write_csv` wrote.  A ``#`` line is a comment, dropped before any
     field is split; CRLF and LF line endings read alike."""
     with open_input(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line and not line.startswith("#"):
-                yield lineno, line.split(",")
+        numbers, lines = _data_lines(fh)
+    for lineno, line in zip(numbers, lines):
+        yield lineno, line.rstrip("\n").split(",")
 
 
 def export_bid_log(path, traces, duration_days: float) -> None:
@@ -315,66 +319,48 @@ def read_dataset(path) -> ObservedDataset:
 
     The first row must be `export_dataset`'s header.  Each jump row must
     follow the row of its own auction, and every auction must have the
-    first one's duration.  Lines are taken ``_LINE_BUDGET`` at a time;
-    numpy's reader parses the rows of each batch and the row rules are
-    checked over the whole batch at once.  Only a batch that fails a
-    check is walked again row by row, so a malformed row raises
+    first one's duration.  numpy's reader parses all the rows at once and
+    the row rules are checked over them together; only when that fails
+    are the rows walked one by one, so a malformed row raises
     :class:`ValidationError` naming the first bad line, and an invalid
     auction one naming its auction's line, as `csv_rows` would number
     them.
     """
     path = Path(path)
-    reserve, duration, price, wait = (array("d") for _ in range(4))
-    sold = array("b")
-    starts, lines = array("q"), array("q")  # each auction row's index among the rows, its line
-    n_rows = 0
     with open_input(path) as fh:
-        numbered = ((i, line) for i, line in enumerate(fh, 1) if line[0] not in "#\n")
-        lineno, header = next(numbered, (0, None))
-        if header is None:
-            raise ValidationError(f"{path} is not a canonical dataset file")
-        if header.rstrip("\n").split(",") != list(_DATASET_COLUMNS):
-            raise ValidationError(f"{path} line {lineno}: not a canonical dataset file; "
-                                  f"expected the header {','.join(_DATASET_COLUMNS)}")
-        while chunk := list(islice(fh, _LINE_BUDGET)):
-            keep = [line[0] not in "#\n" for line in chunk]
-            rows = list(compress(chunk, keep))
-            numbers = np.flatnonzero(keep) + lineno + 1
-            lineno += len(chunk)
-            if not rows:
-                continue
-            table = _parse_rows(rows, len(reserve))
-            if table is None:
-                table = _walk_rows(path, zip(numbers.tolist(), rows), len(reserve))
-            auction = table["kind"] == "auction"
-            for buffer, values in ((reserve, table["a"][auction]), (duration, table["b"][auction]),
-                                   (sold, table["sold"][auction] == "1"),
-                                   (price, table["a"][~auction]), (wait, table["b"][~auction]),
-                                   (starts, n_rows + np.flatnonzero(auction)),
-                                   (lines, numbers[auction])):
-                buffer.frombytes(values.astype(buffer.typecode).tobytes())
-            n_rows += len(rows)
-    if not reserve:
+        numbers, rows = _data_lines(fh)
+    if not rows:
+        raise ValidationError(f"{path} is not a canonical dataset file")
+    if rows[0].rstrip("\n").split(",") != list(_DATASET_COLUMNS):
+        raise ValidationError(f"{path} line {numbers[0]}: not a canonical dataset file; "
+                              f"expected the header {','.join(_DATASET_COLUMNS)}")
+    del numbers[0], rows[0]
+    if not rows:
         raise ValidationError(f"{path} contains no auctions")
-    tau = duration[0]
-    violations = [(k, f"duration {duration[k]} != common tau {tau}")
-                  for k in np.flatnonzero(np.frombuffer(duration) != tau).tolist()]
-    m = np.diff(np.frombuffer(starts, dtype=np.int64), append=n_rows) - 1
-    reserve, sold, price, wait = (np.frombuffer(a, dtype=t) for a, t in
-                                  ((reserve, float), (sold, bool), (price, float), (wait, float)))
+    table = _parse_rows(rows)
+    if table is None:
+        table = _walk_rows(path, zip(numbers, rows))
+    auction = table["kind"] == "auction"
+    starts = np.flatnonzero(auction)    # each auction row's index among the rows
+    reserve, duration, price, wait = (table["a"][auction], table["b"][auction],
+                                      table["a"][~auction], table["b"][~auction])
+    sold = table["sold"][auction] == "1"
+    m = np.diff(starts, append=len(table)) - 1
+    tau = float(duration[0])
+    violations = [(k, f"duration {float(duration[k])} != common tau {tau}")
+                  for k in np.flatnonzero(duration != tau).tolist()]
     if not violations:
         try:
             return ObservedDataset.from_arrays(reserve, sold, m, price, wait, tau)
         except ValidationError:
             violations, _ = audit_auctions(reserve, tau, sold, m, price, wait)
-    raise ValidationError([f"{path} line {lines[k]}: {text}" for k, text in violations])
+    raise ValidationError([f"{path} line {numbers[starts[k]]}: {text}" for k, text in violations])
 
 
-def _parse_rows(rows, n_auctions):
-    """The rows as numpy's reader parses them, after ``n_auctions``
-    auction rows, or None if a row holds a character outside `_PLAIN`,
-    numpy refuses or warns about a row, or a row breaks a rule of
-    `_walk_rows`."""
+def _parse_rows(rows):
+    """The rows as numpy's reader parses them, or None if a row holds a
+    character outside `_PLAIN`, numpy refuses or warns about a row, or a
+    row breaks a rule of `_walk_rows`."""
     if "".join(rows).encode().translate(None, _PLAIN):
         return None
     # numpy releases that still read an integer field written as a float
@@ -388,7 +374,7 @@ def _parse_rows(rows, n_auctions):
         except (ValueError, DeprecationWarning):
             return None
     auction = table["kind"] == "auction"
-    count = n_auctions + np.cumsum(auction)     # auctions so far, this row's included
+    count = np.cumsum(auction)      # auctions so far, this row's included
     flag = table["sold"][auction]
     ok = (len(table) == len(rows) and count[0] > 0
           and np.all(auction | (table["kind"] == "jump"))
@@ -398,11 +384,12 @@ def _parse_rows(rows, n_auctions):
     return table if ok else None
 
 
-def _walk_rows(path, numbered_rows, n_auctions):
-    """The ``(line number, row)`` pairs, after ``n_auctions`` auction
-    rows, checked one at a time: the table `_parse_rows` would give, or
-    a ValidationError naming the first line that breaks a rule."""
+def _walk_rows(path, numbered_rows):
+    """The ``(line number, row)`` pairs checked one at a time: the table
+    `_parse_rows` would give, or a ValidationError naming the first line
+    that breaks a rule."""
     table = []
+    n_auctions = 0
     for lineno, line in numbered_rows:
         r = line.rstrip("\n").split(",")
         try:

@@ -356,7 +356,7 @@ class ThetaVector:
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
-        if np.any(theta < -1e-12) or np.any(theta > 1 + 1e-12):
+        if not np.all((theta >= -1e-12) & (theta <= 1 + 1e-12)):    # NaN fails both
             raise ValidationError("theta entries must lie in [0, 1]")
 
     def __len__(self):

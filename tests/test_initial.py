@@ -111,6 +111,21 @@ class TestSelectLowReserve:
         with pytest.raises(ValidationError, match="finite epsilon"):
             select_low_reserve(ds, q=0.5, epsilon=math.inf)
 
+    @pytest.mark.parametrize("dist, K, salt", [
+        (ValuationDistribution.uniform(1.0, 20.0), 100, (7, 0)),     # criterion 3
+        (ValuationDistribution.gamma(10.0, 2.0), 1000, (7, 0)),      # criterion 3
+        (ValuationDistribution.uniform(1.0, 20.0), 1000, (11,)),     # criterion 4
+        (ValuationDistribution.gamma(10.0, 2.0), 150, (23,)),        # criterion 8
+        (ValuationDistribution.uniform(1.0, 20.0), 1000, (37,)),     # criterion 9
+    ], ids=["3-uniform", "3-gamma", "4", "8", "9"])
+    def test_acceptance_settings_select_at_zero(self, dist, K, salt):
+        # the acceptance studies draw every reserve at 0, so lambda_hat and
+        # F_hat there estimate lambda and F, not their laws above r_min > 0
+        for rep in range(3):
+            seed = int(np.random.SeedSequence((*salt, rep)).generate_state(1)[0])
+            ds = run_study(SimConfig(lam=1.0, tau=100.0, K=K, seed=seed), dist)
+            assert fit_initial(ds)[1].r_min == 0.0
+
 
 class TestPartialEstimators:
     def make(self):

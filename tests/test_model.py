@@ -418,3 +418,10 @@ class TestThetaMaps:
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             ThetaVector(np.array(theta))
         ThetaVector(np.clip(theta, -1e-13, 1.0 + 1e-13))    # within rounding slack
+
+    def test_nan_theta_rejected(self):
+        # NaN fails every ordering comparison, so it is no case of the test above
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            ThetaVector(np.array([0.5, np.nan]))
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            cdf_to_theta([0.1, np.nan, 0.5])

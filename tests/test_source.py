@@ -239,3 +239,26 @@ def test_no_unused_imports():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
     assert not found, found
+
+
+def test_private_names_are_used():
+    # a module-level _name no code of its own module reads is left over
+    # from a change that dropped its last use
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [name.id for target in targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in defined
+                      if name.startswith("_") and not name.startswith("__")
+                      and name not in read]
+    assert not found, found
