@@ -403,7 +403,13 @@ class TestCanonicalFormat:
         assert str(err.value) == f"{path} line 4: sold must be 0 or 1, got '2'"
 
     @pytest.mark.filterwarnings("error")
-    def test_auctions_without_jumps_read_back_alike(self, tmp_path):
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 7, 14, 15])
+    def test_any_line_budget_reads_back_alike(self, tmp_path, budget):
+        # numpy's reader takes the rows while every byte is plain ASCII;
+        # from data row `budget` on, the third field is written in
+        # Arabic-Indic digits, which only the row-by-row walk reads.  14
+        # rows: the walk starts on auction rows (1, 5 and 7) and on jump
+        # rows (2, 3 and 14), and 15 leaves the whole file to numpy
         jumps = {0: 2, 2: 1, 3: 3, 5: 2}
         ds = ObservedDataset(tuple(
             AuctionRecord(0.5 + k, 10.0,
@@ -412,11 +418,19 @@ class TestCanonicalFormat:
             for k in range(6)), 10.0)
         path = tmp_path / "dataset.csv"
         export_dataset(ds, path, header_lines=["source=test"])
-        assert len(path.read_text().splitlines()) == 2 + 14
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 2 + 14
+        digits = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                             "\u0665\u0666\u0667\u0668\u0669")
+        for i in range(2 + budget - 1, len(lines)):
+            kind, k, a, rest = lines[i].split(",", 3)
+            lines[i] = ",".join((kind, k, a.translate(digits), rest))
+        path.write_text("".join(lines), encoding="utf-8")
         assert read_dataset(path) == ds
         # comment lines count towards the number of a bad line after them
-        path.write_text(path.read_text().replace("auction,3,", "#\n#\n#\nauction,3,")
-                        + "jump,4,9.0,1.0,\n")
+        path.write_text(path.read_text(encoding="utf-8")
+                        .replace("auction,3,", "#\n#\n#\nauction,3,")
+                        + "jump,4,9.0,1.0,\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
             read_dataset(path)
         assert str(err.value).startswith(f"{path} line 20: jump row for auction 4")
