@@ -33,32 +33,12 @@ from .ingest import (csv_rows, export_dataset, ingest_bid_csv, open_input,
 from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
 from .model import MonotoneCurve
 from .pipeline import DEFAULT_Q, failure_reasons, fit
-from .simulate import SimConfig, ValuationDistribution, run_study
+from .simulate import SimConfig, parse_dist, run_study
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
-
-
-def parse_dist(spec: str) -> ValuationDistribution:
-    """Parse 'kind:params', e.g. uniform:1,20 gamma:10,2 pareto:3,100
-    beta:2,2 piecewise:1,2,0.5;3,4,0.5 (pareto is scale,shape; gamma is
-    shape,rate)."""
-    try:
-        kind, _, rest = spec.partition(":")
-        if kind == "piecewise":
-            pieces = [tuple(float(v) for v in chunk.split(","))
-                      for chunk in rest.split(";")]
-            return ValuationDistribution.piecewise_uniform(pieces)
-        params = [float(v) for v in rest.split(",")]
-        ctor = {"uniform": ValuationDistribution.uniform,
-                "pareto": ValuationDistribution.pareto,
-                "gamma": ValuationDistribution.gamma,
-                "beta": ValuationDistribution.beta}[kind]
-        return ctor(*params)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"cannot parse distribution spec {spec!r}: {exc}")
 
 
 _SWITCH = {"1": True, "true": True, "yes": True, "on": True,

@@ -119,10 +119,13 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
     added to every retained bid; the standing-price sequence is rebuilt
     by replaying the noisy bids from the opening bid.  ``noise_scale=0``
     disables the jitter (useful for synthetic logs that are already
-    tie-free); a negative or non-finite ``noise_scale`` is rejected.
+    tie-free); a negative or non-finite ``noise_scale`` is rejected, as is
+    a ``duration_days`` that is not finite and positive.
     """
     if not 0.0 <= noise_scale < math.inf:
         raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    if not 0.0 < duration_days < math.inf:
+        raise ValidationError(f"duration_days must be finite and > 0, got {duration_days}")
     path = Path(path)
     errors = []
     rows_by_auction: dict = {}

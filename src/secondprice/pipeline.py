@@ -4,6 +4,7 @@ default), found by :func:`mle.projected_newton`."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .model import (MonotoneCurve, ObservedDataset, PooledData, ThetaVector,
 
 DEFAULT_Q = 0.25
 _THETA_CLIP = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 def default_epsilon(dataset: ObservedDataset) -> float:
@@ -68,6 +71,10 @@ def fit_initial(dataset: ObservedDataset, q: float = DEFAULT_Q,
     if epsilon is None:
         epsilon = default_epsilon(dataset)
     selection = select_low_reserve(dataset, q, epsilon)
+    if selection.r_min >= epsilon:
+        _log.info("no reserve is near 0 (r_min %.6g >= epsilon %.6g): lambda_hat estimates "
+                  "lambda * G(r_min) and F_hat estimates F(. | v > r_min)",
+                  selection.r_min, epsilon)
     lambda_hat = estimate_lambda(dataset, selection.V)
     if lambda_hat <= 0:
         raise NumericalError(

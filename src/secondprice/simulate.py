@@ -34,54 +34,59 @@ class ValuationDistribution:
     Supported kinds: ``uniform(a, b)``, ``piecewise_uniform`` (weighted
     mixture of uniforms), ``pareto(scale, shape)``, ``gamma(shape,
     rate)`` and ``beta(a, b)``.  Pareto is exposed with explicit (scale,
-    shape) naming; both values are configurable.
+    shape) naming; both values are configurable.  A direct construction
+    is held to the same rules as the factories and ``parse_dist``.
     """
 
     kind: str
     params: tuple
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown distribution kind {self.kind!r}; "
+        kind, params = self.kind, self.params
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown distribution kind {kind!r}; "
                                   f"expected one of {', '.join(_KINDS)}")
-        if not np.isfinite(np.asarray(self.params, dtype=float)).all():
-            raise ValidationError(f"{self.kind} parameters must be finite, got {self.params}")
+        values = np.asarray(params, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{kind} parameters must be finite, got {params}")
+        if kind == "piecewise_uniform":
+            if any(a >= b or a < 0 or w <= 0 for a, b, w in params):
+                raise ValidationError("each piece needs 0 <= a < b and weight > 0")
+            if abs(sum(w for _, _, w in params) - 1.0) > 1e-9:
+                raise ValidationError("piece weights must sum to 1")
+        elif values.shape != (2,):
+            raise ValidationError(f"{kind} takes 2 parameters, got {len(params)}")
+        elif kind == "uniform":
+            if not params[0] < params[1]:
+                raise ValidationError("uniform requires a < b")
+            if params[0] < 0:
+                raise ValidationError("valuations must be non-negative")
+        elif min(params) <= 0:
+            raise ValidationError({"pareto": "pareto requires scale > 0 and shape > 0",
+                                   "gamma": "gamma requires shape > 0 and rate > 0",
+                                   "beta": "beta requires positive shape parameters"}[kind])
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def uniform(a: float, b: float) -> "ValuationDistribution":
-        if not a < b:
-            raise ValidationError("uniform requires a < b")
-        if a < 0:
-            raise ValidationError("valuations must be non-negative")
         return ValuationDistribution("uniform", (float(a), float(b)))
 
     @staticmethod
     def piecewise_uniform(pieces) -> "ValuationDistribution":
         """pieces: iterable of (a, b, weight); weights must sum to 1."""
-        pieces = tuple((float(a), float(b), float(w)) for a, b, w in pieces)
-        if any(a >= b or a < 0 or w <= 0 for a, b, w in pieces):
-            raise ValidationError("each piece needs 0 <= a < b and weight > 0")
-        if abs(sum(w for _, _, w in pieces) - 1.0) > 1e-9:
-            raise ValidationError("piece weights must sum to 1")
-        return ValuationDistribution("piecewise_uniform", pieces)
+        return ValuationDistribution(
+            "piecewise_uniform", tuple((float(a), float(b), float(w)) for a, b, w in pieces))
 
     @staticmethod
     def pareto(scale: float, shape: float) -> "ValuationDistribution":
-        if scale <= 0 or shape <= 0:
-            raise ValidationError("pareto requires scale > 0 and shape > 0")
         return ValuationDistribution("pareto", (float(scale), float(shape)))
 
     @staticmethod
     def gamma(shape: float, rate: float) -> "ValuationDistribution":
-        if shape <= 0 or rate <= 0:
-            raise ValidationError("gamma requires shape > 0 and rate > 0")
         return ValuationDistribution("gamma", (float(shape), float(rate)))
 
     @staticmethod
     def beta(a: float, b: float) -> "ValuationDistribution":
-        if a <= 0 or b <= 0:
-            raise ValidationError("beta requires positive shape parameters")
         return ValuationDistribution("beta", (float(a), float(b)))
 
     # -- API ----------------------------------------------------------
@@ -141,6 +146,20 @@ class ValuationDistribution:
             return (0.0, float(special.gammaincinv(shape, q) * (1.0 / rate)))
         a, b = self.params
         return (0.0, float(special.betaincinv(a, b, q)))
+
+
+def parse_dist(spec: str) -> ValuationDistribution:
+    """Parse 'kind:params', e.g. uniform:1,20 gamma:10,2 pareto:3,100
+    beta:2,2 piecewise:1,2,0.5;3,4,0.5 (pareto is scale,shape; gamma is
+    shape,rate)."""
+    try:
+        kind, _, rest = spec.partition(":")
+        if kind == "piecewise":
+            return ValuationDistribution.piecewise_uniform(
+                [float(v) for v in chunk.split(",")] for chunk in rest.split(";"))
+        return ValuationDistribution(kind, tuple(float(v) for v in rest.split(",")))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot parse distribution spec {spec!r}: {exc}")
 
 
 ReservePolicy = Union[float, Callable[[np.random.Generator], float]]
@@ -236,6 +255,8 @@ def _draws(lam: float, tau: float, dist: ValuationDistribution, draws):
     times, bids)``, all drawn from its ``rng``: Exponential(lam)
     inter-arrival times accumulated a block at a time until one passes
     tau, then a bid for each arrival at or before tau."""
+    if not (0.0 < lam < math.inf and 0.0 < tau < math.inf):
+        raise ValidationError(f"lam and tau must be finite and > 0, got {lam!r} and {tau!r}")
     scale, mean = 1.0 / lam, lam * tau
     if not math.isfinite(mean):
         raise ValidationError(f"lam * tau must be finite, got {lam!r} * {tau!r}")

@@ -167,6 +167,15 @@ class TestIngest:
             ingest_bid_csv(path, duration_days=7.0, noise_seed=0,
                            noise_scale=scale)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_duration_is_one_violation(self, tmp_path, duration):
+        path = tmp_path / "log.csv"
+        write_log(path, [["1", 5.0, 1.0, "alice", 0, 0.5, 8.0],
+                         ["2", 6.0, 2.0, "bob", 0, 0.5, 8.0]])
+        with pytest.raises(ValidationError, match="duration_days") as err:
+            ingest_bid_csv(path, duration_days=duration, noise_seed=0)
+        assert len(err.value.violations) == 1
+
     def test_non_finite_rows_reported(self, tmp_path):
         path = tmp_path / "log.csv"
         write_log(path, [

@@ -3,6 +3,7 @@ scale, the first-price estimator, the splice that bridges it to 1 at
 the largest final selling price, and the whole initial estimate against
 a record-by-record reference."""
 
+import logging
 import math
 
 import mpmath
@@ -125,6 +126,23 @@ class TestSelectLowReserve:
             seed = int(np.random.SeedSequence((*salt, rep)).generate_state(1)[0])
             ds = run_study(SimConfig(lam=1.0, tau=100.0, K=K, seed=seed), dist)
             assert fit_initial(ds)[1].r_min == 0.0
+
+    def test_reserves_away_from_zero_are_logged(self, uniform_dataset, caplog):
+        # with every reserve at 3, lambda_hat and F_hat estimate the laws of
+        # the bidders above r_min, and the fit says so once
+        ds = run_study(SimConfig(lam=1.0, tau=10.0, K=1000, seed=3, reserve_policy=3.0),
+                       ValuationDistribution.gamma(10.0, 2.0))
+        with caplog.at_level(logging.INFO, logger="secondprice"):
+            _, sel, _, _ = fit_initial(ds)
+        [record] = caplog.records
+        assert record.name == "secondprice.pipeline"
+        assert record.levelno == logging.INFO
+        assert sel.r_min >= sel.epsilon
+        assert f"r_min {sel.r_min:.6g} >= epsilon {sel.epsilon:.6g}" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="secondprice"):
+            fit_initial(uniform_dataset)
+        assert not caplog.records
 
 
 class TestPartialEstimators:

@@ -12,7 +12,7 @@ from scipy import stats
 from secondprice import (AuctionRecord, ObservedDataset, SimConfig,
                          ValidationError, ValuationDistribution, has_ties,
                          replay_bids, run_auction, run_study)
-from secondprice.simulate import _chunks, replay_streams
+from secondprice.simulate import _chunks, replay_streams, simulate_auctions
 
 
 class TestStandingPriceUpdate:
@@ -305,10 +305,64 @@ class TestValuationDistribution:
         lambda: ValuationDistribution.gamma(1.0, 0.0),
         lambda: ValuationDistribution.beta(-1.0, 2.0),
         lambda: ValuationDistribution.piecewise_uniform([(1, 2, 0.7)]),
+        lambda: ValuationDistribution("uniform", (5.0, 1.0)),
+        lambda: ValuationDistribution("uniform", (-1.0, 2.0)),
+        lambda: ValuationDistribution("pareto", (0.0, 1.0)),
+        lambda: ValuationDistribution("gamma", (1.0, 0.0)),
+        lambda: ValuationDistribution("beta", (-1.0, 2.0)),
+        lambda: ValuationDistribution("piecewise_uniform", ((1.0, 2.0, 0.7),)),
+        lambda: ValuationDistribution("gamma", (1.0, 2.0, 3.0)),
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ValidationError):
             bad()
+
+    @pytest.mark.parametrize("kind, params, factory, message", [
+        ("uniform", (5.0, 1.0), lambda: ValuationDistribution.uniform(5.0, 1.0),
+         "uniform requires a < b"),
+        ("uniform", (-1.0, 2.0), lambda: ValuationDistribution.uniform(-1.0, 2.0),
+         "valuations must be non-negative"),
+        ("pareto", (0.0, 1.0), lambda: ValuationDistribution.pareto(0.0, 1.0),
+         "pareto requires scale > 0 and shape > 0"),
+        ("gamma", (1.0, 0.0), lambda: ValuationDistribution.gamma(1.0, 0.0),
+         "gamma requires shape > 0 and rate > 0"),
+        ("beta", (-1.0, 2.0), lambda: ValuationDistribution.beta(-1.0, 2.0),
+         "beta requires positive shape parameters"),
+        ("piecewise_uniform", ((1.0, 2.0, 0.7),),
+         lambda: ValuationDistribution.piecewise_uniform([(1, 2, 0.7)]),
+         "piece weights must sum to 1"),
+        ("pareto", (1.0, -np.inf), lambda: ValuationDistribution.pareto(1.0, -np.inf),
+         "pareto parameters must be finite"),
+    ])
+    def test_direct_construction_refused_like_its_factory(self, kind, params, factory,
+                                                          message):
+        with pytest.raises(ValidationError) as direct:
+            ValuationDistribution(kind, params)
+        with pytest.raises(ValidationError) as made:
+            factory()
+        assert direct.value.violations == made.value.violations
+        assert str(direct.value).startswith(message)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform", (1.0,)), ("pareto", (1.0, 2.0, 3.0)), ("gamma", (1.0, 2.0, 3.0)),
+        ("beta", ())])
+    def test_two_parameter_family_refuses_another_count(self, kind, params):
+        with pytest.raises(ValidationError,
+                           match=f"^{kind} takes 2 parameters, got {len(params)}$"):
+            ValuationDistribution(kind, params)
+
+    @pytest.mark.parametrize("made, kind, params", [
+        (ValuationDistribution.uniform(1, 20), "uniform", (1.0, 20.0)),
+        (ValuationDistribution.piecewise_uniform([(1, 2, 0.5), (3, 4, 0.5)]),
+         "piecewise_uniform", ((1.0, 2.0, 0.5), (3.0, 4.0, 0.5))),
+        (ValuationDistribution.pareto(3, 100), "pareto", (3.0, 100.0)),
+        (ValuationDistribution.gamma(10, 2), "gamma", (10.0, 2.0)),
+        (ValuationDistribution.beta(2, 5), "beta", (2.0, 5.0)),
+    ])
+    def test_factory_equals_direct_construction(self, made, kind, params):
+        direct = ValuationDistribution(kind, params)
+        assert direct == made
+        assert hash(direct) == hash(made)
 
     @pytest.mark.parametrize("pieces", [[(2.0, 1.0, 1.0)], [(1.0, 1.0, 1.0)],
                                         [(1.0, 2.0, 0.5), (3.0, 3.0, 0.5)]])
@@ -359,6 +413,17 @@ class TestRunStudy:
             run_study(config, dist)
         with pytest.raises(ValidationError, match="lam \\* tau must be finite"):
             run_auction(1e308, 1e308, 0.0, dist, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("lam, tau", [(0.0, 10.0), (-1.0, 10.0), (1.0, -5.0),
+                                          (1.0, 0.0), (float("nan"), 10.0)])
+    def test_rate_and_window_not_finite_and_positive_rejected(self, lam, tau):
+        dist = ValuationDistribution.uniform(1.0, 5.0)
+        match = "lam and tau must be finite and > 0"
+        with pytest.raises(ValidationError, match=match):
+            run_auction(lam, tau, 0.0, dist, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=match):
+            simulate_auctions(lam, tau, dist, [(0.0, np.random.default_rng(0))],
+                              np.random.default_rng(1), 0.01)
 
     @pytest.mark.parametrize("reserve", [-1.0, float("nan"), float("inf")])
     def test_bad_constant_reserve_rejected(self, reserve):

@@ -203,6 +203,21 @@ def test_csv_dialect_stays_in_ingest():
     assert not found, found
 
 
+def test_valuation_families_stay_in_simulate():
+    # simulate.py names the valuation families and parses their specs, so
+    # no other module spells a family out
+    scripts = SRC.parents[1] / "scripts"
+    families = {"uniform", "piecewise", "piecewise_uniform", "pareto", "gamma", "beta"}
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *scripts.glob("*.py")]):
+        if path == SRC / "simulate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and node.value in families:
+                found.append(f"{path.name}:{node.lineno} {node.value}")
+    assert not found, found
+
+
 def test_curves_evaluate_in_model():
     # MonotoneCurve.__call__ in model.py is the one evaluation of a curve;
     # every other module builds a curve and calls it
