@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -28,8 +27,8 @@ import numpy as np
 from .bands import (_fit_kind, envelope_curves, estimate_median_bias, hulc_band,
                     write_band_csv)
 from .errors import NumericalError, ValidationError
-from .ingest import (csv_rows, export_dataset, ingest_bid_csv, open_input,
-                     open_output, read_dataset, write_csv)
+from .ingest import (export_dataset, ingest_bid_csv, open_input, open_output,
+                     read_dataset, read_numeric_csv, write_csv)
 from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
 from .model import MonotoneCurve
 from .pipeline import DEFAULT_Q, failure_reasons, fit
@@ -107,37 +106,9 @@ def _header_lines(config: dict) -> list:
     return [f"{k}={v}" for k, v in sorted(config.items())]
 
 
-def _read_numeric_csv(path, width=None):
-    """Header names and the float rows of a CSV whose '#' lines are
-    comments.  The first ``width`` fields of every row (default: one per
-    header name) are read and must be finite numbers; a row that is
-    short, longer than the header or malformed raises ValidationError
-    naming its line."""
-    lines = list(csv_rows(path))
-    if len(lines) < 2:
-        raise ValidationError(f"{path} needs a header row and at least one data row")
-    names = lines[0][1]
-    width = width or len(names)
-    data = []
-    for lineno, fields in lines[1:]:
-        try:
-            if len(fields) > len(names):
-                raise ValueError(f"{len(fields)} fields, more than the "
-                                 f"{len(names)}-column header")
-            if len(fields) < width:
-                raise ValueError(f"expected {width} fields, got {len(fields)}")
-            row = [float(v) for v in fields[:width]]
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"non-finite value in {fields[:width]}")
-        except ValueError as exc:
-            raise ValidationError(f"{path} line {lineno}: {exc}") from None
-        data.append(row)
-    return names, np.array(data)
-
-
 def _read_curves_csv(path):
     """Read a curves CSV back into {column: piecewise-linear curve}."""
-    names, data = _read_numeric_csv(path)
+    names, data = read_numeric_csv(path)
     if len(names) < 2:
         raise ValidationError(f"{path} has no curve column after x")
     x = data[:, 0]
@@ -301,7 +272,7 @@ def cmd_plot(args) -> int:
     curves = _read_curves_csv(args.curves)
     if args.bands:
         # --alpha is accepted but unused: a band file holds its envelopes
-        _, data = _read_numeric_csv(args.bands, width=3)
+        _, data = read_numeric_csv(args.bands, width=3)
         curves["band_lower"], curves["band_upper"] = envelope_curves(*data.T)
     export_plot_data(curves, args.out_csv, svg_path=args.out_svg)
     print(f"wrote {args.out_csv}")

@@ -10,11 +10,14 @@ ObservedDataset that round-trips exactly.
 
 Every CSV file the package makes is written by `write_csv`: ``#``
 comment lines, a header row, unquoted fields and a newline after every
-line.  `csv_rows` reads them back, except the canonical dataset file:
-`read_dataset` parses all of its rows at once with numpy's C reader,
-after the same rule drops comments and blank lines, and walks the rows
-one by one only to name a bad line.  Only the bid-log reader uses the
-csv module, since an external log may quote its fields.
+line.  `read_numeric_csv` reads a curves or band file back as checked
+floats and names a bad line.  `read_dataset` parses all the rows of a
+canonical dataset file at once with numpy's C reader, after the same
+rule drops comments and blank lines.  It walks the rows one by one only
+when that parse refuses them: to name a bad line, or to read a valid
+row that numpy's reader would not read as Python does, such as one
+written in Arabic-Indic or fullwidth digits.  Only the bid-log reader
+uses the csv module, since an external log may quote its fields.
 """
 
 from __future__ import annotations
@@ -277,14 +280,35 @@ def _data_lines(fh):
     return list(compress(range(1, len(lines) + 1), keep)), list(compress(lines, keep))
 
 
-def csv_rows(path):
-    """Yield ``(line number, fields)`` for each non-blank line of a file
-    that `write_csv` wrote.  A ``#`` line is a comment, dropped before any
-    field is split; CRLF and LF line endings read alike."""
+def read_numeric_csv(path, width=None):
+    """Header names and the float rows of a file that `write_csv` wrote.
+    A ``#`` line is a comment and a blank line is skipped; CRLF and LF
+    line endings read alike.  The first ``width`` fields of every row
+    (default: one per header name) are read and must be finite numbers; a
+    row that is short, longer than the header or malformed raises
+    ValidationError naming its line."""
     with open_input(path) as fh:
         numbers, lines = _data_lines(fh)
-    for lineno, line in zip(numbers, lines):
-        yield lineno, line.rstrip("\n").split(",")
+    if len(lines) < 2:
+        raise ValidationError(f"{path} needs a header row and at least one data row")
+    names = lines[0].rstrip("\n").split(",")
+    width = width or len(names)
+    data = []
+    for lineno, line in zip(numbers[1:], lines[1:]):
+        fields = line.rstrip("\n").split(",")
+        try:
+            if len(fields) > len(names):
+                raise ValueError(f"{len(fields)} fields, more than the "
+                                 f"{len(names)}-column header")
+            if len(fields) < width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            row = [float(v) for v in fields[:width]]
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"non-finite value in {fields[:width]}")
+        except ValueError as exc:
+            raise ValidationError(f"{path} line {lineno}: {exc}") from None
+        data.append(row)
+    return names, np.array(data)
 
 
 def export_bid_log(path, traces, duration_days: float) -> None:
@@ -326,8 +350,8 @@ def read_dataset(path) -> ObservedDataset:
     the row rules are checked over them together; only when that fails
     are the rows walked one by one, so a malformed row raises
     :class:`ValidationError` naming the first bad line, and an invalid
-    auction one naming its auction's line, as `csv_rows` would number
-    them.
+    auction one naming its auction's line, counting every line of the
+    file.
     """
     path = Path(path)
     with open_input(path) as fh:

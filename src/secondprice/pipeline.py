@@ -103,14 +103,13 @@ def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
         dataset, q=q, epsilon=epsilon)
     ctx = LikelihoodContext(pooled, lambda_hat)
     theta0 = clip_theta0(initial_theta(f_init, pooled.z), ctx)
-    constrain = constrained and pooled.ell > 0
     ascent = projected_newton(ctx, theta0, tol=tol, max_sweeps=max_sweeps,
-                              constrained=constrain)
+                              constrained=constrained)
     cdf = reconstruct_cdf(ascent.theta, pooled.z)
     return FitResult(lambda_hat=lambda_hat, selection=selection,
                      anchors=anchors, f_init=f_init, theta0=theta0,
                      pooled=pooled, ascent=ascent, cdf=cdf,
-                     constrained=constrain)
+                     constrained=constrained)
 
 
 def surviving_fits(items, fit_one, failed):

@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .model import AuctionRecord, ObservedDataset, break_ties, has_ties
 
 _KINDS = ("uniform", "piecewise_uniform", "pareto", "gamma", "beta")
+_SPECS = ("uniform", "piecewise", "pareto", "gamma", "beta")   # parse_dist's kinds
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,16 @@ class ValuationDistribution:
         if kind not in _KINDS:
             raise ValidationError(f"unknown distribution kind {kind!r}; "
                                   f"expected one of {', '.join(_KINDS)}")
-        values = np.asarray(params, dtype=float)
+        try:
+            values = np.asarray(params, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{kind} parameters must be numbers, got {params}") from None
         if not np.isfinite(values).all():
             raise ValidationError(f"{kind} parameters must be finite, got {params}")
         if kind == "piecewise_uniform":
+            if values.shape != (0,) and values.shape[1:] != (3,):  # () fails the sum rule
+                raise ValidationError(f"piecewise_uniform takes (a, b, weight) pieces, "
+                                      f"got {params}")
             if any(a >= b or a < 0 or w <= 0 for a, b, w in params):
                 raise ValidationError("each piece needs 0 <= a < b and weight > 0")
             if abs(sum(w for _, _, w in params) - 1.0) > 1e-9:
@@ -152,8 +159,11 @@ def parse_dist(spec: str) -> ValuationDistribution:
     """Parse 'kind:params', e.g. uniform:1,20 gamma:10,2 pareto:3,100
     beta:2,2 piecewise:1,2,0.5;3,4,0.5 (pareto is scale,shape; gamma is
     shape,rate)."""
+    kind, _, rest = spec.partition(":")
+    if kind not in _SPECS:
+        raise ValidationError(f"a distribution spec starts with one of "
+                              f"{', '.join(f'{k}:' for k in _SPECS)}")
     try:
-        kind, _, rest = spec.partition(":")
         if kind == "piecewise":
             return ValuationDistribution.piecewise_uniform(
                 [float(v) for v in chunk.split(",")] for chunk in rest.split(";"))

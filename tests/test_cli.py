@@ -35,6 +35,29 @@ class TestParseDist:
         with pytest.raises(ValidationError):
             parse_dist("cauchy:0,1")
 
+    @pytest.mark.parametrize("spec", ["cauchy:0,1", "piecewise_uniform:1,2,1"])
+    def test_unknown_kind_names_the_spec_forms(self, spec):
+        from secondprice import ValidationError
+        with pytest.raises(ValidationError) as err:
+            parse_dist(spec)
+        message = str(err.value)
+        assert "piecewise" in message and "piecewise_uniform" not in message
+
+    @pytest.mark.parametrize("spec", ["uniform:1,x", "uniform:", "piecewise:1,2"])
+    def test_unparsable_parameters(self, spec):
+        from secondprice import ValidationError
+        with pytest.raises(ValidationError,
+                           match=f"^cannot parse distribution spec '{spec}': "):
+            parse_dist(spec)
+
+    def test_unparsable_parameters_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--dist", "uniform:1,x", "--K", "5",
+                     "--out", str(out)]) == 3
+        assert ("cannot parse distribution spec 'uniform:1,x'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self):

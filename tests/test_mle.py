@@ -396,6 +396,28 @@ class TestProjectedNewton:
         assert np.array_equal(res.theta.theta, theta0.theta)
         assert res.loglik == log_lik(theta0, ctx)
 
+    @pytest.mark.parametrize("lam_hat", [0.01, 0.1])
+    def test_one_free_group_divides_instead_of_solving(self, lam_hat, monkeypatch):
+        # the first coordinate is tied to its bound at every iteration, so
+        # each Newton system has one group, which dgtsv's wrapper refuses
+        ds = ObservedDataset([AuctionRecord(1.0, 10.0, ((2.0, 3.0),), True)], 10.0)
+        ctx = LikelihoodContext(pool(ds), lam_hat)
+        theta0 = ThetaVector(np.full(ctx.n, 0.5))
+        groups = []
+
+        def spy(*args):
+            system = _newton_system(*args)
+            groups.append(len(system[3]))
+            return system
+
+        monkeypatch.setattr(mle, "_newton_system", spy)
+        res = projected_newton(ctx, theta0)
+        ref = coordinate_ascent(ctx, theta0, tol=1e-14)
+        assert res.converged
+        assert groups and set(groups) == {1}
+        assert abs(res.loglik - ref.loglik) <= 5e-16
+        np.testing.assert_allclose(res.theta.theta, ref.theta.theta, rtol=0, atol=1e-8)
+
     def test_no_jumps_gives_zero_in_closed_form(self):
         # every coefficient is zero, so the free range is empty and every
         # coordinate is 0 without an iteration

@@ -312,6 +312,9 @@ class TestValuationDistribution:
         lambda: ValuationDistribution("beta", (-1.0, 2.0)),
         lambda: ValuationDistribution("piecewise_uniform", ((1.0, 2.0, 0.7),)),
         lambda: ValuationDistribution("gamma", (1.0, 2.0, 3.0)),
+        lambda: ValuationDistribution("piecewise_uniform", (1.0, 2.0, 1.0)),
+        lambda: ValuationDistribution("piecewise_uniform", ((1.0, 2.0, 0.5), (3.0, 4.0))),
+        lambda: ValuationDistribution("piecewise_uniform", ((1.0, 2.0),)),
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ValidationError):

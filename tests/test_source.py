@@ -185,7 +185,7 @@ def test_dataset_layout_stays_in_model_and_ingest():
 
 def test_csv_dialect_stays_in_ingest():
     # ingest.py writes and splits every CSV file the package makes, so
-    # there is one dialect; the other modules call write_csv and csv_rows
+    # there is one dialect; the other modules call write_csv and read_numeric_csv
     scripts = SRC.parents[1] / "scripts"
     found = []
     for path in sorted([*SRC.glob("*.py"), *scripts.glob("*.py")]):
