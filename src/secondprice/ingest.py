@@ -28,7 +28,8 @@ import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, groupby
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -84,10 +85,10 @@ class CleaningReport:
     """What the cleaning pass did, for audit."""
 
     n_auctions: int
-    n_rows: int
-    n_bidders: int
-    multi_bid_bidders: int
-    removed_rows: int
+    n_rows: int                   # accepted rows
+    n_bidders: int                # distinct bidder ids in the whole log
+    multi_bid_bidders: int        # (auction, bidder) pairs with several rows
+    removed_rows: int             # accepted rows less the kept ones
     close_pairs: int              # retained bid pairs closer than the noise scale
     replay_mismatches: tuple      # auctions where not every retained bid
     reserve_jitter: bool          # caused a standing-price jump
@@ -108,32 +109,38 @@ class CleaningReport:
 
 def _sort_key(auction_id: str):
     try:
-        return (0, float(auction_id), auction_id)
+        value = float(auction_id)
     except ValueError:
-        return (1, 0.0, auction_id)
+        value = math.nan
+    # text ids sort after numbers, and so does NaN, which compares with no number
+    return (1, 0.0, auction_id) if math.isnan(value) else (0, value, auction_id)
 
 
 def ingest_bid_csv(path, duration_days: float, noise_seed: int,
                    noise_scale: float = 0.01):
     """Parse a bid log into (ObservedDataset, CleaningReport).
 
-    Per auction: rows are ordered by bidtime; for bidders with several
-    rows only the latest one is kept; Uniform(0, noise_scale) noise is
-    added to every retained bid; the standing-price sequence is rebuilt
-    by replaying the noisy bids from the opening bid.  ``noise_scale=0``
-    disables the jitter (useful for synthetic logs that are already
-    tie-free); a negative or non-finite ``noise_scale`` is rejected, as is
-    a ``duration_days`` that is not finite and positive.
+    Auctions come in `_sort_key` order of their ids.  Per auction: rows
+    are ordered by bidtime, equal times in file order; each bidder's
+    latest row is kept, and kept rows with equal bidtimes follow their
+    bidders' first rows; Uniform(0, noise_scale) noise is added to every
+    kept bid; the standing-price sequence is rebuilt by replaying the
+    noisy bids from the first row's openbid.  ``noise_scale=0`` disables
+    the jitter (useful for synthetic logs that are already tie-free).  A
+    negative or non-finite ``noise_scale``, a ``duration_days`` that is
+    not finite and positive, and a ``noise_seed`` that is not an integer
+    >= 0 are rejected.  The report's counts are defined on its fields.
     """
     if not 0.0 <= noise_scale < math.inf:
         raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     if not 0.0 < duration_days < math.inf:
         raise ValidationError(f"duration_days must be finite and > 0, got {duration_days}")
+    if not (isinstance(noise_seed, Integral) and noise_seed >= 0):
+        raise ValidationError(f"noise_seed must be an integer >= 0, got {noise_seed!r}")
     path = Path(path)
     errors = []
-    rows_by_auction: dict = {}
+    rows = []
     seen = set()
-    n_rows = 0
     with open_input(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -171,43 +178,32 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
                                   f"bidtime) {key}")
                     continue
                 seen.add(key)
-                rows_by_auction.setdefault(row.auctionid, []).append(row)
-                n_rows += 1
+                rows.append(row)
         except csv.Error as exc:   # e.g. a field beyond the csv module's size limit
             # DictReader counts a line once it parses, the csv reader on reading it
             raise ValidationError(f"{path} line {reader.reader.line_num}: {exc}") from None
     if errors:
         raise ValidationError(errors)
-    if not rows_by_auction:
+    if not rows:
         raise ValidationError("bid log contains no usable rows")
 
+    # a stable sort: rows with equal keys keep file order
+    rows.sort(key=lambda r: (_sort_key(r.auctionid), r.bidtime))
     rng = np.random.default_rng(np.random.SeedSequence(noise_seed))
-    streams = []
-    above = []
-    bidders = set()
-    multi = 0
-    removed = 0
+    aids, streams, above = [], [], []
     close_pairs = 0
-    aids = sorted(rows_by_auction, key=_sort_key)
-    for aid in aids:
-        rows = sorted(rows_by_auction[aid], key=lambda r: r.bidtime)
-        openbid = rows[0].openbid
+    for aid, group in groupby(rows, key=lambda r: r.auctionid):
+        group = list(group)
         # keep the latest row per bidder (proxy bidding: the last bid is
         # the closest to the bidder's true valuation)
-        last = {r.bidder: r for r in rows}
-        removed += len(rows) - len(last)
-        multi += sum(c > 1 for c in Counter(r.bidder for r in rows).values())
-        kept = sorted(last.values(), key=lambda r: r.bidtime)
-        bidders.update(last)
-
+        kept = sorted({r.bidder: r for r in group}.values(), key=lambda r: r.bidtime)
         raw = np.array([r.bid for r in kept], dtype=float)
-        if len(raw) > 1:
-            gaps = np.abs(np.diff(np.sort(raw)))
-            close_pairs += int(np.sum(gaps < max(noise_scale, 1e-12)))
+        close_pairs += int(np.sum(np.diff(np.sort(raw)) < max(noise_scale, 1e-12)))
         noisy = raw + (rng.uniform(0.0, noise_scale, len(raw))
                        if noise_scale > 0 else 0.0)
-        streams.append((openbid, np.array([r.bidtime for r in kept]), noisy))
-        above.append(int(np.sum(noisy > openbid)))
+        aids.append(aid)
+        streams.append((group[0].openbid, np.array([r.bidtime for r in kept]), noisy))
+        above.append(int(np.sum(noisy > group[0].openbid)))
 
     dataset = replay_streams(streams, duration_days)
     mismatches = [aid for aid, m, n in zip(aids, dataset.m.tolist(), above)
@@ -215,13 +211,12 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
     jitter = has_ties(dataset)
     if jitter:
         dataset = break_ties(dataset, rng, scale=max(noise_scale, 0.01))
-    report = CleaningReport(n_auctions=dataset.K, n_rows=n_rows,
-                            n_bidders=len(bidders),
-                            multi_bid_bidders=multi,
-                            removed_rows=removed, close_pairs=close_pairs,
-                            replay_mismatches=tuple(mismatches),
-                            reserve_jitter=jitter)
-    return dataset, report
+    pairs = Counter((r.auctionid, r.bidder) for r in rows)   # one kept row each
+    return dataset, CleaningReport(
+        n_auctions=dataset.K, n_rows=len(rows), n_bidders=len({b for _, b in pairs}),
+        multi_bid_bidders=sum(c > 1 for c in pairs.values()),
+        removed_rows=len(rows) - len(pairs), close_pairs=close_pairs,
+        replay_mismatches=tuple(mismatches), reserve_jitter=jitter)
 
 
 @contextmanager

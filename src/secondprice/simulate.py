@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Union
 
 import numpy as np
@@ -57,21 +58,23 @@ class ValuationDistribution:
             if values.shape != (0,) and values.shape[1:] != (3,):  # () fails the sum rule
                 raise ValidationError(f"piecewise_uniform takes (a, b, weight) pieces, "
                                       f"got {params}")
-            if any(a >= b or a < 0 or w <= 0 for a, b, w in params):
+            if any(a >= b or a < 0 or w <= 0 for a, b, w in values.tolist()):
                 raise ValidationError("each piece needs 0 <= a < b and weight > 0")
-            if abs(sum(w for _, _, w in params) - 1.0) > 1e-9:
+            if abs(sum(w for _, _, w in values.tolist()) - 1.0) > 1e-9:
                 raise ValidationError("piece weights must sum to 1")
         elif values.shape != (2,):
-            raise ValidationError(f"{kind} takes 2 parameters, got {len(params)}")
+            raise ValidationError(f"{kind} takes 2 parameters, got {values.size}")
         elif kind == "uniform":
-            if not params[0] < params[1]:
+            if not values[0] < values[1]:
                 raise ValidationError("uniform requires a < b")
-            if params[0] < 0:
+            if values[0] < 0:
                 raise ValidationError("valuations must be non-negative")
-        elif min(params) <= 0:
+        elif values.min() <= 0:
             raise ValidationError({"pareto": "pareto requires scale > 0 and shape > 0",
                                    "gamma": "gamma requires shape > 0 and rate > 0",
                                    "beta": "beta requires positive shape parameters"}[kind])
+        floats = tuple(values.tolist())     # kept as floats, as the factories keep them
+        object.__setattr__(self, "params", tuple(map(tuple, floats)) if values.ndim > 1 else floats)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -187,9 +190,10 @@ class SimConfig:
 
     def __post_init__(self):
         rates_ok = all(math.isfinite(v) and v > 0 for v in (self.lam, self.tau))
-        if not rates_ok or self.K < 1:
-            raise ValidationError(
-                "SimConfig requires finite lam > 0, finite tau > 0, K >= 1")
+        ints_ok = all(isinstance(v, Integral) for v in (self.K, self.seed))
+        if not (rates_ok and ints_ok and self.K >= 1 and self.seed >= 0):
+            raise ValidationError("SimConfig requires finite lam > 0, finite tau > 0, "
+                                  "integer K >= 1 and integer seed >= 0")
         policy = self.reserve_policy
         if not callable(policy) and not 0.0 <= policy < math.inf:
             raise ValidationError(f"a constant reserve must be finite and >= 0, got {policy}")

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from secondprice import (AuctionRecord, BidRow, ObservedDataset,
+from secondprice import (AuctionRecord, BidRow, CleaningReport, ObservedDataset,
                          ValidationError, ValuationDistribution,
                          export_bid_log, export_dataset, ingest_bid_csv,
                          read_dataset, run_auction)
@@ -167,6 +167,11 @@ class TestIngest:
             ingest_bid_csv(path, duration_days=7.0, noise_seed=0,
                            noise_scale=scale)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_noise_seed_rejected_before_the_log_is_read(self, tmp_path, seed):
+        with pytest.raises(ValidationError, match="noise_seed must be an integer >= 0"):
+            ingest_bid_csv(tmp_path / "absent.csv", duration_days=7.0, noise_seed=seed)
+
     @pytest.mark.parametrize("duration", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_duration_is_one_violation(self, tmp_path, duration):
         path = tmp_path / "log.csv"
@@ -223,6 +228,61 @@ class TestIngest:
         assert report.reserve_jitter
         reserves = {a.reserve for a in dataset.auctions}
         assert len(reserves) == 2
+
+    def test_every_report_field(self, tmp_path):
+        # alice bids in both auctions, twice in auction 1; each auction has
+        # one pair of kept bids closer than the noise scale (5.0 and 5.004,
+        # 2.0 and 2.004), and 5.006 is close to those only across auctions;
+        # in auction 2 the late low bids cannot move the standing price
+        path = tmp_path / "log.csv"
+        write_log(path, [
+            ["1", 3.0, 1.0, "alice", 0, 1.0, 5.004],
+            ["2", 4.0, 1.0, "alice", 0, 1.5, 4.0],
+            ["1", 5.0, 2.0, "bob", 0, 1.0, 5.004],
+            ["2", 5.006, 2.0, "dave", 0, 1.5, 4.0],
+            ["1", 5.004, 3.0, "carol", 0, 1.0, 5.004],
+            ["2", 2.0, 3.0, "erin", 0, 1.5, 4.0],
+            ["1", 9.0, 4.0, "alice", 0, 1.0, 5.004],
+            ["2", 2.004, 4.0, "grace", 0, 1.5, 4.0],
+        ])
+        dataset, report = ingest_bid_csv(path, duration_days=7.0, noise_seed=3,
+                                         noise_scale=0.01)
+        assert dataset.m.tolist() == [2, 1]
+        assert report == CleaningReport(n_auctions=2, n_rows=8, n_bidders=6,
+                                        multi_bid_bidders=1, removed_rows=1,
+                                        close_pairs=2, replay_mismatches=("2",),
+                                        reserve_jitter=False)
+
+    def test_kept_rows_with_equal_bidtimes_follow_first_rows(self, tmp_path):
+        # b's first row comes before a's, so b's kept bid (12 at t=5)
+        # replays before a's (6 at t=5): one jump, to c's 10
+        path = tmp_path / "log.csv"
+        write_log(path, [
+            ["1", 10.0, 1.0, "c", 0, 1.0, 10.0],
+            ["1", 2.0, 2.0, "b", 0, 1.0, 10.0],
+            ["1", 6.0, 5.0, "a", 0, 1.0, 10.0],
+            ["1", 12.0, 5.0, "b", 0, 1.0, 10.0],
+        ])
+        dataset, report = ingest_bid_csv(path, duration_days=7.0, noise_seed=0,
+                                         noise_scale=0.0)
+        assert dataset.auctions[0].jumps == ((10.0, 5.0),)
+        assert (report.n_rows, report.n_bidders, report.multi_bid_bidders,
+                report.removed_rows, report.replay_mismatches) == (4, 3, 1, 1, ("1",))
+
+    def test_nan_auction_id_sorts_as_text(self, tmp_path):
+        # "nan" reads as a float that no number compares with; its rows
+        # stay one auction, ordered among the text ids
+        path = tmp_path / "log.csv"
+        write_log(path, [[aid, bid, t, bidder, 0, openbid, openbid]
+                         for aid, bid, t, bidder, openbid in (
+                             ("2", 5.0, 1.0, "a", 0.2), ("nan", 5.0, 1.0, "b", 0.5),
+                             ("1", 5.0, 1.0, "c", 0.1), ("nan", 6.0, 2.0, "d", 0.5),
+                             ("x", 5.0, 1.0, "e", 0.6), ("inf", 5.0, 1.0, "f", 0.4),
+                             ("nan", 7.0, 3.0, "g", 0.5))])
+        dataset, _ = ingest_bid_csv(path, duration_days=7.0, noise_seed=0,
+                                    noise_scale=0.0)
+        assert dataset.reserve.tolist() == [0.1, 0.2, 0.4, 0.5, 0.6]
+        assert dataset.m.tolist() == [0, 0, 0, 2, 0]
 
     def test_report_lines(self, tmp_path):
         path = tmp_path / "log.csv"

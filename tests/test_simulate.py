@@ -348,10 +348,10 @@ class TestValuationDistribution:
 
     @pytest.mark.parametrize("kind, params", [
         ("uniform", (1.0,)), ("pareto", (1.0, 2.0, 3.0)), ("gamma", (1.0, 2.0, 3.0)),
-        ("beta", ())])
+        ("beta", ()), ("uniform", 5.0)])
     def test_two_parameter_family_refuses_another_count(self, kind, params):
         with pytest.raises(ValidationError,
-                           match=f"^{kind} takes 2 parameters, got {len(params)}$"):
+                           match=f"^{kind} takes 2 parameters, got {np.size(params)}$"):
             ValuationDistribution(kind, params)
 
     @pytest.mark.parametrize("made, kind, params", [
@@ -361,6 +361,12 @@ class TestValuationDistribution:
         (ValuationDistribution.pareto(3, 100), "pareto", (3.0, 100.0)),
         (ValuationDistribution.gamma(10, 2), "gamma", (10.0, 2.0)),
         (ValuationDistribution.beta(2, 5), "beta", (2.0, 5.0)),
+        # params given as strings, an array or lists are stored as floats
+        (ValuationDistribution.gamma("1", "2"), "gamma", ("1", "2")),
+        (ValuationDistribution.uniform(1, 2), "uniform", np.array([1.0, 2.0])),
+        (ValuationDistribution.uniform(1, 2), "uniform", [1.0, 2.0]),
+        (ValuationDistribution.piecewise_uniform([(1, 2, 0.5), (3, 4, 0.5)]),
+         "piecewise_uniform", [[1, 2, 0.5], [3, 4, 0.5]]),
     ])
     def test_factory_equals_direct_construction(self, made, kind, params):
         direct = ValuationDistribution(kind, params)
@@ -407,6 +413,15 @@ class TestRunStudy:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
             SimConfig(lam=0.0, tau=10.0, K=5, seed=0)
+        with pytest.raises(ValidationError, match="integer K >= 1"):
+            SimConfig(1.0, 5.0, 2.5, 0)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValidationError, match="integer seed >= 0"):
+                SimConfig(1.0, 5.0, 2, seed)
+        # numpy integers pass, and draw what Python's do
+        dist = ValuationDistribution.uniform(1.0, 5.0)
+        assert (run_study(SimConfig(1.0, 5.0, np.int64(2), np.int64(3)), dist)
+                == run_study(SimConfig(1.0, 5.0, 2, 3), dist))
 
     def test_overflowing_arrival_product_rejected(self):
         # lam and tau are each finite, but lam * tau overflows to inf
