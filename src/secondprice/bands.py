@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -95,8 +96,9 @@ def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
     """
     if kind not in _KINDS:
         raise ValidationError(f"unknown estimator kind {kind!r}")
-    if mc_reps < 100:
-        raise ValidationError("median-bias approximation needs mc_reps >= 100")
+    if not (isinstance(mc_reps, Integral) and mc_reps >= 100):
+        raise ValidationError("median-bias approximation needs an integer mc_reps >= 100, "
+                              f"got {mc_reps!r}")
     lambda_hat, selection, _, f_init = fit_initial(dataset, q=q, epsilon=epsilon)
     reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
     reserves[selection.V] = 0.0

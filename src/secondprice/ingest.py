@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import ObservedDataset, audit_auctions, break_ties, has_ties
-from .simulate import replay_streams
+from .model import ObservedDataset, audit_auctions, break_ties
+from .simulate import replay_bids, replay_streams
 
 _COLUMNS = ("auctionid", "bid", "bidtime", "bidder", "bidderrate",
             "openbid", "price")
@@ -126,10 +126,14 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
     bidders' first rows; Uniform(0, noise_scale) noise is added to every
     kept bid; the standing-price sequence is rebuilt by replaying the
     noisy bids from the first row's openbid.  ``noise_scale=0`` disables
-    the jitter (useful for synthetic logs that are already tie-free).  A
-    negative or non-finite ``noise_scale``, a ``duration_days`` that is
-    not finite and positive, and a ``noise_seed`` that is not an integer
-    >= 0 are rejected.  The report's counts are defined on its fields.
+    the bid noise (useful for synthetic logs that are already tie-free).
+    Prices that still tie get `break_ties` reserve jitter at scale
+    ``max(noise_scale, 0.01)``.  An auction the replay refuses (say, two
+    kept bids at one bidtime that both move the standing price) is named
+    by its id.  A negative or non-finite ``noise_scale``, a
+    ``duration_days`` that is not finite and positive, and a
+    ``noise_seed`` that is not an integer >= 0 are rejected.  The
+    report's counts are defined on its fields.
     """
     if not 0.0 <= noise_scale < math.inf:
         raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale}")
@@ -205,18 +209,25 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
         streams.append((group[0].openbid, np.array([r.bidtime for r in kept]), noisy))
         above.append(int(np.sum(noisy > group[0].openbid)))
 
-    dataset = replay_streams(streams, duration_days)
+    try:
+        dataset = replay_streams(streams, duration_days)
+    except ValidationError as exc:   # replay each auction alone to name it by its id
+        refused = []
+        for aid, (openbid, times, bids) in zip(aids, streams):
+            try:
+                replay_bids(openbid, duration_days, times, bids)
+            except ValidationError as one:
+                refused += [f"auction {aid}: {text}" for text in one.violations]
+        raise ValidationError(refused or exc.violations) from None
     mismatches = [aid for aid, m, n in zip(aids, dataset.m.tolist(), above)
                   if m != max(0, n - 1)]
-    jitter = has_ties(dataset)
-    if jitter:
-        dataset = break_ties(dataset, rng, scale=max(noise_scale, 0.01))
+    tie_free = break_ties(dataset, rng, scale=max(noise_scale, 0.01))
     pairs = Counter((r.auctionid, r.bidder) for r in rows)   # one kept row each
-    return dataset, CleaningReport(
+    return tie_free, CleaningReport(
         n_auctions=dataset.K, n_rows=len(rows), n_bidders=len({b for _, b in pairs}),
         multi_bid_bidders=sum(c > 1 for c in pairs.values()),
         removed_rows=len(rows) - len(pairs), close_pairs=close_pairs,
-        replay_mismatches=tuple(mismatches), reserve_jitter=jitter)
+        replay_mismatches=tuple(mismatches), reserve_jitter=tie_free is not dataset)
 
 
 @contextmanager

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -116,10 +117,11 @@ def replicate_table(settings, replicates: int, base_seed: int,
     negligible-reserve regime the arrival-rate estimator assumes.
     Replicates whose fit fails are left out; ``failures`` counts them and
     ``reasons`` says why.
-    Needs ``replicates >= 1``.
+    Needs an integer ``replicates >= 1``.
     """
-    if replicates < 1:
-        raise ValidationError(f"need at least 1 replicate, got {replicates}")
+    if not (isinstance(replicates, Integral) and replicates >= 1):
+        raise ValidationError("need an integer count of at least 1 replicate, "
+                              f"got {replicates!r}")
     reports = []
     for s, (dist, K) in enumerate(settings):
         seeds = (int(np.random.SeedSequence((int(base_seed), s, rep)).generate_state(1)[0])
@@ -157,11 +159,12 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
     """Random train/test splits at the given train fraction; the test-set
     MLE serves as the reference each train-set estimate is scored
     against; a split whose fit fails is left out, counted in ``skipped``
-    and ``reasons``.  Needs ``replications >= 1``."""
+    and ``reasons``.  Needs an integer ``replications >= 1``."""
     if not 0 < ratio < 1:
         raise ValidationError("train fraction must be in (0, 1)")
-    if replications < 1:
-        raise ValidationError(f"need at least 1 replication, got {replications}")
+    if not (isinstance(replications, Integral) and replications >= 1):
+        raise ValidationError("need an integer count of at least 1 replication, "
+                              f"got {replications!r}")
     n_train = int(round(ratio * dataset.K))
     if n_train < 1 or n_train >= dataset.K:
         raise ValidationError("split leaves an empty train or test set")

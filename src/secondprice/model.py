@@ -217,9 +217,12 @@ def has_ties(dataset: ObservedDataset) -> bool:
 
 def break_ties(dataset: ObservedDataset, rng: np.random.Generator,
                scale: float = 0.01) -> ObservedDataset:
-    """Return a tie-free copy by adding Uniform(0, scale) noise to the
-    reserve prices (jump prices from a continuous model are tie-free with
+    """``dataset`` itself, drawing nothing, if no two of its prices tie;
+    else a tie-free copy with Uniform(0, scale) noise added to the reserve
+    prices (jump prices from a continuous model are tie-free with
     probability one; reserves are where ties occur in practice)."""
+    if not has_ties(dataset):
+        return dataset
     # cap the jitter so the reserve cannot overtake the first jump
     first = np.append(dataset.price, np.inf)[dataset.offsets[:-1]]
     first = np.where(dataset.m > 0, first, np.inf)

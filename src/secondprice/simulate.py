@@ -23,7 +23,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ValidationError
-from .model import AuctionRecord, ObservedDataset, break_ties, has_ties
+from .model import AuctionRecord, ObservedDataset, break_ties
 
 _KINDS = ("uniform", "piecewise_uniform", "pareto", "gamma", "beta")
 _SPECS = ("uniform", "piecewise", "pareto", "gamma", "beta")   # parse_dist's kinds
@@ -298,8 +298,7 @@ def simulate_auctions(lam: float, tau: float, dist: ValuationDistribution,
     """One auction per ``(reserve, rng)`` of ``draws``, in order, its
     bidders drawn from its ``rng``; prices that tie are then broken with
     Uniform(0, ``scale``) reserve jitter drawn from ``tie_rng``."""
-    dataset = replay_streams(_draws(lam, tau, dist, draws), tau)
-    return break_ties(dataset, tie_rng, scale) if has_ties(dataset) else dataset
+    return break_ties(replay_streams(_draws(lam, tau, dist, draws), tau), tie_rng, scale)
 
 
 def run_study(config: SimConfig, dist: ValuationDistribution) -> ObservedDataset:

@@ -141,8 +141,9 @@ class TestMedianBias:
                               AuctionRecord(5.5, tau, ((7.0, 2.0),), True)), tau)
         with pytest.raises(ValidationError, match="unknown estimator kind"):
             estimate_median_bias(ds, "quantile", mc_reps=100, rng=0)
-        with pytest.raises(ValidationError, match="mc_reps >= 100"):
-            estimate_median_bias(ds, "init", mc_reps=5, rng=0)
+        for mc_reps in (5, 150.5, np.float64(120.0)):
+            with pytest.raises(ValidationError, match="mc_reps >= 100"):
+                estimate_median_bias(ds, "init", mc_reps=mc_reps, rng=0)
         with pytest.raises(NumericalError, match="arrival-rate estimate is zero"):
             estimate_median_bias(ds, "init", mc_reps=100, rng=0)
 

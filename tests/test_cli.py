@@ -853,6 +853,21 @@ class TestIngestCommand:
         assert "noise_scale" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refused_auction_is_named_by_its_id(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+            "7,5.0,1.0,alice,0,0.5,8.0\n"
+            "7,6.0,2.0,bob,0,0.5,8.0\n"
+            "7,8.0,2.0,carol,0,0.5,8.0\n")
+        out = tmp_path / "dataset.csv"
+        assert main(["ingest", "--data", str(log), "--duration", "7",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "auction 7: non-positive waiting time" in err
+        assert "auction 0" not in err
+        assert not out.exists()
+
     def test_negative_noise_seed_is_validation_error(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text(

@@ -269,6 +269,19 @@ class TestIngest:
         assert (report.n_rows, report.n_bidders, report.multi_bid_bidders,
                 report.removed_rows, report.replay_mismatches) == (4, 3, 1, 1, ("1",))
 
+    def test_refused_auction_is_named_by_its_id(self, tmp_path):
+        # x9's kept bids 6.0 and 8.0 share a bidtime and both move the
+        # standing price, so its second jump has a zero wait
+        path = tmp_path / "log.csv"
+        write_log(path, [["3", 5.0, 1.0, "a", 0, 1.0, 6.0],
+                         ["3", 6.0, 2.0, "b", 0, 1.0, 6.0],
+                         ["x9", 5.0, 1.0, "a", 0, 1.0, 8.0],
+                         ["x9", 6.0, 2.0, "b", 0, 1.0, 8.0],
+                         ["x9", 8.0, 2.0, "c", 0, 1.0, 8.0]])
+        with pytest.raises(ValidationError) as err:
+            ingest_bid_csv(path, duration_days=7.0, noise_seed=0, noise_scale=0.0)
+        assert err.value.violations == ["auction x9: non-positive waiting time"]
+
     def test_nan_auction_id_sorts_as_text(self, tmp_path):
         # "nan" reads as a float that no number compares with; its rows
         # stay one auction, ordered among the text ids

@@ -193,7 +193,7 @@ class TestReplicateTable:
         with pytest.raises(NumericalError, match=f"^{stage} broke$"):
             replicate_table(settings_, replicates=3, base_seed=1, lam=0.5, tau=20.0)
 
-    @pytest.mark.parametrize("replicates", [0, -3])
+    @pytest.mark.parametrize("replicates", [0, -3, 2.5, np.float64(2.0)])
     def test_replicate_count_below_one_rejected(self, replicates):
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         with pytest.raises(ValidationError, match="replicate"):
@@ -279,7 +279,7 @@ class TestTrainTest:
         with pytest.raises(ValidationError, match="empty train or test set"):
             train_test_eval(uniform_dataset, ratio=ratio, replications=1, rng=0)
 
-    @pytest.mark.parametrize("replications", [0, -3])
+    @pytest.mark.parametrize("replications", [0, -3, 2.5, np.float64(2.0)])
     def test_replication_count_below_one_rejected(self, uniform_dataset,
                                                   replications):
         with pytest.raises(ValidationError, match="replication"):

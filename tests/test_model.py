@@ -250,6 +250,13 @@ class TestNoJumps:
         expected = naive_jittered_reserves(ds.auctions, np.random.default_rng(4))
         assert out.reserve.tolist() == expected
 
+    def test_break_ties_returns_a_tie_free_dataset_untouched(self):
+        ds = no_jump_dataset()
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert break_ties(ds, rng) is ds
+        assert rng.bit_generator.state == state
+
     def test_zero_scale_jitter_leaves_tied_reserves_tied(self):
         ds = no_jump_dataset(reserves=(1.0, 1.0, 2.0))
         with pytest.raises(TieError, match="ties persist"):

@@ -218,6 +218,21 @@ def test_valuation_families_stay_in_simulate():
     assert not found, found
 
 
+def test_tie_check_stays_in_model():
+    # break_ties decides whether a dataset needs reserve jitter, so no
+    # other module asks has_ties first
+    scripts = SRC.parents[1] / "scripts"
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *scripts.glob("*.py")]):
+        if path == SRC / "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "has_ties" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_curves_evaluate_in_model():
     # MonotoneCurve.__call__ in model.py is the one evaluation of a curve;
     # every other module builds a curve and calls it
