@@ -17,7 +17,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
 from .model import MonotoneCurve, ObservedDataset
-from .pipeline import DEFAULT_Q, failure_reasons, fit, fit_initial, surviving_fits
+from .pipeline import (DEFAULT_Q, failure_reasons, fit, fit_initial, make_rng,
+                       surviving_fits)
 from .simulate import ValuationDistribution, simulate_auctions
 
 _BIAS_GRID = np.arange(1, 100) / 100.0
@@ -99,10 +100,10 @@ def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
     if not (isinstance(mc_reps, Integral) and mc_reps >= 100):
         raise ValidationError("median-bias approximation needs an integer mc_reps >= 100, "
                               f"got {mc_reps!r}")
+    rng = make_rng(rng)
     lambda_hat, selection, _, f_init = fit_initial(dataset, q=q, epsilon=epsilon)
     reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
     reserves[selection.V] = 0.0
-    rng = np.random.default_rng(rng)
     samples = (_simulate_profile(lambda_hat, dataset.tau, reserves, rng)
                for _ in range(mc_reps))
     failed = Counter()
@@ -128,8 +129,7 @@ def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
     if dataset.K < B:
         raise ValidationError(
             f"need at least B={B} auctions to split, got {dataset.K}")
-    rng = np.random.default_rng(rng)
-    perm = rng.permutation(dataset.K)
+    perm = make_rng(rng).permutation(dataset.K)
     curves = []
     for chunk in np.array_split(perm, B):
         curves.append(_fit_kind(dataset.take(chunk), estimator_kind, q, epsilon))

@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import ObservedDataset, audit_auctions, break_ties
-from .simulate import replay_bids, replay_streams
+from .model import ObservedDataset, break_ties
+from .simulate import replay_streams
 
 _COLUMNS = ("auctionid", "bid", "bidtime", "bidder", "bidderrate",
             "openbid", "price")
@@ -211,14 +211,9 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
 
     try:
         dataset = replay_streams(streams, duration_days)
-    except ValidationError as exc:   # replay each auction alone to name it by its id
-        refused = []
-        for aid, (openbid, times, bids) in zip(aids, streams):
-            try:
-                replay_bids(openbid, duration_days, times, bids)
-            except ValidationError as one:
-                refused += [f"auction {aid}: {text}" for text in one.violations]
-        raise ValidationError(refused or exc.violations) from None
+    except ValidationError as exc:   # name each refused auction by its id
+        raise ValidationError([f"auction {aids[k]}: {text}" for k, text in exc.broken]
+                              or exc.violations) from None
     mismatches = [aid for aid, m, n in zip(aids, dataset.m.tolist(), above)
                   if m != max(0, n - 1)]
     tie_free = break_ties(dataset, rng, scale=max(noise_scale, 0.01))
@@ -385,8 +380,8 @@ def read_dataset(path) -> ObservedDataset:
     if not violations:
         try:
             return ObservedDataset.from_arrays(reserve, sold, m, price, wait, tau)
-        except ValidationError:
-            violations, _ = audit_auctions(reserve, tau, sold, m, price, wait)
+        except ValidationError as exc:
+            violations = exc.broken
     raise ValidationError([f"{path} line {numbers[starts[k]]}: {text}" for k, text in violations])
 
 

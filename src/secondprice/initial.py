@@ -44,12 +44,19 @@ class SpliceAnchors:
             raise ValidationError("splice point must not exceed p2")
 
 
+def check_window(q: float, epsilon: float = None) -> None:
+    """Refuse a low-reserve fraction ``q`` outside (0, 1) or a window
+    half-width ``epsilon`` that is not finite and > 0; None stands for
+    the default half-width, which always is."""
+    if not 0.0 < q < 1.0 or not (epsilon is None or 0.0 < epsilon < math.inf):
+        raise ValidationError("need 0 < q < 1 and a finite epsilon > 0")
+
+
 def select_low_reserve(dataset: ObservedDataset, q: float,
                        epsilon: float) -> LowReserveSelection:
     """Smallest non-negative r_min whose (r_min - eps, r_min + eps)
     window captures at least a q-fraction of the reserve prices."""
-    if not 0.0 < q < 1.0 or not 0.0 < epsilon < math.inf:
-        raise ValidationError("need 0 < q < 1 and a finite epsilon > 0")
+    check_window(q, epsilon)
     rs = np.sort(dataset.reserve)
     K = len(rs)
     m = max(1, math.ceil(q * K))

@@ -13,7 +13,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
 from .model import ObservedDataset
-from .pipeline import DEFAULT_Q, failure_reasons, fit, surviving_fits
+from .initial import check_window
+from .pipeline import DEFAULT_Q, failure_reasons, fit, make_rng, surviving_fits
 from .simulate import SimConfig, ValuationDistribution, run_study
 
 _TV_REFINE_TOL = 1e-5
@@ -117,11 +118,15 @@ def replicate_table(settings, replicates: int, base_seed: int,
     negligible-reserve regime the arrival-rate estimator assumes.
     Replicates whose fit fails are left out; ``failures`` counts them and
     ``reasons`` says why.
-    Needs an integer ``replicates >= 1``.
+    Needs an integer ``replicates >= 1``, an integer ``base_seed >= 0``
+    and ``0 < q < 1``.
     """
     if not (isinstance(replicates, Integral) and replicates >= 1):
         raise ValidationError("need an integer count of at least 1 replicate, "
                               f"got {replicates!r}")
+    if not (isinstance(base_seed, Integral) and base_seed >= 0):
+        raise ValidationError(f"base_seed must be an integer >= 0, got {base_seed!r}")
+    check_window(q)
     reports = []
     for s, (dist, K) in enumerate(settings):
         seeds = (int(np.random.SeedSequence((int(base_seed), s, rep)).generate_state(1)[0])
@@ -159,16 +164,18 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
     """Random train/test splits at the given train fraction; the test-set
     MLE serves as the reference each train-set estimate is scored
     against; a split whose fit fails is left out, counted in ``skipped``
-    and ``reasons``.  Needs an integer ``replications >= 1``."""
+    and ``reasons``.  Needs an integer ``replications >= 1``; ``rng``,
+    ``q`` and ``epsilon`` are checked before any split."""
     if not 0 < ratio < 1:
         raise ValidationError("train fraction must be in (0, 1)")
     if not (isinstance(replications, Integral) and replications >= 1):
         raise ValidationError("need an integer count of at least 1 replication, "
                               f"got {replications!r}")
+    check_window(q, epsilon)
     n_train = int(round(ratio * dataset.K))
     if n_train < 1 or n_train >= dataset.K:
         raise ValidationError("split leaves an empty train or test set")
-    rng = np.random.default_rng(rng)
+    rng = make_rng(rng)
     perms = (rng.permutation(dataset.K) for _ in range(replications))
     splits = ((dataset.take(p[:n_train]), dataset.take(p[n_train:])) for p in perms)
     failed = Counter()

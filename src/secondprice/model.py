@@ -162,7 +162,8 @@ class ObservedDataset:
             raise ValidationError("dataset must contain at least one auction")
         violations, spent = audit_auctions(reserve, tau, sold, m, price, wait)
         if violations:
-            raise ValidationError([f"auction {k}: {text}" for k, text in violations])
+            raise ValidationError([f"auction {k}: {text}" for k, text in violations],
+                                  violations)
         offsets = np.concatenate(([0], m.cumsum()))
         for name, arr in zip(("reserve", "sold", "offsets", "price", "wait", "tail"),
                              (reserve, sold, offsets, price, wait, np.maximum(0.0, tau - spent))):

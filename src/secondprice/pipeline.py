@@ -112,6 +112,15 @@ def fit(dataset: ObservedDataset, q: float = DEFAULT_Q, epsilon: float = None,
                      constrained=constrained)
 
 
+def make_rng(rng) -> np.random.Generator:
+    """``np.random.default_rng(rng)``, with numpy's refusal of ``rng``
+    raised as ValidationError."""
+    try:
+        return np.random.default_rng(rng)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"rng {rng!r} does not seed a generator: {exc}") from None
+
+
 def surviving_fits(items, fit_one, failed):
     """``fit_one(item)`` for each of ``items``, lazily; an item whose fit
     raises NumericalError or ValidationError is left out and counted in

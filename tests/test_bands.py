@@ -92,6 +92,11 @@ class TestHulcBand:
             hulc_band(uniform_dataset, "bootstrap", alpha=0.10, delta=0.0,
                       rng=0)
 
+    @pytest.mark.parametrize("rng", [-1, 1.5, "a"])
+    def test_bad_rng_rejected(self, uniform_dataset, rng):
+        with pytest.raises(ValidationError, match="does not seed a generator"):
+            hulc_band(uniform_dataset, "mle", alpha=0.10, delta=0.0, rng=rng)
+
     def test_band_csv(self, tmp_path, uniform_dataset, uniform_fit):
         band = hulc_band(uniform_dataset, "init", alpha=0.10, delta=0.0,
                          rng=0)
@@ -144,6 +149,9 @@ class TestMedianBias:
         for mc_reps in (5, 150.5, np.float64(120.0)):
             with pytest.raises(ValidationError, match="mc_reps >= 100"):
                 estimate_median_bias(ds, "init", mc_reps=mc_reps, rng=0)
+        for rng in (-1, 1.5):
+            with pytest.raises(ValidationError, match="does not seed a generator"):
+                estimate_median_bias(ds, "mle", mc_reps=100, rng=rng)
         with pytest.raises(NumericalError, match="arrival-rate estimate is zero"):
             estimate_median_bias(ds, "init", mc_reps=100, rng=0)
 

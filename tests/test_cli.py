@@ -655,6 +655,12 @@ class TestReplicateCommand:
                      "--seed", "-1"]) == 3
         assert "--seed must be non-negative" in capsys.readouterr().err
 
+    def test_bad_q_is_validation_error_before_simulating(self, capsys, monkeypatch):
+        monkeypatch.setattr(metrics, "run_study", None)   # nothing is simulated
+        assert main(["replicate", "--setting", "uniform:1,5:25", "--reps", "2",
+                     "--q", "1.5", "--tau", "20"]) == 3
+        assert "need 0 < q < 1 and a finite epsilon > 0" in capsys.readouterr().err
+
 
 class TestPlotCommand:
     def test_plot_outputs(self, tmp_path):

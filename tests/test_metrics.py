@@ -199,6 +199,19 @@ class TestReplicateTable:
         with pytest.raises(ValidationError, match="replicate"):
             replicate_table(settings_, replicates=replicates, base_seed=1)
 
+    @pytest.mark.parametrize("base_seed", [1.5, np.float64(1.0), -1])
+    def test_base_seed_must_be_a_non_negative_integer(self, monkeypatch, base_seed):
+        monkeypatch.setattr(metrics, "run_study", None)   # nothing is simulated
+        settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
+        with pytest.raises(ValidationError, match="base_seed must be an integer >= 0"):
+            replicate_table(settings_, replicates=1, base_seed=base_seed)
+
+    def test_bad_q_rejected_before_simulating(self, monkeypatch):
+        monkeypatch.setattr(metrics, "run_study", None)
+        settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
+        with pytest.raises(ValidationError, match="need 0 < q < 1"):
+            replicate_table(settings_, replicates=2, base_seed=1, q=1.5)
+
 
 class TestTrainTest:
     def test_split_protocol(self, uniform_dataset):
@@ -285,3 +298,15 @@ class TestTrainTest:
         with pytest.raises(ValidationError, match="replication"):
             train_test_eval(uniform_dataset, ratio=0.5,
                             replications=replications, rng=0)
+
+    @pytest.mark.parametrize("window", [{"q": 1.5}, {"epsilon": -1.0}])
+    def test_bad_window_rejected_before_fitting(self, uniform_dataset, monkeypatch,
+                                                 window):
+        monkeypatch.setattr(metrics, "fit", None)   # nothing is fitted
+        with pytest.raises(ValidationError, match="need 0 < q < 1"):
+            train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0, **window)
+
+    @pytest.mark.parametrize("rng", [-1, 1.5, "a"])
+    def test_bad_rng_rejected(self, uniform_dataset, rng):
+        with pytest.raises(ValidationError, match="does not seed a generator"):
+            train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=rng)

@@ -204,6 +204,17 @@ class TestAuditAuctions:
         start = m.cumsum() - m
         assert spent.tolist() == [sum(wait[a:a + k].tolist()) for a, k in zip(start, m)]
 
+    def test_refused_dataset_keeps_its_broken_pairs(self):
+        # auction 0 has a negative reserve and auction 1 a first jump at
+        # its reserve; the readers name each by these (k, rule) pairs
+        columns = ([-1.0, 1.0, 2.0], [False, True, True], [0, 1, 1], [1.0, 3.0], [1.0, 1.0])
+        with pytest.raises(ValidationError) as refused:
+            ObservedDataset.from_arrays(*columns, TAU)
+        assert refused.value.broken == audit_auctions(columns[0], TAU, *columns[1:])[0]
+        assert refused.value.violations == [
+            "auction 0: reserve -1.0 is negative",
+            "auction 1: first jump price 1.0 does not exceed reserve 1.0"]
+
 
 def no_jump_dataset(reserves=(3.0, 1.0, 2.0), sold=(True, False, True)):
     return ObservedDataset(tuple(AuctionRecord(r, TAU, (), s)

@@ -233,6 +233,21 @@ def test_tie_check_stays_in_model():
     assert not found, found
 
 
+def test_audit_and_replay_stay_in_their_modules():
+    # a refused dataset names its broken auctions, so no reader audits
+    # the auctions again or replays a stream alone to find them
+    scripts = SRC.parents[1] / "scripts"
+    home = {"audit_auctions": SRC / "model.py", "replay_bids": SRC / "simulate.py"}
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *scripts.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in home and path != home[name]:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
+
+
 def test_curves_evaluate_in_model():
     # MonotoneCurve.__call__ in model.py is the one evaluation of a curve;
     # every other module builds a curve and calls it
