@@ -60,9 +60,10 @@ def hulc_batches(alpha: float, delta: float) -> int:
     """Smallest B with (1/2+delta)^B + (1/2-delta)^B <= alpha."""
     if not 0 < alpha < 1:
         raise ValidationError("alpha must be in (0, 1)")
-    if not 0 <= delta < 0.5:
+    if not (0 <= delta and 0.5 + delta < 1.0):
         raise ValidationError("median bias delta must be in [0, 0.5)")
-    B = 1
+    # below ln(alpha) / ln(1/2 + delta) batches, (1/2 + delta)^B alone exceeds alpha
+    B = max(1, int(np.ceil(np.log(alpha) / np.log(0.5 + delta))) - 1)
     while (0.5 + delta) ** B + (0.5 - delta) ** B > alpha:
         B += 1
     return B
@@ -92,8 +93,8 @@ def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
     lambda_hat over ``dataset.tau``: an auction of the low-reserve set
     keeps reserve 0, any other the initial CDF at its reserve (capped
     below 1).  delta is the sup over a grid of (0,1) of |lower median of
-    the replicate estimates - identity|, capped below 1/2.  Replicates
-    whose fit fails are left out, with one warning that gives the reasons.
+    the replicate estimates - identity|.  Replicates whose fit fails are
+    left out, with one warning that gives the reasons.
     """
     if kind not in _KINDS:
         raise ValidationError(f"unknown estimator kind {kind!r}")
@@ -116,7 +117,7 @@ def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
         raise NumericalError(f"median-bias simulation failed in {failed.total()} of "
                              f"{mc_reps} replicates; most often {failure_reasons(failed, 1)}")
     med = np.sort(np.vstack(rows), axis=0)[(len(rows) - 1) // 2]  # lower median
-    return min(float(np.max(np.abs(med - _BIAS_GRID))), 0.5 - 1e-9)
+    return float(np.max(np.abs(med - _BIAS_GRID)))
 
 
 def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,

@@ -238,6 +238,7 @@ def export_plot_data(curves: dict, path, svg_path=None) -> None:
 
 def _write_svg(svg_path, xs, columns) -> None:
     """Draw each (name, values) column over the ascending ``xs``."""
+    from html import escape     # here: html loads an entity table no other command needs
     width, height, margin = 640, 480, 50
     x0, x1 = xs[0], xs[-1]
     span = (x1 - x0) or 1.0
@@ -262,7 +263,7 @@ def _write_svg(svg_path, xs, columns) -> None:
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{coords}"/>')
         parts.append(f'<text x="{width - margin - 130}" y="{margin + 16 * idx}" '
-                     f'fill="{color}" font-size="12">{name}</text>')
+                     f'fill="{color}" font-size="12">{escape(name, quote=False)}</text>')
     parts.append("</svg>")
     with open_output(svg_path) as fh:
         fh.write("\n".join(parts) + "\n")

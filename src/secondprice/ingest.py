@@ -66,10 +66,13 @@ class BidRow:
     price: float
 
     def __post_init__(self):
-        violations = [f"{name} {value} is not finite" for name, value in
-                      (("bid", self.bid), ("bidtime", self.bidtime),
-                       ("openbid", self.openbid), ("price", self.price))
-                      if not math.isfinite(value)]
+        violations = [f"{name} is empty" for name, value in
+                      (("auctionid", self.auctionid), ("bidder", self.bidder))
+                      if not value.strip()]
+        violations += [f"{name} {value} is not finite" for name, value in
+                       (("bid", self.bid), ("bidtime", self.bidtime),
+                        ("openbid", self.openbid), ("price", self.price))
+                       if not math.isfinite(value)]
         if self.bid <= 0:
             violations.append(f"bid {self.bid} must be positive")
         if self.bidtime < 0:
@@ -227,12 +230,12 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
 
 @contextmanager
 def open_input(path, newline=None):
-    """Open a text file for reading as UTF-8.  A byte that does not
-    decode, met while the file is read, raises ValidationError naming the
-    file and its line."""
+    """Open a text file for reading as UTF-8, skipping one leading
+    byte-order mark.  A byte that does not decode, met while the file is
+    read, raises ValidationError naming the file and its line."""
     path = Path(path)
     try:
-        with path.open(encoding="utf-8", newline=newline) as fh:
+        with path.open(encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:      # find the line, on this path only
         for lineno, line in enumerate(path.read_bytes().splitlines(), 1):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from helpers import naive_jittered_reserves
 
-from secondprice import (AuctionRecord, ConfidenceBand, NumericalError,
-                         ObservedDataset, ValidationError, ValuationDistribution,
-                         bands, estimate_median_bias, hulc_band, hulc_batches,
-                         run_auction, write_band_csv)
+from secondprice import (AuctionRecord, ConfidenceBand, MonotoneCurve,
+                         NumericalError, ObservedDataset, ValidationError,
+                         ValuationDistribution, bands, estimate_median_bias,
+                         hulc_band, hulc_batches, run_auction, write_band_csv)
 from secondprice.bands import _fit_kind, _simulate_profile
 
 
@@ -22,11 +22,23 @@ class TestBatchCount:
         assert hulc_batches(0.01, 0.0) == 8
 
     def test_definition_is_the_smallest_feasible_count(self):
-        for alpha, delta in ((0.10, 0.0), (0.05, 0.1), (0.2, 0.3)):
+        def feasible(alpha, delta, B):
+            return (0.5 + delta) ** B + (0.5 - delta) ** B <= alpha
+
+        rng = np.random.default_rng(11)
+        drawn = zip(rng.uniform(1e-4, 0.999, 300).tolist(),
+                    rng.uniform(0.0, 0.49, 300).tolist())
+        for alpha, delta in ((0.10, 0.0), (0.05, 0.1), (0.2, 0.3), (0.1, 0.499), *drawn):
+            B = 1
+            while not feasible(alpha, delta, B):
+                B += 1
+            assert hulc_batches(alpha, delta) == B
+        # too close to 1/2 to count up from 1
+        for alpha, delta in ((0.1, 0.5 - 1e-9), (0.05, 0.5 - 1e-9), (0.1, 0.5 - 1e-15),
+                             (0.01, 0.5 - 1e-15)):
             B = hulc_batches(alpha, delta)
-            assert (0.5 + delta) ** B + (0.5 - delta) ** B <= alpha
-            if B > 1:
-                assert (0.5 + delta) ** (B - 1) + (0.5 - delta) ** (B - 1) > alpha
+            assert feasible(alpha, delta, B) and not feasible(alpha, delta, B - 1)
+        assert hulc_batches(0.1, 0.5 - 1e-9) == 2302584902
 
     def test_monotone_in_level_and_bias(self):
         assert hulc_batches(0.01, 0.0) >= hulc_batches(0.10, 0.0)
@@ -39,6 +51,9 @@ class TestBatchCount:
             hulc_batches(0.1, 0.5)
         with pytest.raises(ValidationError):
             hulc_batches(0.1, -0.1)
+        # below 1/2, but 1/2 + delta rounds to 1
+        with pytest.raises(ValidationError, match=r"must be in \[0, 0.5\)"):
+            hulc_batches(0.1, 0.49999999999999994)
 
 
 class TestConfidenceBand:
@@ -171,6 +186,22 @@ class TestMedianBias:
         assert len(kept) == 50
         median = np.sort(kept, axis=0)[24]
         assert delta == float(np.max(np.abs(median - bands._BIAS_GRID)))
+
+    def test_bias_above_one_half_is_returned_and_refused_before_a_split(
+            self, uniform_dataset, monkeypatch):
+        fitted = []
+
+        def zero(sample, kind, q, epsilon):
+            fitted.append(sample)
+            return MonotoneCurve([0.0, 1.0], [0.0, 0.0])
+
+        monkeypatch.setattr(bands, "_fit_kind", zero)
+        delta = estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)
+        assert delta == pytest.approx(0.99)
+        fitted.clear()
+        with pytest.raises(ValidationError, match=r"must be in \[0, 0.5\)"):
+            hulc_band(uniform_dataset, "mle", alpha=0.10, delta=delta, rng=0)
+        assert fitted == []
 
     @pytest.mark.parametrize("successes", [0, 1])
     def test_fewer_than_two_replicates_is_numerical_error(self, uniform_dataset,

@@ -4,6 +4,7 @@ the file outputs of each subcommand."""
 import csv
 import json
 from itertools import count
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -148,6 +149,33 @@ class TestNotUtf8:
         assert main(argv) == 3
         assert f"{bad} line 3: not UTF-8 text (invalid" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestByteOrderMark:
+    # spreadsheet "CSV UTF-8" exports start with one
+    @pytest.mark.parametrize("reader", ["dataset", "bid-log", "config"])
+    def test_reads_like_the_file_without_it(self, tmp_path, reader):
+        text = {
+            "dataset": "kind,auction,reserve_or_price,duration_or_wait,sold\n"
+                       "auction,0,0.0,10.0,1\njump,0,2.0,1.0,\njump,0,3.0,2.0,\n"
+                       "auction,1,0.5,10.0,1\njump,1,4.0,3.0,\n"
+                       "auction,2,1.0,10.0,0\n",
+            "bid-log": "auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+                       "1,5.0,1.0,alice,0,0.5,6.0\n1,6.0,2.0,bob,0,0.5,6.0\n",
+            "config": "dist=uniform:1,8\nK=5\nseed=3\n",
+        }[reader]
+        rows = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            data, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            data.write_text(prefix + text, encoding="utf-8")
+            argv = {"dataset": ["estimate", "--data", str(data), "--out-curves", str(out)],
+                    "bid-log": ["ingest", "--data", str(data), "--duration", "7",
+                                "--out", str(out)],
+                    "config": ["simulate", "--config", str(data), "--out", str(out)]}[reader]
+            assert main(argv) == 0
+            rows.append([line for line in out.read_text().splitlines()
+                         if not line.startswith("#")])
+        assert rows[0] == rows[1] and len(rows[0]) > 1
 
 
 class TestSimulate:
@@ -571,6 +599,16 @@ class TestBandsCommand:
         assert "finite epsilon" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bias_near_one_half_is_refused_at_once(self, tmp_path, capsys):
+        # some 2.3e10 batches, counted in a few steps
+        data = simulate(tmp_path, K=40)
+        capsys.readouterr()
+        out = tmp_path / "band.csv"
+        assert main(["bands", "--data", str(data), "--delta", "0.4999999999",
+                     "--out", str(out)]) == 3
+        assert "need at least B=23025849024 auctions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_is_validation_error(self, tmp_path, capsys):
         data = simulate(tmp_path, K=40)
         capsys.readouterr()
@@ -677,6 +715,15 @@ class TestPlotCommand:
         assert svg.startswith("<svg")
         assert "polyline" in svg
         assert "nan" not in svg and "inf" not in svg
+
+    def test_series_names_are_escaped_in_the_svg(self, tmp_path):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("x,f<a&b,g]]>h,plain\n1.0,0.1,0.2,0.3\n2.0,0.5,0.6,0.7\n")
+        out_svg = tmp_path / "plot.svg"
+        assert main(["plot", "--curves", str(curves), "--out-csv",
+                     str(tmp_path / "plot.csv"), "--out-svg", str(out_svg)]) == 0
+        texts = ElementTree.parse(out_svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts] == ["f<a&b", "g]]>h", "plain"]
 
     def test_malformed_band_file(self, tmp_path, capsys):
         curves = tmp_path / "curves.csv"

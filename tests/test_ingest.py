@@ -43,6 +43,16 @@ class TestBidRow:
             BidRow(**kwargs)
         assert f"{field} {value} is not finite" in str(err.value)
 
+    @pytest.mark.parametrize("field", ["auctionid", "bidder"])
+    @pytest.mark.parametrize("value", ["", " ", "\t"])
+    def test_empty_id_rejected(self, field, value):
+        kwargs = dict(auctionid="1", bid=10.0, bidtime=1.0, bidder="alice",
+                      bidderrate=3, openbid=0.5, price=12.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError) as err:
+            BidRow(**kwargs)
+        assert err.value.violations == [f"{field} is empty"]
+
 
 class TestIngest:
     def test_round_trip_from_simulated_traces(self, tmp_path):
@@ -149,6 +159,21 @@ class TestIngest:
         assert all(f"row {n}" in msg for n in (2, 3, 4, 5, 6, 7))
         assert "row 4: no value for bidtime, bidder, bidderrate, openbid, price" in msg
         assert "row 7: 2 field(s) beyond the 7-column header" in msg
+
+    def test_empty_ids_are_named_by_their_rows(self, tmp_path):
+        # blank bidders would collapse into one bidder, and a blank
+        # auction id would name an auction ""
+        path = tmp_path / "log.csv"
+        write_log(path, [
+            ["1", 5.0, 1.0, "", 0, 0.5, 8.0],
+            ["1", 6.0, 2.0, " ", 0, 0.5, 8.0],
+            ["1", 7.0, 3.0, "carol", 0, 0.5, 8.0],
+            ["", 7.0, 3.0, "dave", 0, 0.5, 8.0],
+        ])
+        with pytest.raises(ValidationError) as err:
+            ingest_bid_csv(path, duration_days=7.0, noise_seed=0)
+        assert err.value.violations == ["row 2: bidder is empty", "row 3: bidder is empty",
+                                         "row 5: auctionid is empty"]
 
     def test_rows_after_a_blank_line_keep_their_line_numbers(self, tmp_path):
         path = tmp_path / "log.csv"

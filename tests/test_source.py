@@ -248,6 +248,23 @@ def test_audit_and_replay_stay_in_their_modules():
     assert not found, found
 
 
+def test_files_are_opened_in_ingest():
+    # open_input decodes every input the same way (UTF-8, one leading
+    # byte-order mark skipped), so no other module opens a file itself
+    scripts = SRC.parents[1] / "scripts"
+    calls = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *scripts.glob("*.py")]):
+        if path == SRC / "ingest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in calls:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
+
+
 def test_curves_evaluate_in_model():
     # MonotoneCurve.__call__ in model.py is the one evaluation of a curve;
     # every other module builds a curve and calls it
