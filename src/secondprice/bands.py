@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
@@ -22,6 +23,7 @@ from .pipeline import (DEFAULT_Q, failure_reasons, fit, fit_initial, make_rng,
 from .simulate import ValuationDistribution, simulate_auctions
 
 _BIAS_GRID = np.arange(1, 100) / 100.0
+_UNIT = ValuationDistribution.uniform(0.0, 1.0)   # valuations on the probability scale
 
 _KINDS = ("init", "mle")
 
@@ -77,10 +79,10 @@ def _fit_kind(dataset: ObservedDataset, kind: str, q,
 
 
 def _simulate_profile(lam, tau, reserves, rng) -> ObservedDataset:
-    # transformed reserves repeat (many exact zeros); tie jitter must stay
-    # far below the unit valuation scale
-    return simulate_auctions(lam, tau, ValuationDistribution.uniform(0.0, 1.0),
-                             ((float(r), rng) for r in reserves), rng, 1e-6)
+    # one generator draws every auction's bidders in turn, then the tie
+    # jitter; transformed reserves repeat (many exact zeros), and the
+    # jitter must stay far below the unit valuation scale
+    return simulate_auctions(lam, tau, _UNIT, zip(reserves, repeat(rng)), rng, 1e-6)
 
 
 def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
@@ -105,6 +107,7 @@ def estimate_median_bias(dataset: ObservedDataset, kind: str, mc_reps: int,
     lambda_hat, selection, _, f_init = fit_initial(dataset, q=q, epsilon=epsilon)
     reserves = np.minimum(f_init(dataset.reserve), 1.0 - 1e-9)
     reserves[selection.V] = 0.0
+    reserves = reserves.tolist()
     samples = (_simulate_profile(lambda_hat, dataset.tau, reserves, rng)
                for _ in range(mc_reps))
     failed = Counter()

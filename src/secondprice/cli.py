@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -39,6 +40,10 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
+
+# a character XML 1.0 forbids, even escaped: C0 controls bar tab, LF and
+# CR; surrogates; U+FFFE and U+FFFF
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _SWITCH = {"1": True, "true": True, "yes": True, "on": True,
            "0": False, "false": False, "no": False, "off": False}
@@ -227,7 +232,14 @@ def cmd_ingest(args) -> int:
 
 def export_plot_data(curves: dict, path, svg_path=None) -> None:
     """Long-format CSV (x, series, value) of every curve over their union
-    knot grid, with an optional minimal static SVG line chart."""
+    knot grid, with an optional minimal static SVG line chart.  With the
+    chart, a series name that XML cannot hold is refused before either
+    file is written."""
+    if svg_path is not None:
+        for name in curves:
+            if _NOT_XML.search(name):
+                raise ValidationError(f"column {name!r} holds a character XML 1.0 "
+                                      "forbids, so the SVG legend cannot show it")
     xs = np.unique(np.concatenate([c.knots for c in curves.values()]))
     columns = [(name, curve(xs)) for name, curve in curves.items()]
     write_csv(path, ("x", "series", "value"),

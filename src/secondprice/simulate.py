@@ -101,23 +101,32 @@ class ValuationDistribution:
 
     # -- API ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.sampler(rng)(size)
+
+    def sampler(self, rng: np.random.Generator) -> Callable[[int], np.ndarray]:
+        """``size -> self.sample(rng, size)``, the family's rule looked up
+        once.  Uniform(0, 1) is ``rng.random``: numpy's ``uniform`` draws
+        low + (high - low) * u from the same u, so the numbers and the
+        generator's state after them are the same."""
         if self.kind == "uniform":
             a, b = self.params
-            return rng.uniform(a, b, size)
+            return rng.random if (a, b) == (0.0, 1.0) else (lambda size: rng.uniform(a, b, size))
         if self.kind == "piecewise_uniform":
-            w = np.array([p[2] for p in self.params])
-            idx = rng.choice(len(self.params), size=size, p=w / w.sum())
-            lo = np.array([p[0] for p in self.params])[idx]
-            hi = np.array([p[1] for p in self.params])[idx]
-            return rng.uniform(lo, hi)
+            lo, hi, w = np.array(self.params).T
+            weights = w / w.sum()
+
+            def pieces(size):
+                idx = rng.choice(len(w), size=size, p=weights)
+                return rng.uniform(lo[idx], hi[idx])
+            return pieces
         if self.kind == "pareto":
             scale, shape = self.params
-            return scale * rng.uniform(0.0, 1.0, size) ** (-1.0 / shape)
+            return lambda size: scale * rng.random(size) ** (-1.0 / shape)
         if self.kind == "gamma":
             shape, rate = self.params
-            return rng.standard_gamma(shape, size) * (1.0 / rate)
+            return lambda size: rng.standard_gamma(shape, size) * (1.0 / rate)
         a, b = self.params
-        return rng.beta(a, b, size)
+        return lambda size: rng.beta(a, b, size)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -233,25 +242,30 @@ _CELL_BUDGET = 1 << 17
 
 
 def _chunks(streams):
-    """Consecutive lists of streams of at most ``_CELL_BUDGET`` padded
-    cells each, or of one longer stream."""
-    chunk, width = [], 0
-    for stream in streams:
-        width = max(width, len(stream[2]))
-        if chunk and (len(chunk) + 1) * width > _CELL_BUDGET:
-            yield chunk
-            chunk, width = [], len(stream[2])
-        chunk.append(stream)
-    if chunk:
-        yield chunk
+    """The ``(reserve, times, bids)`` streams as consecutive ``(reserves,
+    times, bids)`` lists of at most ``_CELL_BUDGET`` padded cells each,
+    or of one longer stream."""
+    reserves, times, bids, width = [], [], [], 0
+    for reserve, t, b in streams:
+        n = len(b)
+        if n > width:
+            width = n
+        if reserves and (len(reserves) + 1) * width > _CELL_BUDGET:
+            yield reserves, times, bids
+            reserves, times, bids, width = [], [], [], n
+        reserves.append(reserve)
+        times.append(t)
+        bids.append(b)
+    if reserves:
+        yield reserves, times, bids
 
 
 def replay_streams(streams, tau: float) -> ObservedDataset:
     """The dataset of ``(reserve, times, bids)`` streams, each with one
     time per bid, replayed in order; ``streams`` is consumed one chunk at
     a time."""
-    parts = [(reserve, *_replay_rows(reserve, times, bids))
-             for reserve, times, bids in (zip(*chunk) for chunk in _chunks(streams))]
+    parts = [(reserves, *_replay_rows(reserves, times, bids))
+             for reserves, times, bids in _chunks(streams)]
     columns = [np.concatenate(c) for c in zip(*parts)] or [()] * 5
     return ObservedDataset.from_arrays(*columns, tau)
 
@@ -268,19 +282,33 @@ def _draws(lam: float, tau: float, dist: ValuationDistribution, draws):
     """Each ``(reserve, rng)`` of ``draws`` as one auction's ``(reserve,
     times, bids)``, all drawn from its ``rng``: Exponential(lam)
     inter-arrival times accumulated a block at a time until one passes
-    tau, then a bid for each arrival at or before tau."""
+    tau, then a bid for each arrival at or before tau.
+
+    This order is the stream contract, and ``test_auto_delta_echo`` pins
+    it through the median-bias delta.  Each auction takes blocks of
+    max(16, floor(lam*tau + 6*sqrt(lam*tau) + 10)) exponentials from its
+    generator, then its n valuations.  ``run_study`` gives each auction a
+    generator of its own; a median-bias replicate passes one generator
+    for all its auctions and then draws the tie jitter from it.  The draw
+    methods are looked up once per run of auctions on the same
+    generator."""
     if not (0.0 < lam < math.inf and 0.0 < tau < math.inf):
         raise ValidationError(f"lam and tau must be finite and > 0, got {lam!r} and {tau!r}")
     scale, mean = 1.0 / lam, lam * tau
     if not math.isfinite(mean):
         raise ValidationError(f"lam * tau must be finite, got {lam!r} * {tau!r}")
     block = max(16, int(mean + 6 * np.sqrt(mean) + 10))
+    cumsum = np.add.accumulate      # ndarray.cumsum without the method call's overhead
+    bound = None
     for reserve, rng in draws:
-        times = rng.exponential(scale, block).cumsum()
-        while times[-1] <= tau:
-            times = np.concatenate((times, times[-1] + rng.exponential(scale, block).cumsum()))
+        if rng is not bound:
+            bound, exponential, sample = rng, rng.exponential, dist.sampler(rng)
+        times = cumsum(exponential(scale, block))
         n = times.searchsorted(tau, "right")
-        yield reserve, times[:n], dist.sample(rng, n)
+        while n == len(times):      # no arrival has passed tau yet
+            times = np.concatenate((times, times[-1] + cumsum(exponential(scale, block))))
+            n = times.searchsorted(tau, "right")
+        yield reserve, times[:n], sample(n)
 
 
 def run_auction(lam: float, tau: float, reserve: float,

@@ -1,6 +1,7 @@
 """Independent reference implementations used to verify the library:
 arrival times summed one gap at a time, a per-bid standing-price state
-machine, per-auction reserve jitter, the initial estimate and the pooled
+machine, per-auction reserve jitter, a median-bias replicate drawn one
+generator call at a time, the initial estimate and the pooled
 order structures built record by record, a direct-definition
 log-likelihood, a brute-force coordinate curvature weight, and an
 exhaustive grid search over the survival-ratio box."""
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-from secondprice import AuctionRecord
+from secondprice import AuctionRecord, ObservedDataset
 
 
 def naive_arrival_times(gaps, tau):
@@ -62,6 +63,28 @@ def naive_jittered_reserves(auctions, rng, scale=0.01):
         cap = scale if not a.jumps else min(scale, 0.5 * (a.jumps[0][0] - a.reserve))
         out.append(a.reserve + rng.uniform(0.0, cap))
     return out
+
+
+def naive_profile_replicate(lam, tau, reserves, rng, scale):
+    """A median-bias replicate from one generator, call by call.  For each
+    reserve in turn: blocks of max(16, floor(lam*tau + 6*sqrt(lam*tau) +
+    10)) Exponential gaps of mean 1/lam, each block's cumulative sum
+    continued from the last arrival until one passes tau, then
+    ``rng.uniform(0.0, 1.0, n)`` valuations for the n arrivals at or
+    before tau, replayed bid by bid; then the same generator's reserve
+    jitter of at most ``scale``."""
+    block = max(16, int(lam * tau + 6 * math.sqrt(lam * tau) + 10))
+    records = []
+    for reserve in reserves:
+        times = np.cumsum(rng.exponential(1.0 / lam, block))
+        while times[-1] <= tau:
+            times = np.concatenate((times, times[-1] + np.cumsum(rng.exponential(1.0 / lam,
+                                                                                 block))))
+        times = times[times <= tau]
+        records.append(naive_replay(reserve, tau, times, rng.uniform(0.0, 1.0, len(times))))
+    jittered = naive_jittered_reserves(records, rng, scale)
+    return ObservedDataset(tuple(AuctionRecord(r, tau, a.jumps, a.sold)
+                                 for r, a in zip(jittered, records)), tau)
 
 
 def naive_initial_estimate(dataset, selection):

@@ -6,7 +6,7 @@ from itertools import count
 
 import numpy as np
 import pytest
-from helpers import naive_jittered_reserves
+from helpers import naive_jittered_reserves, naive_profile_replicate
 
 from secondprice import (AuctionRecord, ConfidenceBand, MonotoneCurve,
                          NumericalError, ObservedDataset, ValidationError,
@@ -139,6 +139,16 @@ class TestMedianBias:
         shared = np.random.default_rng(17)
         assert _simulate_profile(lam, tau, reserves, shared) == want
         assert shared.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("lam, tau", [(0.01, 5.0), (0.5, 6.98), (1.0, 100.0)],
+                             ids=["lam_tau-0.05", "lam_tau-3.49", "lam_tau-100"])
+    def test_replicate_equals_the_call_by_call_oracle(self, lam, tau):
+        # half the reserves are 0, so the jitter runs
+        reserves = np.where(np.arange(200) % 2, np.linspace(0.0, 0.9, 200), 0.0).tolist()
+        rng, oracle_rng = np.random.default_rng(29), np.random.default_rng(29)
+        want = naive_profile_replicate(lam, tau, reserves, oracle_rng, 1e-6)
+        assert _simulate_profile(lam, tau, reserves, rng) == want
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_small_run(self, uniform_dataset):
         delta = estimate_median_bias(uniform_dataset, "init", mc_reps=100, rng=0)

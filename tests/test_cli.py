@@ -725,6 +725,27 @@ class TestPlotCommand:
         texts = ElementTree.parse(out_svg).getroot().iter("{http://www.w3.org/2000/svg}text")
         assert [t.text for t in texts] == ["f<a&b", "g]]>h", "plain"]
 
+    def test_series_names_xml_cannot_hold_are_refused(self, tmp_path, capsys):
+        # quotes and non-ASCII letters are text like any other; U+0001 is
+        # not allowed in XML 1.0 even as a character reference
+        curves = tmp_path / "curves.csv"
+        out_csv, out_svg = tmp_path / "plot.csv", tmp_path / "plot.svg"
+        argv = ["plot", "--curves", str(curves), "--out-csv", str(out_csv),
+                "--out-svg", str(out_svg)]
+        curves.write_text('x,f<"é"&,Ωmega\n1.0,0.1,0.2\n2.0,0.5,0.6\n', encoding="utf-8")
+        assert main(argv) == 0
+        texts = ElementTree.parse(out_svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts] == ['f<"é"&', "Ωmega"]
+        out_csv.unlink()
+        out_svg.unlink()
+        capsys.readouterr()
+        curves.write_text("x,a\x01b,plain\n1.0,0.1,0.2\n2.0,0.5,0.6\n")
+        assert main(argv) == 3
+        assert "column 'a\\x01b'" in capsys.readouterr().err
+        assert not out_csv.exists() and not out_svg.exists()
+        # without the chart the name is only a CSV field
+        assert main(argv[:-2]) == 0 and out_csv.exists()
+
     def test_malformed_band_file(self, tmp_path, capsys):
         curves = tmp_path / "curves.csv"
         curves.write_text("x,f_init,f_mle\n1.0,0.1,0.2\n2.0,0.5,0.6\n")

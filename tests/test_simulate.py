@@ -213,6 +213,9 @@ class _DyadicGaps:
     def uniform(self, low, high, size):
         return low + (high - low) * (np.arange(size) * 0.375 % 1.0)
 
+    def random(self, size):
+        return self.uniform(0.0, 1.0, size)
+
 
 class TestRunAuction:
     def test_arrivals_past_the_first_block(self):
@@ -245,6 +248,13 @@ class TestRunAuction:
         assert np.all(np.diff(times) > 0)
 
 
+def _two_pieces(rng, n):
+    """Piecewise draws over (1, 2, 0.25) and (3, 4, 0.75): a piece per
+    draw, then a uniform within it."""
+    idx = rng.choice(2, size=n, p=np.array([0.25, 0.75]))
+    return rng.uniform(np.array([1.0, 3.0])[idx], np.array([2.0, 4.0])[idx])
+
+
 class TestValuationDistribution:
     @pytest.mark.parametrize("dist", [
         ValuationDistribution.uniform(1.0, 20.0),
@@ -265,6 +275,34 @@ class TestValuationDistribution:
         # empirical CDF agrees with the analytic one (loose 4-sigma check)
         emp = np.searchsorted(np.sort(x), grid, side="right") / len(x)
         assert np.max(np.abs(emp - cdf)) < 4.0 / np.sqrt(len(x))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_unit_uniform_is_the_generators_uniform(self, n):
+        # the same numbers, and the generator left in the same state
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        draws = ValuationDistribution.uniform(0.0, 1.0).sample(rng, n)
+        assert np.array_equal(draws, ref.uniform(0.0, 1.0, n)) and draws.shape == (n,)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dist, draw", [
+        (ValuationDistribution.uniform(1.0, 20.0), lambda g, n: g.uniform(1.0, 20.0, n)),
+        (ValuationDistribution.uniform(0.0, 2.0), lambda g, n: g.uniform(0.0, 2.0, n)),
+        (ValuationDistribution.piecewise_uniform([(1, 2, 0.25), (3, 4, 0.75)]),
+         _two_pieces),
+        (ValuationDistribution.pareto(3.0, 100.0),
+         lambda g, n: 3.0 * g.uniform(0.0, 1.0, n) ** (-1.0 / 100.0)),
+        (ValuationDistribution.gamma(10.0, 2.0), lambda g, n: g.standard_gamma(10.0, n) * 0.5),
+        (ValuationDistribution.beta(2.0, 5.0), lambda g, n: g.beta(2.0, 5.0, n)),
+    ], ids=["uniform-1-20", "uniform-0-2", "piecewise", "pareto", "gamma", "beta"])
+    def test_draws_are_the_generator_calls_they_always_were(self, dist, draw):
+        # two draws in a row through one bound sampler, then one through
+        # sample, against the generator calls written out
+        rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+        sampler = dist.sampler(rng)
+        for n in (7, 0, 300):
+            assert np.array_equal(sampler(n), draw(ref, n))
+        assert np.array_equal(dist.sample(rng, 50), draw(ref, 50))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_draws_equal_scipy_rvs(self):
         # scipy.stats is the oracle: for one generator state the draws are
