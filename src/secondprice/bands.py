@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
-from .model import MonotoneCurve, ObservedDataset
+from .model import MonotoneCurve, ObservedDataset, union_grid
 from .pipeline import (DEFAULT_Q, failure_reasons, fit, fit_initial, make_rng,
                        surviving_fits)
 from .simulate import ValuationDistribution, simulate_auctions
@@ -137,7 +137,7 @@ def hulc_band(dataset: ObservedDataset, estimator_kind: str, alpha: float,
     curves = []
     for chunk in np.array_split(perm, B):
         curves.append(_fit_kind(dataset.take(chunk), estimator_kind, q, epsilon))
-    knots = np.unique(np.concatenate([c.knots for c in curves]))
+    knots = union_grid([c.knots for c in curves])
     vals = np.vstack([np.asarray(c(knots)) for c in curves])
     return ConfidenceBand(knots, vals.min(axis=0), vals.max(axis=0), B)
 

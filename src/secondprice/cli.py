@@ -25,25 +25,20 @@ import sys
 
 import numpy as np
 
-from .bands import (_fit_kind, envelope_curves, estimate_median_bias, hulc_band,
-                    write_band_csv)
 from .errors import NumericalError, ValidationError
 from .ingest import (export_dataset, ingest_bid_csv, open_input, open_output,
                      read_dataset, read_numeric_csv, write_csv)
-from .metrics import ks_distance, replicate_table, tv_distance, write_report_csv
-from .model import MonotoneCurve
-from .pipeline import DEFAULT_Q, failure_reasons, fit
+from .initial import DEFAULT_Q
+from .model import MonotoneCurve, union_grid
 from .simulate import SimConfig, parse_dist, run_study
+
+# bands, metrics and pipeline are imported by the commands that run them,
+# so a process loads only the modules its command needs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
-
-
-# a character XML 1.0 forbids, even escaped: C0 controls bar tab, LF and
-# CR; surrogates; U+FFFE and U+FFFF
-_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _SWITCH = {"1": True, "true": True, "yes": True, "on": True,
            "0": False, "false": False, "no": False, "off": False}
@@ -135,6 +130,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .pipeline import fit
     dataset = read_dataset(args.data)
     result = fit(dataset, q=args.q, epsilon=args.epsilon, tol=args.tol,
                  max_sweeps=args.max_sweeps, constrained=not args.unconstrained)
@@ -142,7 +138,7 @@ def cmd_estimate(args) -> int:
         write_csv(args.trace, ("sweep", "loglik"),
                   enumerate(map(float, result.ascent.history)))
     config = _provenance(args)
-    knots = np.unique(np.concatenate((result.f_init.knots, result.cdf.knots)))
+    knots = union_grid((result.f_init.knots, result.cdf.knots))
     write_csv(args.out_curves, ("x", "f_init", "f_mle"),
               zip(knots, result.f_init(knots), result.cdf(knots)), _header_lines(config))
     diagnostics = {
@@ -164,6 +160,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bands(args) -> int:
+    from .bands import _fit_kind, estimate_median_bias, hulc_band, write_band_csv
     dataset = read_dataset(args.data)
     delta = args.delta
     if args.auto_delta:
@@ -182,6 +179,7 @@ def cmd_bands(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .metrics import ks_distance, tv_distance
     curves = _read_curves_csv(args.curves)
     a, b = args.series_a, args.series_b
     if a not in curves or b not in curves:
@@ -194,6 +192,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_replicate(args) -> int:
+    from .metrics import replicate_table, write_report_csv
+    from .pipeline import failure_reasons
     settings = []
     for spec in args.setting:
         dist_spec, _, k = spec.rpartition(":")
@@ -236,11 +236,14 @@ def export_plot_data(curves: dict, path, svg_path=None) -> None:
     chart, a series name that XML cannot hold is refused before either
     file is written."""
     if svg_path is not None:
+        # a character XML 1.0 forbids, even escaped: C0 controls bar tab,
+        # LF and CR; surrogates; U+FFFE and U+FFFF
+        not_xml = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
         for name in curves:
-            if _NOT_XML.search(name):
+            if not_xml.search(name):
                 raise ValidationError(f"column {name!r} holds a character XML 1.0 "
                                       "forbids, so the SVG legend cannot show it")
-    xs = np.unique(np.concatenate([c.knots for c in curves.values()]))
+    xs = union_grid([c.knots for c in curves.values()])
     columns = [(name, curve(xs)) for name, curve in curves.items()]
     write_csv(path, ("x", "series", "value"),
               ((x, name, v) for name, vs in columns for x, v in zip(xs, vs)))
@@ -284,6 +287,7 @@ def _write_svg(svg_path, xs, columns) -> None:
 def cmd_plot(args) -> int:
     curves = _read_curves_csv(args.curves)
     if args.bands:
+        from .bands import envelope_curves
         # --alpha is accepted but unused: a band file holds its envelopes
         _, data = read_numeric_csv(args.bands, width=3)
         curves["band_lower"], curves["band_upper"] = envelope_curves(*data.T)

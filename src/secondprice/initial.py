@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import MonotoneCurve, ObservedDataset, ThetaVector, cdf_to_theta
+from .model import MonotoneCurve, ObservedDataset, ThetaVector, cdf_to_theta, union_grid
+
+DEFAULT_Q = 0.25    # the low-reserve fraction a fit selects by default
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def combine_initial(f_fp: MonotoneCurve,
     the splice point, then a linear bridge to 1 at p1."""
     p1, c = anchors.p1, anchors.c
     fc = float(f_fp(c))
-    knots = np.unique(np.concatenate((f_fp.knots[f_fp.knots <= c], [c, p1])))
+    knots = union_grid((f_fp.knots[f_fp.knots <= c], [c, p1]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # taken only where c < x, so never when p1 == c
         bridge = fc + np.divide(1.0 - fc, p1 - c) * (knots - c)

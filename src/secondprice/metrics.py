@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
-from .model import ObservedDataset
+from .model import ObservedDataset, union_grid
 from .initial import check_window
 from .pipeline import DEFAULT_Q, failure_reasons, fit, make_rng, surviving_fits
 from .simulate import SimConfig, ValuationDistribution, run_study
@@ -31,7 +31,7 @@ def _grid(f1, f2) -> np.ndarray:
         ends = [d.support() for d in dists] + [(c.knots[0], c.knots[-1]) for c in curves]
         pts.append(np.linspace(min(a for a, _ in ends), max(b for _, b in ends),
                                _KS_REFINE_POINTS))
-    return np.unique(np.concatenate(pts))
+    return union_grid(pts)
 
 
 def _values(f, pts):
@@ -80,7 +80,7 @@ def tv_distance(f1, f2) -> float:
     val = _tv_on_grid(f1, f2, pts)
     if isinstance(f1, ValuationDistribution) or isinstance(f2, ValuationDistribution):
         for _ in range(20):
-            pts = np.unique(np.concatenate((pts, 0.5 * (pts[:-1] + pts[1:]))))
+            pts = union_grid((pts, 0.5 * (pts[:-1] + pts[1:])))
             new = _tv_on_grid(f1, f2, pts)
             if abs(new - val) < _TV_REFINE_TOL:
                 return new

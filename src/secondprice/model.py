@@ -309,6 +309,18 @@ def pool(dataset: ObservedDataset) -> PooledData:
                       sbar=np.flatnonzero(kind == 2) + 1, ks=np.flatnonzero(dataset.sold))
 
 
+def union_grid(arrays) -> np.ndarray:
+    """The distinct values of ``arrays`` together, ascending: the array
+    ``np.unique(np.concatenate(arrays))`` gives, by its own sort and
+    comparison, without its masked-array check, whose first call imports
+    numpy.ma, a module no command otherwise needs.  Values must be finite."""
+    grid = np.sort(np.concatenate(arrays))
+    keep = np.empty(len(grid), dtype=bool)
+    keep[:1] = True
+    keep[1:] = grid[1:] != grid[:-1]
+    return grid[keep]
+
+
 @dataclass(frozen=True)
 class MonotoneCurve:
     """A CDF estimate: the piecewise-linear curve through ``(knots,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .arrival import estimate_lambda
 from .errors import NumericalError, ValidationError
-from .initial import (LowReserveSelection, SpliceAnchors, combine_initial,
+from .initial import (DEFAULT_Q, LowReserveSelection, SpliceAnchors, combine_initial,
                       compute_splice_anchors, estimate_f_fp, initial_theta,
                       select_low_reserve)
 from .mle import (AscentResult, LikelihoodContext, projected_newton,
@@ -19,7 +19,6 @@ from .mle import (AscentResult, LikelihoodContext, projected_newton,
 from .model import (MonotoneCurve, ObservedDataset, PooledData, ThetaVector,
                     pool)
 
-DEFAULT_Q = 0.25
 _THETA_CLIP = 1e-6
 
 _log = logging.getLogger(__name__)
@@ -28,8 +27,11 @@ _log = logging.getLogger(__name__)
 def default_epsilon(dataset: ObservedDataset) -> float:
     """Half-width of the low-reserve window: 1% of the median final
     selling price, floored at 0.01."""
-    med = float(np.median(dataset.final_price))
-    return max(0.01, 0.01 * med)
+    # np.median's value, without the masked-array check that imports numpy.ma
+    prices = np.sort(dataset.final_price)
+    mid = len(prices) // 2
+    med = prices[mid] if len(prices) % 2 else (prices[mid - 1] + prices[mid]) / 2
+    return max(0.01, 0.01 * float(med))
 
 
 def clip_theta0(theta0: ThetaVector, ctx: LikelihoodContext) -> ThetaVector:

@@ -184,7 +184,9 @@ def parse_dist(spec: str) -> ValuationDistribution:
         raise ValidationError(f"cannot parse distribution spec {spec!r}: {exc}")
 
 
-ReservePolicy = Union[float, Callable[[np.random.Generator], float]]
+# the generator is named as a string: evaluating np.random here would load
+# numpy.random in every process that imports this module
+ReservePolicy = Union[float, Callable[["np.random.Generator"], float]]
 
 
 @dataclass(frozen=True)

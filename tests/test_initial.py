@@ -282,6 +282,14 @@ class TestInitialEstimate:
         assert np.array_equal(f_init2.knots, f_init.knots)
         assert np.array_equal(f_init2.values, f_init.values)
 
+    @pytest.mark.parametrize("K", [1, 2, 5, 6, 101])
+    def test_default_window_is_one_percent_of_the_median_price(self, K):
+        ds = run_study(SimConfig(lam=1.0, tau=10.0, K=K, seed=K),
+                       ValuationDistribution.gamma(10.0, 2.0))
+        want = max(0.01, 0.01 * float(np.median(ds.final_price)))
+        assert pipeline.default_epsilon(ds) == want
+        assert pipeline.default_epsilon(reserves_dataset([0.0, 0.001])) == 0.01
+
     def test_zero_rate_estimate_is_numerical_error(self):
         # the low-reserve auctions (reserves 0 and 0.001) never jump
         ds = reserves_dataset([0.0, 0.001, 5.0, 5.5],

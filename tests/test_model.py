@@ -14,7 +14,7 @@ from secondprice import (AuctionRecord, MonotoneCurve, NumericalError,
                          has_ties, ingest_bid_csv, pool, read_dataset,
                          reconstruct_cdf, run_auction, run_study)
 from secondprice.bands import _simulate_profile
-from secondprice.model import audit_auctions
+from secondprice.model import audit_auctions, union_grid
 from secondprice.pipeline import fit_initial
 
 from helpers import naive_jittered_reserves, naive_pooled
@@ -398,6 +398,17 @@ class TestMonotoneCurve:
             assert np.array_equal(c.values, [0.1, 1.0])
         with pytest.raises(ValidationError):
             MonotoneCurve.from_zero([], [])
+
+
+class TestUnionGrid:
+    @given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 2**-52, 3.25, -2.0]),
+                             max_size=12), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_is_numpys_unique_of_the_concatenation(self, arrays):
+        arrays = [np.array(a, dtype=float) for a in arrays]
+        want = np.unique(np.concatenate(arrays))
+        got = union_grid(arrays)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestThetaMaps:

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -114,6 +115,104 @@ def test_estimate_and_bands_skip_scipy_linalg_and_special_imports(tmp_path):
         "print(codes, [m for m in ('scipy.linalg', 'scipy.special', 'scipy._lib._array_api')\n"
         "              if m in sys.modules])\n")
     assert _fresh(code) == "[0, 0] []"
+
+
+# the package's public names: its ten modules and what it re-exports from them
+PUBLIC = [
+    "AscentResult", "AuctionRecord", "BidRow", "CleaningReport", "ConfidenceBand",
+    "FitResult", "LikelihoodContext", "LowReserveSelection", "MonotoneCurve",
+    "NumericalError", "ObservedDataset", "PooledData", "SecondPriceError", "SimConfig",
+    "SpliceAnchors", "StudyReport", "ThetaVector", "TieError", "TrainTestReport",
+    "ValidationError", "ValuationDistribution", "arrival", "bands", "break_ties",
+    "cdf_to_theta", "clip_theta0", "combine_initial", "compute_splice_anchors",
+    "conditional_mean_jumps", "coordinate_ascent", "default_epsilon", "envelope_curves",
+    "errors", "estimate_f_fp", "estimate_lambda", "estimate_median_bias", "export_bid_log",
+    "export_dataset", "fit", "fit_initial", "g_eval", "g_inverse", "g_lambda_cdf",
+    "has_ties", "hulc_band", "hulc_batches", "ingest", "ingest_bid_csv", "initial",
+    "initial_theta", "ks_distance", "log_lik", "metrics", "mle", "model", "pipeline",
+    "pool", "projected_newton", "read_dataset", "reconstruct_cdf", "replay_bids",
+    "replicate_table", "run_auction", "run_study", "select_low_reserve", "simulate",
+    "train_test_eval", "tv_distance", "write_band_csv", "write_report_csv"]
+MODULES = ["arrival", "bands", "errors", "ingest", "initial", "metrics", "mle", "model",
+           "pipeline", "simulate"]
+
+
+class TestPackageSurface:
+    def test_all_names_the_public_names(self):
+        assert secondprice.__all__ == PUBLIC
+        assert len(PUBLIC) == 70
+
+    def test_each_name_is_its_defining_modules_object(self):
+        assert secondprice.fit is secondprice.pipeline.fit
+        for name in PUBLIC:
+            obj = getattr(secondprice, name)
+            if name in MODULES:
+                assert obj is importlib.import_module(f"secondprice.{name}")
+            else:
+                assert obj.__module__.startswith("secondprice."), name
+                assert obj is getattr(importlib.import_module(obj.__module__), name)
+
+    def test_star_import_and_dir_give_every_name(self):
+        namespace = {}
+        exec("from secondprice import *", namespace)
+        assert set(PUBLIC) <= set(namespace)
+        assert namespace["hulc_band"] is secondprice.bands.hulc_band
+        assert set(PUBLIC) <= set(dir(secondprice))
+
+    def test_unknown_name_is_an_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            secondprice.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from secondprice import no_such_name", {})
+
+    def test_a_set_name_is_what_the_package_returns(self, monkeypatch):
+        # a tracer wraps secondprice.fit and secondprice.read_dataset this way
+        def wrapped(*args, **kwargs):
+            return secondprice.pipeline.fit(*args, **kwargs)
+        monkeypatch.setattr(secondprice, "fit", wrapped)
+        assert secondprice.fit is wrapped
+        assert secondprice.pipeline.fit is not wrapped
+        code = ("import secondprice\n"
+                "secondprice.read_dataset = len\n"
+                "print(secondprice.read_dataset is len,\n"
+                "      secondprice.ingest.read_dataset is not len)\n")
+        assert _fresh(code) == "True True"
+
+
+# modules each command must leave unloaded: a fresh process pays for
+# every module it imports, and these compute nothing the command prints
+_UNLOADED = {
+    "ingest": ("secondprice.pipeline", "secondprice.mle", "secondprice.arrival",
+               "secondprice.bands", "secondprice.metrics"),
+    "estimate": ("secondprice.bands", "secondprice.metrics", "numpy.random", "numpy.ma"),
+    "metrics": ("secondprice.bands", "numpy.random", "numpy.ma"),
+}
+
+
+@pytest.mark.parametrize("command", ["import", *_UNLOADED])
+def test_each_command_loads_only_what_it_runs(tmp_path, command):
+    if command == "import":
+        code = ("import sys\n"
+                "import secondprice\n"
+                "print(sorted(m for m in sys.modules if m.startswith('secondprice.')))\n")
+        assert _fresh(code) == "[]"
+        return
+    log, data, curves = tmp_path / "log.csv", tmp_path / "ds.csv", tmp_path / "c.csv"
+    log.write_text("auctionid,bid,bidtime,bidder,bidderrate,openbid,price\n"
+                   "1,5.0,1.0,alice,0,0.5,6.0\n1,6.0,2.0,bob,0,0.5,6.0\n")
+    secondprice.export_dataset(secondprice.run_study(
+        secondprice.SimConfig(lam=1.0, tau=30.0, K=60, seed=3),
+        secondprice.ValuationDistribution.uniform(1.0, 8.0)), data)
+    curves.write_text("x,f_init,f_mle\n0,0,0\n1,1,0.5\n")
+    argv = {"ingest": ["ingest", "--data", str(log), "--duration", "7",
+                       "--out", str(tmp_path / "out.csv")],
+            "estimate": ["estimate", "--data", str(data), "--out-curves", str(curves)],
+            "metrics": ["metrics", "--curves", str(curves)]}[command]
+    code = ("import sys\n"
+            "from secondprice.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, [m for m in {_UNLOADED[command]!r} if m in sys.modules])\n")
+    assert _fresh(code) == "0 []"
 
 
 @pytest.mark.parametrize("error", ["ImportError", "OSError"])
