@@ -30,10 +30,9 @@ from .ingest import (export_dataset, ingest_bid_csv, open_input, open_output,
                      read_dataset, read_numeric_csv, write_csv)
 from .initial import DEFAULT_Q
 from .model import MonotoneCurve, union_grid
-from .simulate import SimConfig, parse_dist, run_study
 
-# bands, metrics and pipeline are imported by the commands that run them,
-# so a process loads only the modules its command needs
+# bands, metrics, pipeline and simulate are imported by the commands that
+# run them, so a process loads only the modules its command needs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -119,6 +118,7 @@ def _read_curves_csv(path):
 # -- commands -----------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimConfig, parse_dist, run_study
     dist = parse_dist(args.dist)
     config = SimConfig(lam=args.lam, tau=args.tau, K=args.K, seed=args.seed,
                        reserve_policy=args.reserve)
@@ -194,6 +194,7 @@ def cmd_metrics(args) -> int:
 def cmd_replicate(args) -> int:
     from .metrics import replicate_table, write_report_csv
     from .pipeline import failure_reasons
+    from .simulate import parse_dist
     settings = []
     for spec in args.setting:
         dist_spec, _, k = spec.rpartition(":")

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ObservedDataset, break_ties
-from .simulate import replay_streams
 
 _COLUMNS = ("auctionid", "bid", "bidtime", "bidder", "bidderrate",
             "openbid", "price")
@@ -196,7 +195,10 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
 
     # a stable sort: rows with equal keys keep file order
     rows.sort(key=lambda r: (_sort_key(r.auctionid), r.bidtime))
-    rng = np.random.default_rng(np.random.SeedSequence(noise_seed))
+
+    def seeded():   # made at its first draw: a run that draws nothing loads no numpy.random
+        return np.random.default_rng(np.random.SeedSequence(noise_seed))
+    rng = seeded() if noise_scale > 0 else seeded
     aids, streams, above = [], [], []
     close_pairs = 0
     for aid, group in groupby(rows, key=lambda r: r.auctionid):
@@ -212,6 +214,7 @@ def ingest_bid_csv(path, duration_days: float, noise_seed: int,
         streams.append((group[0].openbid, np.array([r.bidtime for r in kept]), noisy))
         above.append(int(np.sum(noisy > group[0].openbid)))
 
+    from .simulate import replay_streams
     try:
         dataset = replay_streams(streams, duration_days)
     except ValidationError as exc:   # name each refused auction by its id
@@ -322,6 +325,7 @@ def export_bid_log(path, traces, duration_days: float) -> None:
     synthetic bidder id per row (so dedup is a no-op) and the final
     selling price column computed by replay.
     """
+    from .simulate import replay_streams
     traces = list(traces)
     finals = replay_streams(traces, duration_days).final_price.tolist()
     write_csv(path, _COLUMNS, (

@@ -12,10 +12,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
-from .model import ObservedDataset, union_grid
+from .model import MonotoneCurve, ObservedDataset, union_grid
 from .initial import check_window
 from .pipeline import DEFAULT_Q, failure_reasons, fit, make_rng, surviving_fits
-from .simulate import SimConfig, ValuationDistribution, run_study
 
 _TV_REFINE_TOL = 1e-5
 _KS_REFINE_POINTS = 1000
@@ -23,9 +22,10 @@ _KS_REFINE_POINTS = 1000
 
 def _grid(f1, f2) -> np.ndarray:
     """0, every knot of each curve, and ``_KS_REFINE_POINTS`` points over
-    the combined support when either side is a distribution."""
-    dists = [f for f in (f1, f2) if isinstance(f, ValuationDistribution)]
-    curves = [f for f in (f1, f2) if not isinstance(f, ValuationDistribution)]
+    the combined support when either side is a distribution (a
+    ``ValuationDistribution``, anything that is not a ``MonotoneCurve``)."""
+    dists = [f for f in (f1, f2) if not isinstance(f, MonotoneCurve)]
+    curves = [f for f in (f1, f2) if isinstance(f, MonotoneCurve)]
     pts = [[0.0], *(c.knots for c in curves)]
     if dists:
         ends = [d.support() for d in dists] + [(c.knots[0], c.knots[-1]) for c in curves]
@@ -37,7 +37,7 @@ def _grid(f1, f2) -> np.ndarray:
 def _values(f, pts):
     """F at the ascending ``pts`` and the value F reaches beyond them: 1
     for a distribution, the last value for a curve."""
-    if isinstance(f, ValuationDistribution):
+    if not isinstance(f, MonotoneCurve):
         return np.asarray(f.cdf(pts), dtype=float), 1.0
     v = f(pts)
     return v, float(v[-1])
@@ -78,7 +78,7 @@ def tv_distance(f1, f2) -> float:
     """
     pts = _grid(f1, f2)
     val = _tv_on_grid(f1, f2, pts)
-    if isinstance(f1, ValuationDistribution) or isinstance(f2, ValuationDistribution):
+    if not (isinstance(f1, MonotoneCurve) and isinstance(f2, MonotoneCurve)):
         for _ in range(20):
             pts = union_grid((pts, 0.5 * (pts[:-1] + pts[1:])))
             new = _tv_on_grid(f1, f2, pts)
@@ -126,6 +126,7 @@ def replicate_table(settings, replicates: int, base_seed: int,
                               f"got {replicates!r}")
     if not (isinstance(base_seed, Integral) and base_seed >= 0):
         raise ValidationError(f"base_seed must be an integer >= 0, got {base_seed!r}")
+    from .simulate import SimConfig, run_study
     check_window(q)
     reports = []
     for s, (dist, K) in enumerate(settings):

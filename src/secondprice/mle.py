@@ -47,13 +47,16 @@ class LikelihoodContext:
     ``coef[i]`` is the coefficient of ln(theta_i): the count of final
     selling prices at or above rank i+1 plus, when any jump exists, the
     number of pooled jump prices strictly above rank i+1.  ``is_jump``
-    flags the positions of the pooled non-reserve standing prices.
+    flags the positions of the pooled non-reserve standing prices,
+    ``positive`` those of the positive coefficients ``coef_positive``.
     """
 
     pooled: PooledData
     lambda_hat: float
     coef: np.ndarray = field(init=False)
     is_jump: np.ndarray = field(init=False)
+    positive: np.ndarray = field(init=False)
+    coef_positive: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.lambda_hat <= 0:
@@ -64,8 +67,11 @@ class LikelihoodContext:
             coef = coef + (p.ell - p.l)
         is_jump = np.zeros(p.n, dtype=bool)
         is_jump[p.u - 1] = True
+        positive = coef > 0
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "is_jump", is_jump)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "coef_positive", coef[positive])
 
     @property
     def n(self) -> int:
@@ -75,12 +81,11 @@ class LikelihoodContext:
 def _log_lik_arr(theta: np.ndarray, ctx: LikelihoodContext) -> float:
     # array methods: the np.sum/np.any wrappers cost more than a small grid's sums
     val = -ctx.lambda_hat * float((ctx.pooled.ttilde * theta.cumprod()).sum())
-    pos = ctx.coef > 0
-    logged, jumps = theta[pos], theta[ctx.is_jump]
+    logged, jumps = theta[ctx.positive], theta[ctx.is_jump]
     if (logged == 0.0).any() or (jumps >= 1.0).any():
         return -np.inf
     if logged.size:
-        val += float((ctx.coef[pos] * np.log(logged)).sum())
+        val += float((ctx.coef_positive * np.log(logged)).sum())
     if jumps.size:
         val += float(np.log1p(-jumps).sum())
     return val
@@ -245,7 +250,10 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     test A <= b, which holds within ln(b / (A theta)) of the bound) is
     tied to its free predecessor (d_i = 0), and the free coordinates take
     the reduced Newton step of :func:`_newton_system`, one tridiagonal
-    solve.  An Armijo search runs along the projection arc.  The first
+    solve.  An Armijo search runs along the projection arc, which is the
+    straight line d + alpha * step when every coordinate left free is a
+    jump (as when all reserves lie below the smallest jump price and the
+    fit is constrained): no bound can bind then.  The first
     iteration instead moves towards every coordinate's exact one-coordinate
     maximizer at once (the rule of :func:`_sweep`, vectorised), which
     repairs a start far below the optimum where the objective is nearly
@@ -257,16 +265,19 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     applied; each iteration appends one value.
     """
     theta, lo, _ = _start(ctx, theta0, tol, max_sweeps, constrained)
-    m = int(np.count_nonzero(ctx.coef > 0))
+    m = int(np.count_nonzero(ctx.positive))
     theta[m:] = 0.0
     current = _log_lik_arr(theta, ctx)
     base = float(np.sum(np.log(theta[:lo])))
     jump = ctx.is_jump[lo:m]
     bounded = ~jump
     c = ctx.coef[lo:m]
+    log_c = np.log(c)
     lam_t = ctx.lambda_hat * ctx.pooled.ttilde[lo:m]
     d = np.log(theta[lo:m])
     d[bounded] = np.minimum(d[bounded], 0.0)
+    if not bounded.any():
+        bounded = None
 
     def objective(trial):
         if np.any(trial[jump] >= 0.0):     # theta >= 1 at a jump
@@ -277,16 +288,18 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     history = [current]
     converged = m == lo
     while not converged:
-        grad, log_a, active, starts, rhs, diag, off = _newton_system(
-            d, base, lam_t, c, jump, bounded)
-        if len(starts) == 1:    # dgtsv's wrapper takes no empty off-diagonal
+        grad, suffix, active, starts, rhs, diag, off = _newton_system(
+            d, base, lam_t, c, log_c, jump, bounded)
+        if len(rhs) == 1:       # dgtsv's wrapper takes no empty off-diagonal
             dpsi = rhs / diag
         else:
             *_, dpsi, info = _dgtsv()(off, diag, off, rhs)
             if info:
                 raise NumericalError(f"the Newton system is singular (dgtsv info {info})")
-        step, decrement = np.diff(dpsi, prepend=0.0), float(rhs @ dpsi)
-        if decrement <= tol and not np.any(d[active]):
+        decrement = float(rhs @ dpsi)
+        step = dpsi             # each group's move: the differences of dpsi
+        step[1:] -= dpsi[:-1]
+        if decrement <= tol and (active is None or not np.any(d[active])):
             converged = True
             break
         if len(history) > max_sweeps:
@@ -295,18 +308,22 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
                          max_sweeps, decrement, tol)
             break
 
-        def newton_arc(alpha):
-            trial = d.copy()
-            trial[starts] += alpha * step
-            trial[active] = 0.0
-            trial[bounded] = np.minimum(trial[bounded], 0.0)
-            return trial
+        if active is None:
+            def newton_arc(alpha):
+                return d + alpha * step
+        else:
+            def newton_arc(alpha):
+                trial = d.copy()
+                trial[starts] += alpha * step
+                trial[active] = 0.0
+                trial[bounded] = np.minimum(trial[bounded], 0.0)
+                return trial
 
         found = None
         if len(history) > 1:
             found = _armijo(newton_arc, d, grad, current, objective)
         if found is None:
-            target = _coordinate_maximizers(log_a, c, jump)
+            target = _coordinate_maximizers(suffix, d, c, log_c, jump)
             found = _armijo(lambda alpha: d + alpha * (target - d), d, grad,
                             current, objective)
         if found is None:
@@ -367,32 +384,45 @@ def _armijo(arc, d, grad, current, objective):
     return None
 
 
-def _coordinate_maximizers(log_a, c, jump):
+def _log_a(suffix, d):
+    """ln A_i = ln(suffix_i) - d_i, the log curvature weight of :func:`_sweep`
+    from the suffix sums of the weights w; -inf where a suffix is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(suffix) - d
+
+
+def _coordinate_maximizers(suffix, d, c, log_c, jump):
     """ln of each coordinate's exact maximizer with the others held at
-    the current point, from the log curvature weights ln A_i.
+    the current point ``d``, from the suffix sums of the weights w.
 
     Jumps take the smaller quadratic root, the others b/A capped at 1.
     Beyond e^600 the root is taken as b/A, its limit, in the log.
     """
+    log_a = _log_a(suffix, d)
     A = np.exp(np.minimum(log_a, _LOG_A_CAP))
     s = A + c + 1.0
     root = 2.0 * c / (s + np.sqrt(np.maximum(s * s - 4.0 * A * c, 0.0)))
     return np.where(jump & (log_a <= _LOG_A_CAP), np.log(root),
-                    np.minimum(np.log(c) - log_a, 0.0))
+                    np.minimum(log_c - log_a, 0.0))
 
 
-def _newton_system(d, base, lam_t, c, jump, bounded):
+def _newton_system(d, base, lam_t, c, log_c, jump, bounded):
     """The Newton system at the log-ratios ``d``, ``base`` being ln of the
-    frozen prefix: ``(grad, log_a, active, starts, rhs, diag, off)``.
+    frozen prefix and ``log_c`` ln c: ``(grad, suffix, active, starts, rhs,
+    diag, off)``.
 
-    ``grad`` is the gradient, ``log_a`` ln A_i, ``active`` the tied bound
-    coordinates and ``starts`` the free ones.  Free coordinate k starts a
-    group whose psi is shared by the active coordinates after it.  In the
-    group values the negated Hessian is tridiagonal (``diag``, ``off``),
-    coupled only through the jump terms, with right-hand side ``rhs``; a
-    relative ridge keeps it solvable when a group's weights underflow to 0
-    with no jump next to it.  A jump is never active, and the last
-    coordinate (the top final price) is a jump, so ``starts`` is never empty.
+    ``grad`` is the gradient and ``suffix`` the sums of the weights w from
+    each coordinate on.  ``active`` flags the tied bound coordinates and
+    ``starts`` indexes the free ones.  Free coordinate k starts a group
+    whose psi is shared by the active coordinates after it.  In the group
+    values the negated Hessian is tridiagonal (``diag``, ``off``), coupled
+    only through the jump terms, with right-hand side ``rhs``; a relative
+    ridge keeps it solvable when a group's weights underflow to 0 with no
+    jump next to it.  A jump is never active, and the last coordinate (the
+    top final price) is a jump, so ``starts`` is never empty.  ``bounded``
+    flags the non-jump coordinates, or is None when there are none: then
+    no coordinate is active, each is its own group, and ``active`` and
+    ``starts`` are None.
     """
     w = lam_t * np.exp(base + np.cumsum(d))
     suffix = np.cumsum(w[::-1])[::-1]
@@ -400,21 +430,26 @@ def _newton_system(d, base, lam_t, c, jump, bounded):
     odds = np.exp(dj) / -np.expm1(dj)       # theta / (1 - theta) at each jump
     grad = c - suffix
     grad[jump] -= odds
-    with np.errstate(divide="ignore"):      # suffix 0 means A = 0
-        log_a = np.log(suffix) - d          # ln A_i, as in _sweep
-    active = bounded & (log_a <= np.log(c)) & (grad > 0.0)
-    starts = np.flatnonzero(~active)
-    first = int(starts[0])
-    curv = np.add.reduceat(w[first:], starts - first)
-    cs, js = c[starts], jump[starts]
-    pull = np.zeros(len(starts) + 1)    # -d/dd of ln(1 - e^d), by group
-    bend = np.zeros(len(starts) + 1)    # -d2/dd2 of ln(1 - e^d), by group
+    if bounded is None:
+        active = starts = None
+        curv, cs, js = w, c, jump
+    else:
+        # the ascent's test A <= b, on the bounded coordinates alone
+        active = np.zeros_like(bounded)
+        active[bounded] = ((_log_a(suffix[bounded], d[bounded]) <= log_c[bounded])
+                           & (grad[bounded] > 0.0))
+        starts = np.flatnonzero(~active)
+        first = int(starts[0])
+        curv = np.add.reduceat(w[first:], starts - first)
+        cs, js = c[starts], jump[starts]
+    pull = np.zeros(len(cs) + 1)    # -d/dd of ln(1 - e^d), by group
+    bend = np.zeros(len(cs) + 1)    # -d2/dd2 of ln(1 - e^d), by group
     pull[:-1][js] = odds
     bend[:-1][js] = odds * (1.0 + odds)
     rhs = cs - np.append(cs[1:], 0.0) - curv - pull[:-1] + pull[1:]
     diag = curv + bend[:-1] + bend[1:]
     diag += _RIDGE * (float(diag.max()) or 1.0)
-    return grad, log_a, active, starts, rhs, diag, -bend[1:-1]
+    return grad, suffix, active, starts, rhs, diag, -bend[1:-1]
 
 
 def reconstruct_cdf(theta_hat: ThetaVector, z: np.ndarray) -> MonotoneCurve:

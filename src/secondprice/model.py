@@ -216,14 +216,16 @@ def has_ties(dataset: ObservedDataset) -> bool:
     return bool(np.any(np.diff(vals) == 0.0))
 
 
-def break_ties(dataset: ObservedDataset, rng: np.random.Generator,
-               scale: float = 0.01) -> ObservedDataset:
+def break_ties(dataset: ObservedDataset, rng, scale: float = 0.01) -> ObservedDataset:
     """``dataset`` itself, drawing nothing, if no two of its prices tie;
     else a tie-free copy with Uniform(0, scale) noise added to the reserve
     prices (jump prices from a continuous model are tie-free with
-    probability one; reserves are where ties occur in practice)."""
+    probability one; reserves are where ties occur in practice).  ``rng``
+    is a generator, or a function that makes one, called only on a tie."""
     if not has_ties(dataset):
         return dataset
+    if callable(rng):
+        rng = rng()
     # cap the jitter so the reserve cannot overtake the first jump
     first = np.append(dataset.price, np.inf)[dataset.offsets[:-1]]
     first = np.where(dataset.m > 0, first, np.inf)

@@ -44,8 +44,7 @@ def clip_theta0(theta0: ThetaVector, ctx: LikelihoodContext) -> ThetaVector:
     """
     t = np.asarray(theta0.theta, dtype=float).copy()
     t[ctx.is_jump] = np.minimum(t[ctx.is_jump], 1.0 - _THETA_CLIP)
-    pos = ctx.coef > 0
-    t[pos] = np.maximum(t[pos], _THETA_CLIP)
+    t[ctx.positive] = np.maximum(t[ctx.positive], _THETA_CLIP)
     return ThetaVector(t)
 
 

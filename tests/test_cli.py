@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from secondprice import NumericalError, export_bid_log, fit, metrics, read_dataset
-from secondprice.cli import main, parse_dist
+from secondprice import simulate as simulate_module
+from secondprice.cli import main
+from secondprice.simulate import parse_dist
 
 
 def simulate(tmp_path, name="data.csv", K=40, seed=5, extra=()):
@@ -694,7 +696,7 @@ class TestReplicateCommand:
         assert "--seed must be non-negative" in capsys.readouterr().err
 
     def test_bad_q_is_validation_error_before_simulating(self, capsys, monkeypatch):
-        monkeypatch.setattr(metrics, "run_study", None)   # nothing is simulated
+        monkeypatch.setattr(simulate_module, "run_study", None)   # nothing is simulated
         assert main(["replicate", "--setting", "uniform:1,5:25", "--reps", "2",
                      "--q", "1.5", "--tau", "20"]) == 3
         assert "need 0 < q < 1 and a finite epsilon > 0" in capsys.readouterr().err

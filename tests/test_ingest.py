@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import naive_jittered_reserves
 
 from secondprice import (AuctionRecord, BidRow, CleaningReport, ObservedDataset,
                          ValidationError, ValuationDistribution,
@@ -110,6 +111,20 @@ class TestIngest:
         dataset, _ = ingest_bid_csv(path, duration_days=7.0, noise_seed=0,
                                     noise_scale=0.0)
         assert dataset.reserve.tolist() == [0.2, 0.3, 0.4, 0.5, 0.6]
+
+    def test_tie_at_zero_noise_draws_from_the_seeded_generator(self, tmp_path):
+        # no bid noise, so the generator is first drawn from by the reserve
+        # jitter, and it is seeded from noise_seed as at any scale
+        path = tmp_path / "log.csv"
+        write_log(path, [["1", 5.0, 1.0, "alice", 0, 1.0, 1.0],
+                         ["2", 6.0, 1.0, "bob", 0, 1.0, 1.0]])
+        dataset, report = ingest_bid_csv(path, duration_days=7.0, noise_seed=3,
+                                         noise_scale=0.0)
+        # each sells at its reserve 1.0 with no jump
+        tied = [AuctionRecord(1.0, 7.0, (), True)] * 2
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        assert report.reserve_jitter
+        assert dataset.reserve.tolist() == naive_jittered_reserves(tied, rng)
 
     def test_single_bid_auction_sells_at_reserve(self, tmp_path):
         path = tmp_path / "log.csv"

@@ -16,6 +16,7 @@ from secondprice import (MonotoneCurve, NumericalError, ValidationError,
                          ValuationDistribution, export_bid_log, fit, ks_distance,
                          metrics, replicate_table, train_test_eval, tv_distance,
                          write_report_csv)
+from secondprice import simulate
 from secondprice.simulate import run_auction
 
 
@@ -180,15 +181,17 @@ class TestReplicateTable:
 
     @pytest.mark.parametrize("stage", ["run_study", "ks_distance"])
     def test_simulation_or_scoring_error_propagates(self, monkeypatch, stage):
-        # only the fit's own errors are failed replicates
-        real, calls = getattr(metrics, stage), count(1)
+        # only the fit's own errors are failed replicates; replicate_table
+        # imports run_study from simulate when it runs
+        home = simulate if stage == "run_study" else metrics
+        real, calls = getattr(home, stage), count(1)
 
         def breaking(*args):
             if next(calls) == 2:
                 raise NumericalError(f"{stage} broke")
             return real(*args)
 
-        monkeypatch.setattr(metrics, stage, breaking)
+        monkeypatch.setattr(home, stage, breaking)
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         with pytest.raises(NumericalError, match=f"^{stage} broke$"):
             replicate_table(settings_, replicates=3, base_seed=1, lam=0.5, tau=20.0)
@@ -201,13 +204,13 @@ class TestReplicateTable:
 
     @pytest.mark.parametrize("base_seed", [1.5, np.float64(1.0), -1])
     def test_base_seed_must_be_a_non_negative_integer(self, monkeypatch, base_seed):
-        monkeypatch.setattr(metrics, "run_study", None)   # nothing is simulated
+        monkeypatch.setattr(simulate, "run_study", None)   # nothing is simulated
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         with pytest.raises(ValidationError, match="base_seed must be an integer >= 0"):
             replicate_table(settings_, replicates=1, base_seed=base_seed)
 
     def test_bad_q_rejected_before_simulating(self, monkeypatch):
-        monkeypatch.setattr(metrics, "run_study", None)
+        monkeypatch.setattr(simulate, "run_study", None)
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         with pytest.raises(ValidationError, match="need 0 < q < 1"):
             replicate_table(settings_, replicates=2, base_seed=1, q=1.5)

@@ -18,7 +18,7 @@ from secondprice import (AuctionRecord, LikelihoodContext, NumericalError,
                          coordinate_ascent, log_lik, pool, projected_newton,
                          reconstruct_cdf, run_study)
 from secondprice import mle
-from secondprice.mle import _RIDGE, _case1_root, _newton_system, _sweep
+from secondprice.mle import _RIDGE, _case1_root, _log_a, _newton_system, _sweep
 from secondprice.pipeline import clip_theta0, fit_initial, initial_theta
 
 
@@ -351,6 +351,28 @@ class TestProjectedNewton:
             assert_matches_ascent(ctx, feasible_theta(ctx, rng), constrained,
                                   tol=1e-12)
 
+    @pytest.mark.parametrize("reserve", [0.0, 0.5])
+    def test_reserves_below_the_first_jump_leave_no_bound(self, reserve, monkeypatch):
+        # with every reserve below the smallest jump price the constrained
+        # fit frees only jump coordinates, so each system takes the fast
+        # path; the unconstrained fit frees the reserves and does not
+        ds = run_study(SimConfig(lam=1.0, tau=100.0, K=100, seed=seed_of(37, 7),
+                                 reserve_policy=reserve),
+                       ValuationDistribution.uniform(1.0, 20.0))
+        ctx, theta0 = clipped_start(ds)
+        assert np.all(ds.reserve < ctx.pooled.xbar[0])
+        fast = []
+
+        def spy(*args):
+            fast.append(args[-1] is None)
+            return _newton_system(*args)
+
+        monkeypatch.setattr(mle, "_newton_system", spy)
+        for constrained in (True, False):
+            fast.clear()
+            assert_matches_ascent(ctx, theta0, constrained)
+            assert fast and set(fast) == {constrained}
+
     def test_start_whose_survival_underflows(self):
         # two ratios of 1e-200 take G(z) below the smallest double, so
         # every later curvature weight starts at exactly 0
@@ -523,8 +545,8 @@ class TestNewtonSystem:
         d, base, lam_t, c, jump, bounded = newton_inputs(seed, n, first_free)
         if groups == 1:         # every coordinate but the last is active
             d[:-1], c[:-1] = 0.0, 1e3
-        grad, log_a, active, starts, rhs, diag, off = _newton_system(
-            d, base, lam_t, c, jump, bounded)
+        grad, suffix, active, starts, rhs, diag, off = _newton_system(
+            d, base, lam_t, c, np.log(c), jump, bounded)
 
         w = np.array([lam_t[i] * math.exp(base + math.fsum(d[:i + 1]))
                       for i in range(n)])
@@ -535,7 +557,11 @@ class TestNewtonSystem:
         A = S / np.exp(d)       # lam * prefix * W_k of _sweep
         active_ref = bounded & (A <= c) & (grad_ref > 0.0)
         assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
-        assert np.allclose(log_a, np.log(A), rtol=1e-12, atol=1e-12)
+        assert np.max(np.abs(suffix - S)) <= 1e-12 * np.max(S)
+        # ln A as the coordinate-maximizer move takes it, and on the bounded
+        # coordinates as the active test does
+        assert np.allclose(_log_a(suffix, d), np.log(A), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(_log_a(suffix[bounded], d[bounded]), _log_a(suffix, d)[bounded])
         assert np.array_equal(active, active_ref)
         assert np.array_equal(starts, np.flatnonzero(~active_ref))
         assert set(np.flatnonzero(jump)) <= set(starts.tolist())
@@ -559,6 +585,24 @@ class TestNewtonSystem:
         assert len(off) == g - 1
         for side in (-1, 1):
             assert np.max(np.abs(off - hess.diagonal(side)), initial=0.0) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed, n", [(6, 60), (7, 2), (8, 1)])
+    def test_without_bounded_coordinates_each_is_its_own_group(self, seed, n):
+        # every coordinate a jump: the fast path's sums are the weights
+        # themselves, equal to the general formulas' reduceat over
+        # one-coordinate groups with none active
+        rng = np.random.default_rng(seed)
+        d, c = -rng.uniform(0.001, 0.2, n), rng.uniform(0.5, 5.0, n)
+        lam_t, base = rng.uniform(0.0, 2.0, n), -rng.uniform(0.0, 1.0)
+        jump = np.ones(n, dtype=bool)
+        fast = _newton_system(d, base, lam_t, c, np.log(c), jump, None)
+        general = _newton_system(d, base, lam_t, c, np.log(c), jump, ~jump)
+        assert fast[2] is None and fast[3] is None
+        assert not np.any(general[2])
+        assert np.array_equal(general[3], np.arange(n))
+        for name, got, want in zip(("grad", "suffix", "rhs", "diag", "off"),
+                                   fast[:2] + fast[4:], general[:2] + general[4:]):
+            assert np.array_equal(got, want), name
 
     def test_zero_pivot_is_numerical_error(self, monkeypatch):
         # a zero first column makes the group system singular

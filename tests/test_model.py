@@ -268,6 +268,20 @@ class TestNoJumps:
         assert break_ties(ds, rng) is ds
         assert rng.bit_generator.state == state
 
+    def test_break_ties_makes_its_generator_only_on_a_tie(self):
+        made = []
+
+        def make():
+            made.append(1)
+            return np.random.default_rng(4)
+
+        ds = no_jump_dataset()
+        assert break_ties(ds, make) is ds and not made
+        tied = no_jump_dataset(reserves=(1.0, 1.0, 2.0))
+        out = break_ties(tied, make)
+        assert made == [1]
+        assert out.reserve.tolist() == break_ties(tied, np.random.default_rng(4)).reserve.tolist()
+
     def test_zero_scale_jitter_leaves_tied_reserves_tied(self):
         ds = no_jump_dataset(reserves=(1.0, 1.0, 2.0))
         with pytest.raises(TieError, match="ties persist"):

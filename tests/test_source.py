@@ -184,8 +184,13 @@ class TestPackageSurface:
 _UNLOADED = {
     "ingest": ("secondprice.pipeline", "secondprice.mle", "secondprice.arrival",
                "secondprice.bands", "secondprice.metrics"),
-    "estimate": ("secondprice.bands", "secondprice.metrics", "numpy.random", "numpy.ma"),
-    "metrics": ("secondprice.bands", "numpy.random", "numpy.ma"),
+    # no bid noise and no tie: nothing is drawn, so no generator is seeded
+    "ingest --noise-scale 0": ("secondprice.pipeline", "secondprice.mle",
+                               "secondprice.arrival", "secondprice.bands",
+                               "secondprice.metrics", "numpy.random"),
+    "estimate": ("secondprice.bands", "secondprice.metrics", "secondprice.simulate",
+                 "numpy.random", "numpy.ma"),
+    "metrics": ("secondprice.bands", "secondprice.simulate", "numpy.random", "numpy.ma"),
 }
 
 
@@ -204,8 +209,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command):
         secondprice.SimConfig(lam=1.0, tau=30.0, K=60, seed=3),
         secondprice.ValuationDistribution.uniform(1.0, 8.0)), data)
     curves.write_text("x,f_init,f_mle\n0,0,0\n1,1,0.5\n")
-    argv = {"ingest": ["ingest", "--data", str(log), "--duration", "7",
-                       "--out", str(tmp_path / "out.csv")],
+    ingest = ["ingest", "--data", str(log), "--duration", "7", "--out", str(tmp_path / "out.csv")]
+    argv = {"ingest": ingest,
+            "ingest --noise-scale 0": [*ingest, "--noise-scale", "0"],
             "estimate": ["estimate", "--data", str(data), "--out-curves", str(curves)],
             "metrics": ["metrics", "--curves", str(curves)]}[command]
     code = ("import sys\n"
