@@ -13,8 +13,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .ingest import write_csv
 from .model import MonotoneCurve, ObservedDataset, union_grid
-from .initial import check_window
-from .pipeline import DEFAULT_Q, failure_reasons, fit, make_rng, surviving_fits
+from .initial import DEFAULT_Q, check_window
 
 _TV_REFINE_TOL = 1e-5
 _KS_REFINE_POINTS = 1000
@@ -126,6 +125,7 @@ def replicate_table(settings, replicates: int, base_seed: int,
                               f"got {replicates!r}")
     if not (isinstance(base_seed, Integral) and base_seed >= 0):
         raise ValidationError(f"base_seed must be an integer >= 0, got {base_seed!r}")
+    from .pipeline import failure_reasons, fit, surviving_fits
     from .simulate import SimConfig, run_study
     check_window(q)
     reports = []
@@ -176,6 +176,7 @@ def train_test_eval(dataset: ObservedDataset, ratio: float,
     n_train = int(round(ratio * dataset.K))
     if n_train < 1 or n_train >= dataset.K:
         raise ValidationError("split leaves an empty train or test set")
+    from .pipeline import failure_reasons, fit, make_rng, surviving_fits
     rng = make_rng(rng)
     perms = (rng.permutation(dataset.K) for _ in range(replications))
     splits = ((dataset.take(p[:n_train]), dataset.take(p[n_train:])) for p in perms)

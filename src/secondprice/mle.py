@@ -278,9 +278,10 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     d[bounded] = np.minimum(d[bounded], 0.0)
     if not bounded.any():
         bounded = None
+    at_jump = slice(None) if bounded is None else jump
 
     def objective(trial):
-        if np.any(trial[jump] >= 0.0):     # theta >= 1 at a jump
+        if (trial[at_jump] >= 0.0).any():     # theta >= 1 at a jump
             return -np.inf
         theta[lo:m] = np.exp(trial)
         return _log_lik_arr(theta, ctx)

@@ -203,8 +203,15 @@ class ObservedDataset:
                      for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])))
 
     def take(self, idx) -> ObservedDataset:
-        """The sub-dataset of the auctions at ``idx``, in ``idx`` order."""
-        idx = np.arange(self.K)[np.asarray(idx, dtype=np.intp)]
+        """The sub-dataset of the auctions at the integer indices ``idx``, in
+        ``idx`` order, or where ``idx`` is True if it is a mask of K booleans."""
+        idx = np.asarray(idx)
+        if idx.dtype == bool and idx.shape == (self.K,):
+            idx = np.flatnonzero(idx)
+        elif idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
+            raise ValidationError("auction indices must be a list of integers or a mask of "
+                                  f"{self.K} booleans, got {idx.dtype} of shape {idx.shape}")
+        idx = np.arange(self.K)[idx.astype(np.intp, copy=False)]
         m = self.m[idx]
         jumps = np.arange(m.sum()) + np.repeat(self.offsets[idx] - (m.cumsum() - m), m)
         return ObservedDataset.from_arrays(self.reserve[idx], self.sold[idx], m,

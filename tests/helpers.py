@@ -3,15 +3,14 @@ arrival times summed one gap at a time, a per-bid standing-price state
 machine, per-auction reserve jitter, a median-bias replicate drawn one
 generator call at a time, the initial estimate and the pooled
 order structures built record by record, a direct-definition
-log-likelihood, a brute-force coordinate curvature weight, an
-exhaustive grid search over the survival-ratio box, and the inverse of
-the moment function by a bisection that evaluates it at every midpoint."""
+log-likelihood, a brute-force coordinate curvature weight, and an
+exhaustive grid search over the survival-ratio box."""
 
 import math
 
 import numpy as np
 
-from secondprice import AuctionRecord, ObservedDataset, arrival
+from secondprice import AuctionRecord, ObservedDataset
 
 
 def naive_arrival_times(gaps, tau):
@@ -292,22 +291,3 @@ def grid_search_objective(pooled, lam, step=0.005, refine=True):
         if local_best > best:
             best, point = local_best, local_point
     return best, point
-
-
-def naive_g_inverse(y):
-    """The smallest float x with g(x) >= y: a doubling bracket from [0, 1]
-    bisected until its ends are adjacent floats, with g evaluated at every
-    midpoint."""
-    if y == 0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while arrival.g_eval(hi) < y:
-        lo, hi = hi, 2.0 * hi
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if arrival.g_eval(mid) >= y:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    return hi

@@ -9,7 +9,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from secondprice import NumericalError, export_bid_log, fit, metrics, read_dataset
+from secondprice import NumericalError, export_bid_log, fit, pipeline, read_dataset
 from secondprice import simulate as simulate_module
 from secondprice.cli import main
 from secondprice.simulate import parse_dist
@@ -665,7 +665,7 @@ class TestReplicateCommand:
                 raise NumericalError("solver stalled\nat iteration 7")
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "fit", fit_or_fail)
+        monkeypatch.setattr(pipeline, "fit", fit_or_fail)
         argv = ["replicate", "--setting", "uniform:1,8:25", "--setting",
                 "uniform:1,8:30", "--reps", "3", "--lambda", "0.5", "--tau", "20.0"]
         failing.update({5})

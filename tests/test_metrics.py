@@ -16,7 +16,7 @@ from secondprice import (MonotoneCurve, NumericalError, ValidationError,
                          ValuationDistribution, export_bid_log, fit, ks_distance,
                          metrics, replicate_table, train_test_eval, tv_distance,
                          write_report_csv)
-from secondprice import simulate
+from secondprice import pipeline, simulate
 from secondprice.simulate import run_auction
 
 
@@ -145,7 +145,7 @@ class TestReplicateTable:
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         [full] = replicate_table(settings_, replicates=4, base_seed=3,
                                  lam=0.5, tau=20.0)
-        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: call % 2 == 0))
+        monkeypatch.setattr(pipeline, "fit", failing_fit(lambda call: call % 2 == 0))
         [report] = replicate_table(settings_, replicates=4, base_seed=3,
                                    lam=0.5, tau=20.0)
         assert (report.replicates, report.failures) == (2, 2)
@@ -155,7 +155,7 @@ class TestReplicateTable:
         assert path.read_text().splitlines()[1].startswith("uniform-K25,2,2,")
 
     def test_every_replicate_failing_is_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True))
+        monkeypatch.setattr(pipeline, "fit", failing_fit(lambda call: True))
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         with pytest.raises(NumericalError, match="every replicate failed"):
             replicate_table(settings_, replicates=3, base_seed=1)
@@ -165,14 +165,14 @@ class TestReplicateTable:
         [clean] = replicate_table(settings_, replicates=1, base_seed=3,
                                   lam=0.5, tau=20.0)
         assert clean.reasons == Counter()
-        monkeypatch.setattr(metrics, "fit",
+        monkeypatch.setattr(pipeline, "fit",
                             failing_fit(lambda call: call % 2 == 0, TWO_LINES))
         [report] = replicate_table(settings_, replicates=4, base_seed=3,
                                    lam=0.5, tau=20.0)
         assert (report.failures, report.reasons) == (2, STALLED)
 
     def test_all_failed_error_names_the_most_frequent_reason(self, monkeypatch):
-        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True, TWO_LINES))
+        monkeypatch.setattr(pipeline, "fit", failing_fit(lambda call: True, TWO_LINES))
         settings_ = [(ValuationDistribution.uniform(1.0, 5.0), 25)]
         with pytest.raises(NumericalError) as err:
             replicate_table(settings_, replicates=3, base_seed=1)
@@ -227,21 +227,21 @@ class TestTrainTest:
     def test_failed_splits_are_skipped(self, uniform_dataset, monkeypatch):
         # two fits per split: the third and sixth calls fail the second and
         # fourth splits
-        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: call % 3 == 0))
+        monkeypatch.setattr(pipeline, "fit", failing_fit(lambda call: call % 3 == 0))
         report = train_test_eval(uniform_dataset, ratio=0.5, replications=4,
                                  rng=0)
         assert (report.replications, report.skipped) == (2, 2)
-        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True))
+        monkeypatch.setattr(pipeline, "fit", failing_fit(lambda call: True))
         with pytest.raises(NumericalError, match="every split replication failed"):
             train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0)
 
     def test_failure_reasons(self, uniform_dataset, monkeypatch):
         # the third and sixth fits fail the second and fourth splits
-        monkeypatch.setattr(metrics, "fit",
+        monkeypatch.setattr(pipeline, "fit",
                             failing_fit(lambda call: call % 3 == 0, TWO_LINES))
         report = train_test_eval(uniform_dataset, ratio=0.5, replications=4, rng=0)
         assert (report.skipped, report.reasons) == (2, STALLED)
-        monkeypatch.setattr(metrics, "fit", failing_fit(lambda call: True, TWO_LINES))
+        monkeypatch.setattr(pipeline, "fit", failing_fit(lambda call: True, TWO_LINES))
         with pytest.raises(NumericalError) as err:
             train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0)
         assert str(err.value) == ("every split replication failed; "
@@ -263,7 +263,7 @@ class TestTrainTest:
         monkeypatch.setattr(sys, "argv", [str(script), "--data", str(log), "--splits", "4"])
         # up to two fits per split: every third fit fails, which skips the
         # second and fourth split at each ratio
-        monkeypatch.setattr(metrics, "fit",
+        monkeypatch.setattr(pipeline, "fit",
                             failing_fit(lambda call: call % 3 == 0, TWO_LINES))
         runpy.run_path(str(script), run_name="__main__")
         lines = capsys.readouterr().out.splitlines()
@@ -305,7 +305,7 @@ class TestTrainTest:
     @pytest.mark.parametrize("window", [{"q": 1.5}, {"epsilon": -1.0}])
     def test_bad_window_rejected_before_fitting(self, uniform_dataset, monkeypatch,
                                                  window):
-        monkeypatch.setattr(metrics, "fit", None)   # nothing is fitted
+        monkeypatch.setattr(pipeline, "fit", None)   # nothing is fitted
         with pytest.raises(ValidationError, match="need 0 < q < 1"):
             train_test_eval(uniform_dataset, ratio=0.5, replications=2, rng=0, **window)
 

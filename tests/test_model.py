@@ -132,6 +132,21 @@ class TestObservedDataset:
             assert np.array_equal(getattr(sub, name), getattr(want, name))
         assert sub.auctions == want.auctions
 
+    @pytest.mark.parametrize("mask", [[True, False, True, False], [False, False, False, True],
+                                      [True] * 4])
+    def test_take_selects_a_boolean_mask(self, mask):
+        ds = four_auction_dataset()
+        assert ds.take(mask) == ds.take(np.flatnonzero(mask))
+        assert ds.take(np.array(mask)).K == sum(mask)
+
+    @pytest.mark.parametrize("idx", [[1.7], [1.0, 2.0], np.array([0.5]), [True, False],
+                                     ["1"], 2, [[0, 1], [2, 3]], []])
+    def test_take_refuses_other_indices(self, idx):
+        # a float is not truncated, a short mask is not read as 0s and 1s,
+        # indices come as one list, and an empty selection leaves no auction
+        with pytest.raises(ValidationError):
+            four_auction_dataset().take(idx)
+
     def test_one_ulp_apart_is_unequal(self):
         ds = four_auction_dataset()
         wait = ds.wait.copy()

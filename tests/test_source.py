@@ -190,7 +190,8 @@ _UNLOADED = {
                                "secondprice.metrics", "numpy.random"),
     "estimate": ("secondprice.bands", "secondprice.metrics", "secondprice.simulate",
                  "numpy.random", "numpy.ma"),
-    "metrics": ("secondprice.bands", "secondprice.simulate", "numpy.random", "numpy.ma"),
+    "metrics": ("secondprice.pipeline", "secondprice.mle", "secondprice.arrival",
+                "secondprice.bands", "secondprice.simulate", "numpy.random", "numpy.ma"),
 }
 
 
