@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import ObservedDataset
+from .model import ObservedDataset, auction_indices
 
 # Below this mean the closed form cancels (its terms are O(ln x) while
 # g(x) ~ x^2/2, so at x = 1e-2 only about 11 digits survive), and the
@@ -96,9 +96,12 @@ def g_inverse(y: float) -> float:
 
 def estimate_lambda(dataset: ObservedDataset, low_reserve_set) -> float:
     """Arrival-rate estimate from the mean jump count over auctions with
-    negligible reserve prices (F at those reserves is treated as 0), given
-    as an index array such as ``LowReserveSelection.V`` or any iterable."""
-    idx = np.fromiter(low_reserve_set, np.intp)
+    negligible reserve prices (F at those reserves is treated as 0).  The
+    set is read by the rule of :func:`model.auction_indices`, the one
+    ``ObservedDataset.take`` applies: an index array such as
+    ``LowReserveSelection.V``, any iterable of integers, or a mask of K
+    booleans."""
+    idx = auction_indices(low_reserve_set, dataset.K)
     if not idx.size:
         raise NumericalError("low-reserve auction set is empty; relax (q, epsilon)")
     mean_jumps = float(np.mean(dataset.m[idx]))

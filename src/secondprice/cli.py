@@ -164,11 +164,9 @@ def cmd_bands(args) -> int:
     dataset = read_dataset(args.data)
     delta = args.delta
     if args.auto_delta:
-        delta = estimate_median_bias(dataset, args.kind, args.bias_reps,
-                                     np.random.default_rng(args.seed),
+        delta = estimate_median_bias(dataset, args.kind, args.bias_reps, args.seed,
                                      q=args.q, epsilon=args.epsilon)
-    band = hulc_band(dataset, args.kind, args.alpha, delta,
-                     np.random.default_rng(args.seed), q=args.q,
+    band = hulc_band(dataset, args.kind, args.alpha, delta, args.seed, q=args.q,
                      epsilon=args.epsilon)
     estimate = _fit_kind(dataset, args.kind, args.q, args.epsilon)
     config = dict(_provenance(args), delta=delta)

@@ -46,32 +46,30 @@ class LikelihoodContext:
 
     ``coef[i]`` is the coefficient of ln(theta_i): the count of final
     selling prices at or above rank i+1 plus, when any jump exists, the
-    number of pooled jump prices strictly above rank i+1.  ``is_jump``
-    flags the positions of the pooled non-reserve standing prices,
-    ``positive`` those of the positive coefficients ``coef_positive``.
+    number of pooled jump prices strictly above rank i+1.  Neither count
+    rises with i, so the positive coefficients are the prefix
+    ``coef[:n_positive]``.  ``is_jump`` flags the positions of the
+    pooled non-reserve standing prices.
     """
 
     pooled: PooledData
     lambda_hat: float
     coef: np.ndarray = field(init=False)
     is_jump: np.ndarray = field(init=False)
-    positive: np.ndarray = field(init=False)
-    coef_positive: np.ndarray = field(init=False)
+    n_positive: int = field(init=False)
 
     def __post_init__(self):
-        if self.lambda_hat <= 0:
-            raise ValidationError("lambda_hat must be positive")
+        if not 0 < self.lambda_hat < math.inf:
+            raise ValidationError("lambda_hat must be positive and finite")
         p = self.pooled
         coef = p.qsize.astype(float)
         if p.ell > 0:
             coef = coef + (p.ell - p.l)
         is_jump = np.zeros(p.n, dtype=bool)
         is_jump[p.u - 1] = True
-        positive = coef > 0
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "is_jump", is_jump)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "coef_positive", coef[positive])
+        object.__setattr__(self, "n_positive", int(np.count_nonzero(coef)))
 
     @property
     def n(self) -> int:
@@ -81,11 +79,11 @@ class LikelihoodContext:
 def _log_lik_arr(theta: np.ndarray, ctx: LikelihoodContext) -> float:
     # array methods: the np.sum/np.any wrappers cost more than a small grid's sums
     val = -ctx.lambda_hat * float((ctx.pooled.ttilde * theta.cumprod()).sum())
-    logged, jumps = theta[ctx.positive], theta[ctx.is_jump]
+    logged, jumps = theta[:ctx.n_positive], theta[ctx.is_jump]
     if (logged == 0.0).any() or (jumps >= 1.0).any():
         return -np.inf
     if logged.size:
-        val += float((ctx.coef_positive * np.log(logged)).sum())
+        val += float((ctx.coef[:ctx.n_positive] * np.log(logged)).sum())
     if jumps.size:
         val += float(np.log1p(-jumps).sum())
     return val
@@ -240,9 +238,9 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
 
     In psi_i = ln G(z_i) = d_1 + ... + d_i the objective is
     -lam sum ttilde_i e^psi_i + sum coef_i d_i + sum_jump ln(1 - e^d_i),
-    which is concave with a tridiagonal Hessian.  Coordinates from the
-    first zero ``coef`` on are 0 in closed form (``coef`` is
-    non-increasing), and ``constrained`` fixes psi at the frozen prefix
+    which is concave with a tridiagonal Hessian.  Coordinates from
+    ``ctx.n_positive`` on, where ``coef`` is 0, are 0 in closed form,
+    and ``constrained`` fixes psi at the frozen prefix
     of :func:`coordinate_ascent`.  The bound d_i <= 0 (theta_i <= 1) at
     non-jump coordinates is handled by an epsilon-active set (Bertsekas,
     1982) with a per-coordinate width: a non-jump whose gradient is
@@ -265,7 +263,7 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     applied; each iteration appends one value.
     """
     theta, lo, _ = _start(ctx, theta0, tol, max_sweeps, constrained)
-    m = int(np.count_nonzero(ctx.positive))
+    m = ctx.n_positive
     theta[m:] = 0.0
     current = _log_lik_arr(theta, ctx)
     base = float(np.sum(np.log(theta[:lo])))

@@ -203,19 +203,34 @@ class ObservedDataset:
                      for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])))
 
     def take(self, idx) -> ObservedDataset:
-        """The sub-dataset of the auctions at the integer indices ``idx``, in
-        ``idx`` order, or where ``idx`` is True if it is a mask of K booleans."""
-        idx = np.asarray(idx)
-        if idx.dtype == bool and idx.shape == (self.K,):
-            idx = np.flatnonzero(idx)
-        elif idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
-            raise ValidationError("auction indices must be a list of integers or a mask of "
-                                  f"{self.K} booleans, got {idx.dtype} of shape {idx.shape}")
-        idx = np.arange(self.K)[idx.astype(np.intp, copy=False)]
+        """The sub-dataset of the auctions that ``idx`` selects by the rule
+        of :func:`auction_indices`, in ``idx`` order."""
+        idx = auction_indices(idx, self.K)
         m = self.m[idx]
         jumps = np.arange(m.sum()) + np.repeat(self.offsets[idx] - (m.cumsum() - m), m)
         return ObservedDataset.from_arrays(self.reserve[idx], self.sold[idx], m,
                                            self.price[jumps], self.wait[jumps], self.tau)
+
+
+def auction_indices(idx, K: int) -> np.ndarray:
+    """The 0-based indices, in ``idx`` order, of the auctions among K that
+    ``idx`` selects: those where it is True if it is a mask of K booleans,
+    else those at its integers, which lie in [-K, K) and count from the
+    end when negative.  ``idx`` is an array, list, range, set or other
+    iterable; anything else, a float or an out-of-range index among
+    them, is a ValidationError."""
+    arr = np.asarray(idx)
+    if arr.dtype == object and arr.ndim == 0 and hasattr(idx, "__iter__"):
+        arr = np.asarray(list(idx))     # a set or an iterator
+    if arr.dtype == bool and arr.shape == (K,):
+        return np.flatnonzero(arr)
+    if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError("auction indices must be a list of integers or a mask of "
+                              f"{K} booleans, got {arr.dtype} of shape {arr.shape}")
+    if arr.size and not -K <= arr.min() <= arr.max() < K:
+        raise ValidationError(f"auction indices must lie in [{-K}, {K}), got "
+                              f"{arr.min()} to {arr.max()}")
+    return np.arange(K)[arr.astype(np.intp, copy=False)]
 
 
 def has_ties(dataset: ObservedDataset) -> bool:

@@ -44,7 +44,7 @@ def clip_theta0(theta0: ThetaVector, ctx: LikelihoodContext) -> ThetaVector:
     """
     t = np.asarray(theta0.theta, dtype=float).copy()
     t[ctx.is_jump] = np.minimum(t[ctx.is_jump], 1.0 - _THETA_CLIP)
-    t[ctx.positive] = np.maximum(t[ctx.positive], _THETA_CLIP)
+    t[:ctx.n_positive] = np.maximum(t[:ctx.n_positive], _THETA_CLIP)
     return ThetaVector(t)
 
 
@@ -77,10 +77,13 @@ def fit_initial(dataset: ObservedDataset, q: float = DEFAULT_Q,
                   "lambda * G(r_min) and F_hat estimates F(. | v > r_min)",
                   selection.r_min, epsilon)
     lambda_hat = estimate_lambda(dataset, selection.V)
-    if lambda_hat <= 0:
+    if lambda_hat == 0:
         raise NumericalError(
             "arrival-rate estimate is zero (no standing-price jumps in the "
             "low-reserve auctions)")
+    if not lambda_hat < np.inf:
+        raise NumericalError(f"arrival-rate estimate is {lambda_hat} (tau {dataset.tau:g} "
+                             "is too small)")
     f_fp = estimate_f_fp(dataset, selection)
     anchors = compute_splice_anchors(dataset, selection, f_fp)
     f_init = combine_initial(f_fp, anchors)

@@ -10,9 +10,10 @@ import pytest
 
 from scipy import optimize, special
 
-from secondprice import (AuctionRecord, NumericalError, ObservedDataset,
-                         ValidationError, arrival, conditional_mean_jumps,
-                         estimate_lambda, g_eval, g_inverse)
+from secondprice import (AuctionRecord, NumericalError, ObservedDataset, SimConfig,
+                         ValidationError, ValuationDistribution, arrival,
+                         conditional_mean_jumps, estimate_lambda, g_eval, g_inverse,
+                         run_study)
 from secondprice.simulate import replay_streams
 
 
@@ -180,6 +181,17 @@ class TestEstimateLambda:
         x = optimize.brentq(lambda v: series_mean_jumps(v) - 3.0, 1.0, 50.0,
                             xtol=1e-14, rtol=1e-15)
         assert estimate_lambda(ds, {0, 1}) == pytest.approx(x / 10.0, rel=1e-9)
+
+    def test_reads_a_set_as_take_does(self):
+        ds = run_study(SimConfig(1.0, 10.0, 20, 1), ValuationDistribution.uniform(1.0, 20.0))
+        masks = [np.ones(20, bool), np.arange(20) % 3 == 0,
+                 np.random.default_rng(0).random(20) < 0.5]
+        for mask in masks:
+            assert estimate_lambda(ds, mask) == estimate_lambda(ds, np.flatnonzero(mask))
+        assert estimate_lambda(ds, [-1, 0]) == estimate_lambda(ds, [19, 0])
+        for bad in ([0.5], [20], [-21], np.ones(19, bool)):
+            with pytest.raises(ValidationError):
+                estimate_lambda(ds, bad)
 
     def test_empty_selection_rejected(self):
         a = AuctionRecord(0.0, 10.0, (), False)

@@ -297,6 +297,14 @@ class TestInitialEstimate:
         with pytest.raises(NumericalError, match="arrival-rate estimate is zero"):
             fit_initial(ds)
 
+    def test_infinite_rate_estimate_is_numerical_error(self, uniform_dataset):
+        # below tau ~ 1e-308 the rate estimate g^-1(mean jumps) / tau overflows
+        ds = uniform_dataset
+        tiny = ObservedDataset.from_arrays(ds.reserve, ds.sold, ds.m, ds.price,
+                                           ds.wait * 1e-310, ds.tau * 1e-310)
+        with pytest.raises(NumericalError, match="arrival-rate estimate is inf"):
+            fit_initial(tiny)
+
     def test_fit_never_evaluates_the_selling_price_map(self, uniform_dataset,
                                                        monkeypatch):
         def refuse(*args, **kwargs):

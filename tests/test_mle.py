@@ -106,10 +106,35 @@ class TestLogLik:
             assert np.all(ctx.is_jump[ctx.pooled.u - 1])
 
 
-    @pytest.mark.parametrize("lam_hat", [0.0, -1.0])
+    @pytest.mark.parametrize("lam_hat", [0.0, -1.0, math.nan, math.inf])
     def test_rate_must_be_positive(self, lam_hat):
         with pytest.raises(ValidationError, match="lambda_hat must be positive"):
             small_context(lam_hat=lam_hat)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("reserved", [True, False])
+    def test_positive_coefficients_are_a_prefix(self, seed, reserved):
+        # with half the reserves from Uniform(0, 40), above most gamma(10, 2)
+        # valuations, the top pooled prices are unsold reserves, whose
+        # coefficients are 0; with reserves near 0 every coefficient is positive
+        def policy(rng):
+            return float(rng.uniform(0.0, 40.0)) if rng.random() < 0.5 else 0.0
+
+        ds = run_study(SimConfig(lam=1.0, tau=10.0, K=200, seed=seed,
+                                 reserve_policy=policy if reserved else 0.0),
+                       ValuationDistribution.gamma(10.0, 2.0))
+        ctx = LikelihoodContext(pool(ds), 1.0)
+        m = ctx.n_positive
+        assert m == np.count_nonzero(ctx.coef)
+        assert np.all(ctx.coef[:m] > 0) and np.all(ctx.coef[m:] == 0)
+        assert (m < ctx.n) == reserved
+        theta0 = ThetaVector(np.random.default_rng(seed).choice([0.0, 0.3, 1.0], ctx.n))
+        # the rule clip_theta0 applied with a mask of the positive coefficients
+        want = theta0.theta.copy()
+        want[ctx.is_jump] = np.minimum(want[ctx.is_jump], 1.0 - 1e-6)
+        positive = ctx.coef > 0
+        want[positive] = np.maximum(want[positive], 1e-6)
+        assert np.array_equal(clip_theta0(theta0, ctx).theta, want)
 
 
 class TestCurvatureWeight:

@@ -140,10 +140,11 @@ class TestObservedDataset:
         assert ds.take(np.array(mask)).K == sum(mask)
 
     @pytest.mark.parametrize("idx", [[1.7], [1.0, 2.0], np.array([0.5]), [True, False],
-                                     ["1"], 2, [[0, 1], [2, 3]], []])
+                                     ["1"], 2, [[0, 1], [2, 3]], [], [4], [0, -5]])
     def test_take_refuses_other_indices(self, idx):
         # a float is not truncated, a short mask is not read as 0s and 1s,
-        # indices come as one list, and an empty selection leaves no auction
+        # indices come as one list and lie in [-K, K), and an empty
+        # selection leaves no auction
         with pytest.raises(ValidationError):
             four_auction_dataset().take(idx)
 
