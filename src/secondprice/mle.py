@@ -62,9 +62,7 @@ class LikelihoodContext:
         if not 0 < self.lambda_hat < math.inf:
             raise ValidationError("lambda_hat must be positive and finite")
         p = self.pooled
-        coef = p.qsize.astype(float)
-        if p.ell > 0:
-            coef = coef + (p.ell - p.l)
+        coef = p.qsize.astype(float) + (p.ell - p.l)
         is_jump = np.zeros(p.n, dtype=bool)
         is_jump[p.u - 1] = True
         object.__setattr__(self, "coef", coef)
@@ -166,8 +164,9 @@ class AscentResult:
 
 
 def _start(ctx: LikelihoodContext, theta0: ThetaVector, tol: float,
-           max_sweeps: int, constrained: bool):
-    """Checked copy of theta0, the first free index, and the objective."""
+           max_sweeps: int, constrained: bool, end: int):
+    """Checked copy of theta0 with its coordinates from ``end`` on set to
+    0, the first free index, and the objective there."""
     if not 0.0 < tol < math.inf or max_sweeps < 1:
         raise ValidationError("need a finite tol > 0 and max_sweeps >= 1")
     theta = np.asarray(theta0.theta, dtype=float).copy()
@@ -178,6 +177,7 @@ def _start(ctx: LikelihoodContext, theta0: ThetaVector, tol: float,
         if ctx.pooled.ell == 0:
             raise ValidationError("constrained mode needs at least one jump")
         freeze = int(ctx.pooled.u[0])
+    theta[end:] = 0.0
     current = _log_lik_arr(theta, ctx)
     if not np.isfinite(current):
         raise NumericalError(
@@ -201,7 +201,7 @@ def coordinate_ascent(ctx: LikelihoodContext, theta0: ThetaVector,
     a decrease beyond rounding slack raises ``NumericalError``, as does
     a decreasing sweep in either mode.
     """
-    theta, freeze, current = _start(ctx, theta0, tol, max_sweeps, constrained)
+    theta, freeze, current = _start(ctx, theta0, tol, max_sweeps, constrained, ctx.n)
     n = len(theta)
     data = (ctx.pooled.ttilde, ctx.coef, ctx.is_jump, ctx.lambda_hat)
     history = [current]
@@ -258,14 +258,15 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
     linear; the same move backs up a Newton arc that finds no ascent.
 
     Stops when the Newton decrement is at most ``tol`` and every active
-    d_i is 0; reaching ``max_sweeps`` iterations first logs a warning.
+    d_i is 0, or when an accepted step leaves the objective unchanged
+    (``tol`` below the decrement's rounding floor), which logs a debug
+    record; both count as converged.  Reaching ``max_sweeps`` iterations
+    first logs a warning.
     ``history[0]`` is the objective at theta0 with the closed-form zeros
     applied; each iteration appends one value.
     """
-    theta, lo, _ = _start(ctx, theta0, tol, max_sweeps, constrained)
     m = ctx.n_positive
-    theta[m:] = 0.0
-    current = _log_lik_arr(theta, ctx)
+    theta, lo, current = _start(ctx, theta0, tol, max_sweeps, constrained, m)
     base = float(np.sum(np.log(theta[:lo])))
     jump = ctx.is_jump[lo:m]
     bounded = ~jump
@@ -329,8 +330,13 @@ def projected_newton(ctx: LikelihoodContext, theta0: ThetaVector,
             raise NumericalError(
                 f"projected Newton found no ascent step at iteration "
                 f"{len(history)} (Newton decrement {decrement:.3g})")
-        d, current = found
-        history.append(current)
+        d, new = found
+        history.append(new)
+        if new == current:      # the objective's rounding floor: no step can gain
+            _log.debug("projected Newton stopped on a step that left the objective "
+                       "unchanged; Newton decrement %.3g (tol %.3g)", decrement, tol)
+            converged = True
+        current = new
     theta[lo:m] = np.exp(d)
     return AscentResult(ThetaVector(theta), tuple(history), converged)
 

@@ -1,9 +1,12 @@
 """Synthetic auction generation: Poisson bidder arrivals, the valuation
 distributions used in the simulation study, and the one standing-price
 rule (running second maximum of the reserve and the bids), replayed over
-many bid streams at once by ``replay_streams`` and over one by
-``replay_bids``, that the simulator, bid-log ingestion and bid-log
-export all share.
+many bid streams at once by ``replay_streams``, which the simulator,
+bid-log ingestion and bid-log export all share; ``replay_bids`` is its
+one-stream case.  The streams are replayed 1024 to a padded batch: the
+batch holds a cell per bid of its longest stream, so the fixed count
+bounds the replay's memory, and a study, log or median-bias replicate
+of about 1000 auctions is one batch.
 
 Gamma and beta valuations are drawn with the generator's own
 ``standard_gamma`` and ``beta``.  Their CDFs and quantiles are the
@@ -15,6 +18,7 @@ same argument scaling, so the draws and the CDFs equal its ``rvs`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -239,45 +243,27 @@ def _replay_rows(reserve, times, bids):
     return top[:, -1] > bid[:, 0], m, second[:, 1:][jump], when - before
 
 
-# padded bid cells replayed at once, which bounds the replay's memory
-_CELL_BUDGET = 1 << 17
-
-
-def _chunks(streams):
-    """The ``(reserve, times, bids)`` streams as consecutive ``(reserves,
-    times, bids)`` lists of at most ``_CELL_BUDGET`` padded cells each,
-    or of one longer stream."""
-    reserves, times, bids, width = [], [], [], 0
-    for reserve, t, b in streams:
-        n = len(b)
-        if n > width:
-            width = n
-        if reserves and (len(reserves) + 1) * width > _CELL_BUDGET:
-            yield reserves, times, bids
-            reserves, times, bids, width = [], [], [], n
-        reserves.append(reserve)
-        times.append(t)
-        bids.append(b)
-    if reserves:
-        yield reserves, times, bids
+_BATCH = 1024       # streams per padded replay, which bounds its memory
 
 
 def replay_streams(streams, tau: float) -> ObservedDataset:
     """The dataset of ``(reserve, times, bids)`` streams, each with one
-    time per bid, replayed in order; ``streams`` is consumed one chunk at
-    a time."""
-    parts = [(reserves, *_replay_rows(reserves, times, bids))
-             for reserves, times, bids in _chunks(streams)]
+    time per bid, replayed in order; ``streams`` is consumed ``_BATCH``
+    streams at a time."""
+    streams, parts = iter(streams), []
+    while batch := list(itertools.islice(streams, _BATCH)):
+        reserves, times, bids = zip(*batch)
+        parts.append((reserves, *_replay_rows(reserves, times, bids)))
     columns = [np.concatenate(c) for c in zip(*parts)] or [()] * 5
     return ObservedDataset.from_arrays(*columns, tau)
 
 
 def replay_bids(reserve: float, duration: float, times, bids) -> AuctionRecord:
-    """Replay one chronological (time, bid) stream and return its record."""
-    sold, _, price, wait = _replay_rows([reserve], [np.asarray(times, dtype=float)],
-                                        [np.asarray(bids, dtype=float)])
-    return AuctionRecord(reserve, duration, tuple(zip(price.tolist(), wait.tolist())),
-                         bool(sold[0]))
+    """Replay one chronological (time, bid) stream and return its record,
+    the one auction of its ``replay_streams``."""
+    replayed = replay_streams([(reserve, times, bids)], duration)
+    return AuctionRecord(reserve, duration, zip(replayed.price.tolist(), replayed.wait.tolist()),
+                         bool(replayed.sold[0]))
 
 
 def _draws(lam: float, tau: float, dist: ValuationDistribution, draws):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from secondprice import (AuctionRecord, LikelihoodContext, NumericalError,
                          ObservedDataset, SimConfig, ThetaVector,
                          ValidationError, ValuationDistribution,
-                         coordinate_ascent, log_lik, pool, projected_newton,
-                         reconstruct_cdf, run_study)
+                         coordinate_ascent, fit, log_lik, pool,
+                         projected_newton, reconstruct_cdf, run_study)
 from secondprice import mle
 from secondprice.mle import _RIDGE, _case1_root, _log_a, _newton_system, _sweep
 from secondprice.pipeline import clip_theta0, fit_initial, initial_theta
@@ -504,6 +504,20 @@ class TestProjectedNewton:
         with caplog.at_level(logging.WARNING, logger="secondprice"):
             assert projected_newton(ctx, theta0).converged
         assert not caplog.records
+
+    def test_stops_when_a_step_gains_nothing(self, caplog):
+        # at tol 1e-12 the Newton decrement stalls near 3.5e-11, its
+        # rounding floor on this dataset, and the steps gain exactly 0
+        ds = run_study(SimConfig(lam=1.0, tau=100.0, K=1000, seed=5),
+                       ValuationDistribution.pareto(1.0, 3.0))
+        default = fit(ds).ascent
+        with caplog.at_level(logging.DEBUG, logger="secondprice.mle"):
+            res = fit(ds, tol=1e-12, max_sweeps=200).ascent
+        assert res.converged and res.sweeps <= 100
+        assert res.loglik >= default.loglik
+        [record] = [r for r in caplog.records if r.name == "secondprice.mle"]
+        assert record.levelno == logging.DEBUG
+        assert "(tol 1e-12)" in record.getMessage()
 
     def test_objective_that_never_increases_is_numerical_error(self,
                                                                 monkeypatch):

@@ -12,7 +12,7 @@ from scipy import stats
 from secondprice import (AuctionRecord, ObservedDataset, SimConfig,
                          ValidationError, ValuationDistribution, has_ties,
                          replay_bids, run_auction, run_study)
-from secondprice.simulate import _chunks, replay_streams, simulate_auctions
+from secondprice.simulate import _BATCH, replay_streams, simulate_auctions
 
 
 class TestStandingPriceUpdate:
@@ -73,6 +73,12 @@ class TestReplay:
     def test_rejects_non_finite_or_ragged_streams(self, times, bids):
         with pytest.raises(ValidationError):
             replay_bids(1.0, 5.0, times, bids)
+
+    def test_refuses_waits_beyond_the_duration(self):
+        # the dataset audit's refusal, which names the auction
+        with pytest.raises(ValidationError) as refused:
+            replay_bids(1.0, 5.0, (1.0, 6.0), (4.0, 5.0))
+        assert refused.value.broken == [(0, "waiting times sum to 6.0 > duration 5.0")]
 
     def test_four_bid_stream(self):
         times = (0.55, 5.96, 9.65, 24.0)
@@ -160,19 +166,23 @@ class TestBatchedReplay:
         self.assert_rows_match_oracle(_random_streams(rng, [0, 4, 0, 0, 7, 0], 10.0), 10.0)
 
     def test_rows_of_very_different_lengths(self):
+        # one batch whose rows pad to the 900-bid stream
         rng = np.random.default_rng(2)
         lengths = [0, 1, 900, 2, 57, 0, 3, 1, 250]
-        streams = _random_streams(rng, lengths, 50.0)
-        assert len(list(_chunks(streams))) == 1
-        self.assert_rows_match_oracle(streams, 50.0)
+        self.assert_rows_match_oracle(_random_streams(rng, lengths, 50.0), 50.0)
 
-    def test_batch_spanning_several_chunks(self):
+    def test_streams_spanning_several_batches(self):
+        # three batches of different widths, with empty streams at and
+        # beside their edges
         rng = np.random.default_rng(3)
-        lengths = rng.integers(0, 900, 400)
-        lengths[7] = 0
-        streams = _random_streams(rng, lengths, 50.0)
-        assert len(list(_chunks(streams))) > 1
-        self.assert_rows_match_oracle(streams, 50.0)
+        lengths = rng.integers(0, 40, 2 * _BATCH + 7)
+        lengths[[0, 7, _BATCH - 1, _BATCH, 2 * _BATCH, -1]] = 0
+        lengths[2 * _BATCH + 3] = 900
+        self.assert_rows_match_oracle(_random_streams(rng, lengths, 50.0), 50.0)
+
+    def test_no_streams_is_refused(self):
+        with pytest.raises(ValidationError, match="dataset must contain at least one auction"):
+            replay_streams([], 10.0)
 
     @pytest.mark.parametrize("lam, tau", [(1.0, 0.05), (10.0, 100.0)])
     def test_study_equals_single_auction_runs(self, lam, tau):
