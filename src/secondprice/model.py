@@ -91,7 +91,7 @@ class AuctionRecord:
         violations, _ = audit_auctions([self.reserve], self.duration, [bool(self.sold)],
                                        [self.m], np.array(self.prices), np.array(self.waits))
         if violations:
-            raise ValidationError([text for _, text in violations])
+            raise ValidationError([text for _, text in violations], violations)
 
     @property
     def m(self) -> int:

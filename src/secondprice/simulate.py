@@ -1,12 +1,14 @@
 """Synthetic auction generation: Poisson bidder arrivals, the valuation
 distributions used in the simulation study, and the one standing-price
 rule (running second maximum of the reserve and the bids), replayed over
-many bid streams at once by ``replay_streams``, which the simulator,
-bid-log ingestion and bid-log export all share; ``replay_bids`` is its
-one-stream case.  The streams are replayed 1024 to a padded batch: the
-batch holds a cell per bid of its longest stream, so the fixed count
-bounds the replay's memory, and a study, log or median-bias replicate
-of about 1000 auctions is one batch.
+many bid streams at once by one kernel, which refuses a stream whose bid
+times are not finite, non-negative and in order.  ``replay_streams``,
+which the simulator, bid-log ingestion and bid-log export all share,
+replays the streams 1024 to a padded batch: the batch holds a cell per
+bid of its longest stream, so the fixed count bounds the replay's
+memory, and a study, log or median-bias replicate of about 1000 auctions
+is one batch.  ``replay_bids`` runs the kernel on its one stream and
+builds the record, whose own audit is the only one it runs.
 
 Gamma and beta valuations are drawn with the generator's own
 ``standard_gamma`` and ``beta``.  Their CDFs and quantiles are the
@@ -216,11 +218,13 @@ class SimConfig:
 
 def _replay_rows(reserve, times, bids):
     """Replay chronological bid streams at once, padded with -inf bids
-    (never placed).  The standing price is the running second maximum of
-    the reserve and the bids so far, with a jump wherever it strictly
-    increases (a bid at or below it cannot change that maximum, so this is
-    also the path of the placed bids); a stream sells iff a bid exceeds
-    its reserve.  Returns ``sold``, ``m`` and the jumps' prices and waits."""
+    (never placed); each stream's times must be finite, >= 0 and
+    non-decreasing (equal times are kept).  The standing price is the
+    running second maximum of the reserve and the bids so far, with a
+    jump wherever it strictly increases (a bid at or below it cannot
+    change that maximum, so this is also the path of the placed bids); a
+    stream sells iff a bid exceeds its reserve.  Returns ``sold``, ``m``
+    and the jumps' prices and waits."""
     lengths = np.fromiter(map(len, bids), np.intp, len(bids))
     filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
     bid = np.full((len(bids), filled.shape[1] + 1), -np.inf)
@@ -232,6 +236,11 @@ def _replay_rows(reserve, times, bids):
     # and every bid are (bar -inf bids)
     if not np.isfinite(top[:, -1]).all() or times.shape != (lengths.sum(),):
         raise ValidationError("reserve and bids must be finite, with one time per bid")
+    first = (lengths.cumsum() - lengths)[lengths > 0]      # each stream's first time
+    rising = times[1:] >= times[:-1]
+    rising[first[1:] - 1] = True                            # a new stream may start lower
+    if not (np.isfinite(times).all() and rising.all() and (times[first] >= 0).all()):
+        raise ValidationError("bid times must be finite, >= 0 and in order within each stream")
     second = np.maximum.accumulate(
         np.concatenate((bid[:, :1], np.minimum(bid[:, 1:], top[:, :-1])), axis=1), axis=1)
     jump = second[:, 1:] > second[:, :-1]
@@ -259,11 +268,10 @@ def replay_streams(streams, tau: float) -> ObservedDataset:
 
 
 def replay_bids(reserve: float, duration: float, times, bids) -> AuctionRecord:
-    """Replay one chronological (time, bid) stream and return its record,
-    the one auction of its ``replay_streams``."""
-    replayed = replay_streams([(reserve, times, bids)], duration)
-    return AuctionRecord(reserve, duration, zip(replayed.price.tolist(), replayed.wait.tolist()),
-                         bool(replayed.sold[0]))
+    """Replay one chronological (time, bid) stream, ``_replay_rows`` on
+    one row, and return its record, which the record's audit checks."""
+    sold, _, price, wait = _replay_rows([reserve], [times], [bids])
+    return AuctionRecord(reserve, duration, zip(price.tolist(), wait.tolist()), bool(sold[0]))
 
 
 def _draws(lam: float, tau: float, dist: ValuationDistribution, draws):

@@ -679,3 +679,18 @@ class TestReconstruct:
         assert np.array_equal(curve(z), 1.0 - np.cumprod(theta.theta))
         assert curve(3.0) == pytest.approx(1.0 - 0.8 * 0.5 * 0.25)
         assert curve(1.5) == pytest.approx(0.5 * (0.2 + 0.6))
+
+
+class TestArrivalRateExtremes:
+    # lambda * tau = 0.2 leaves most auctions without a bid; 2000 crowds
+    # every auction with bidders
+    @pytest.mark.parametrize("constrained", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lam_tau", [0.2, 2000.0])
+    def test_fit_converges_to_a_cdf(self, lam_tau, seed, constrained):
+        ds = run_study(SimConfig(1.0, lam_tau, 300, seed), ValuationDistribution.gamma(10.0, 2.0))
+        res = fit(ds, constrained=constrained)
+        assert res.ascent.converged
+        values = res.cdf.values
+        assert np.all(np.diff(values) >= 0)
+        assert 0.0 <= values[0] and values[-1] <= 1.0

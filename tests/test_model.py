@@ -69,8 +69,10 @@ class TestAuctionRecord:
         dict(reserve=2.0, duration=10.0, jumps=((3.0, 1.0),), sold=False),
     ])
     def test_invalid_records_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             AuctionRecord(**kwargs)
+        # each broken rule is named with its auction, as a dataset names it
+        assert err.value.broken == [(0, t) for t in err.value.violations]
 
     def test_all_violations_reported_together(self):
         with pytest.raises(ValidationError) as err:

@@ -12,6 +12,7 @@ from scipy import stats
 from secondprice import (AuctionRecord, ObservedDataset, SimConfig,
                          ValidationError, ValuationDistribution, has_ties,
                          replay_bids, run_auction, run_study)
+from secondprice import model
 from secondprice.simulate import _BATCH, replay_streams, simulate_auctions
 
 
@@ -69,10 +70,26 @@ class TestReplay:
         ((1.0, 2.0), (4.0, float("inf"))),
         ((1.0, float("nan")), (4.0, 5.0)),
         ((1.0,), (4.0, 5.0)),
+        # times out of order or negative, and a NaN or infinite time on a
+        # bid below the reserve
+        ((3.0, 1.0, 2.0), (4.0, 5.0, 6.0)),
+        ((-1.0, 2.0), (4.0, 5.0)),
+        ((1.0, float("nan")), (4.0, 0.5)),
+        ((1.0, float("inf")), (4.0, 0.5)),
     ])
     def test_rejects_non_finite_or_ragged_streams(self, times, bids):
         with pytest.raises(ValidationError):
             replay_bids(1.0, 5.0, times, bids)
+
+    def test_audits_once(self, monkeypatch):
+        calls, audit = [], model.audit_auctions
+
+        def counted(*args):
+            calls.append(args)
+            return audit(*args)
+        monkeypatch.setattr(model, "audit_auctions", counted)
+        replay_bids(2.0, 30.0, (0.55, 5.96, 9.65, 24.0), (8.05, 5.09, 12.82, 10.14))
+        assert len(calls) == 1
 
     def test_refuses_waits_beyond_the_duration(self):
         # the dataset audit's refusal, which names the auction
@@ -179,6 +196,15 @@ class TestBatchedReplay:
         lengths[[0, 7, _BATCH - 1, _BATCH, 2 * _BATCH, -1]] = 0
         lengths[2 * _BATCH + 3] = 900
         self.assert_rows_match_oracle(_random_streams(rng, lengths, 50.0), 50.0)
+
+    @pytest.mark.parametrize("times", [(2.0, 1.0), (-1.0, 2.0), (1.0, float("nan"))])
+    def test_refuses_a_stream_out_of_time_order_among_others(self, times):
+        # the streams before it end later than it starts, which is allowed
+        streams = [(0.0, np.array([1.0, 5.0]), np.array([4.0, 6.0])),
+                   (0.0, np.empty(0), np.empty(0)),
+                   (0.0, np.array(times), np.array([3.0, 1.0]))]
+        with pytest.raises(ValidationError, match="in order within each stream"):
+            replay_streams(streams, 10.0)
 
     def test_no_streams_is_refused(self):
         with pytest.raises(ValidationError, match="dataset must contain at least one auction"):
